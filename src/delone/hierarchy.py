@@ -6,10 +6,14 @@ level below.  Patches are only materialized on demand (against a memory
 cap); occurrence counting works on the implicit structure:
 
 * block-aligned counts come from exact integer transition-matrix products;
-* sliding counts recurse through the hierarchy, materializing only thin
-  bands around internal block boundaries (memoized by the ordered tuple of
-  adjacent child ids), so exact counts stay feasible at depths whose full
-  patches would not fit in memory.
+* sliding counts recurse through the hierarchy.  A placement that crosses
+  a seam between two children is counted on the seam itself: the seam
+  a|b at level t is the stack of the seams between the edge children of
+  a and b at level t-1, plus the 2x2 junctions between consecutive ones
+  (the collared-tile recursion of Anderson and Putnam).  Seams and
+  junctions are memoized by the ids they join, and only needle-sized
+  strips and corner tiles at the bottom of the recursion are ever
+  materialized, so the cost grows with depth, not with side length.
 
 Arrangements come in two flavours: dense integer grids, and a compact
 closed form for the bottom-alternation construction whose grids are far
@@ -19,6 +23,8 @@ too large to store explicitly in rigorous parameter regimes.
 from __future__ import annotations
 
 import os
+from collections import Counter
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -39,6 +45,104 @@ class CapacityError(RuntimeError):
 
 class SpecError(ValueError):
     """Structurally invalid hierarchy description."""
+
+
+# ----------------------------------------------------------------------
+# arrangement edges
+# ----------------------------------------------------------------------
+
+Runs = tuple[tuple[Hashable, int], ...]
+
+
+@dataclass(frozen=True)
+class Edge:
+    """One side of an arrangement grid as runs ``(id, length)``.
+
+    Bottom and top edges read left to right, left and right edges bottom
+    to top.  The edge is ``head`` repeated ``reps`` times, then ``tail``,
+    so periodic edges of astronomically long grids stay small.  Ids may be
+    any hashable: :meth:`pair` zips two edges into an edge of id pairs.
+    """
+
+    head: Runs
+    reps: int = 1
+    tail: Runs = ()
+
+    @classmethod
+    def of(cls, line: np.ndarray) -> "Edge":
+        """Runs of an explicit line of ids."""
+        cuts = [0, *(np.flatnonzero(np.diff(line)) + 1).tolist(), len(line)]
+        return cls(tuple((int(line[a]), b - a) for a, b in zip(cuts, cuts[1:])))
+
+    @property
+    def length(self) -> int:
+        return sum(n for _, n in self.head) * self.reps + sum(n for _, n in self.tail)
+
+    @property
+    def const(self) -> Hashable | None:
+        """The only id on the edge, or None when there are several."""
+        ids = {v for v, _ in self.head + self.tail}
+        return next(iter(ids)) if len(ids) == 1 else None
+
+    def tally(self) -> dict:
+        """Number of positions holding each id."""
+        out: dict = {}
+        for v, n in self.head:
+            _add(out, v, n * self.reps)
+        for v, n in self.tail:
+            _add(out, v, n)
+        return out
+
+    def steps(self) -> dict:
+        """Number of consecutive positions holding each (id, next id)."""
+        out: dict = {}
+        for runs, mult in ((self.head, self.reps), (self.tail, 1)):
+            for v, n in runs:
+                _add(out, (v, v), (n - 1) * mult)
+            for (u, _), (v, _) in zip(runs, runs[1:]):
+                _add(out, (u, v), mult)
+        _add(out, (self.head[-1][0], self.head[0][0]), self.reps - 1)
+        if self.tail:
+            _add(out, (self.head[-1][0], self.tail[0][0]), 1)
+        return out
+
+    def pair(self, other: "Edge") -> "Edge":
+        """The edge of (self id, other id) at equal positions."""
+        if self.length != other.length:
+            raise SpecError("paired edges differ in length")
+        c = other.const
+        if c is not None:
+            return Edge(_relabel(self.head, lambda v: (v, c)), self.reps,
+                        _relabel(self.tail, lambda v: (v, c)))
+        c = self.const
+        if c is not None:
+            return Edge(_relabel(other.head, lambda v: (c, v)), other.reps,
+                        _relabel(other.tail, lambda v: (c, v)))
+        # neither edge is constant: both come from stored grids, so their
+        # run lists are no longer than a stored grid side
+        return Edge(_zip_runs(self.head * self.reps + self.tail, other.head * other.reps + other.tail))
+
+
+def _relabel(runs: Runs, fn) -> Runs:
+    return tuple((fn(v), n) for v, n in runs)
+
+
+def _zip_runs(r1: Runs, r2: Runs) -> Runs:
+    out = []
+    i = j = 0
+    (u, n), (v, m) = r1[0], r2[0]
+    while True:
+        step = min(n, m)
+        out.append(((u, v), step))
+        n, m = n - step, m - step
+        if n == 0:
+            i += 1
+            if i == len(r1):
+                return tuple(out)
+            u, n = r1[i]
+        if m == 0:
+            j += 1
+            v, m = r2[j]
 
 
 # ----------------------------------------------------------------------
@@ -79,30 +183,40 @@ class DenseArrangement:
     def to_grid(self) -> np.ndarray:
         return self.grid
 
+    def edge(self, side: str) -> Edge:
+        g = self.grid
+        return Edge.of({"left": g[:, 0], "right": g[:, -1], "bottom": g[0], "top": g[-1]}[side])
+
     def hpair_counts(self) -> dict[tuple[int, int], int]:
-        a = self.grid[:, :-1].ravel()
-        b = self.grid[:, 1:].ravel()
-        return _pair_tally(a, b)
+        return _tally(self.grid[:, :-1], self.grid[:, 1:])
 
     def vpair_counts(self) -> dict[tuple[int, int], int]:
-        a = self.grid[:-1, :].ravel()
-        b = self.grid[1:, :].ravel()
-        return _pair_tally(a, b)
+        return _tally(self.grid[:-1, :], self.grid[1:, :])
 
     def quad_counts(self) -> dict[tuple[int, int, int, int], int]:
-        bl = self.grid[:-1, :-1].ravel()
-        br = self.grid[:-1, 1:].ravel()
-        tl = self.grid[1:, :-1].ravel()
-        tr = self.grid[1:, 1:].ravel()
-        stacked = np.stack([bl, br, tl, tr], axis=1)
-        uniq, cnt = np.unique(stacked, axis=0, return_counts=True)
-        return {tuple(int(v) for v in row): int(c) for row, c in zip(uniq, cnt)}
+        g = self.grid
+        return _tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])
 
 
-def _pair_tally(a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], int]:
-    stacked = np.stack([a, b], axis=1)
-    uniq, cnt = np.unique(stacked, axis=0, return_counts=True)
-    return {(int(x), int(y)): int(c) for (x, y), c in zip(uniq, cnt)}
+def _tally(*parts: np.ndarray) -> dict[tuple[int, ...], int]:
+    """Counts of the id tuples at equal positions of equally shaped arrays."""
+    flat = [p.ravel().astype(np.int64) for p in parts]
+    if not flat[0].size:
+        return {}
+    lo = min(int(f.min()) for f in flat)
+    radix = max(int(f.max()) for f in flat) - lo + 1
+    if radix ** len(flat) >= 2**62:  # keys would overflow int64
+        cnt = Counter(zip(*(f.tolist() for f in flat)))
+        return {tuple(int(v) for v in key): n for key, n in cnt.items()}
+    key = np.zeros_like(flat[0])
+    for f in flat:
+        key = key * radix + (f - lo)
+    uniq, cnt = np.unique(key, return_counts=True)
+    digits = []
+    for _ in flat:
+        uniq, d = np.divmod(uniq, radix)
+        digits.append((d + lo).tolist())
+    return {tuple(ids[::-1]): int(c) for *ids, c in zip(*digits, cnt.tolist())}
 
 
 @dataclass(frozen=True)
@@ -114,6 +228,9 @@ class AltBottomArrangement:
     ``super_cells``; group b holds ``alt_id`` when b is odd, ``main_id``
     when b is even (so both extreme groups hold ``main_id``).  Everything
     above the bottom band holds ``main_id``.  ``blocks`` must be odd.
+
+    Every band row equals the bottom edge and every column is constant
+    inside and above the band, so all tallies follow from the bottom edge.
     """
 
     super_cells: int
@@ -162,57 +279,37 @@ class AltBottomArrangement:
             grid[:s, blk * s : (blk + 1) * s] = self.alt_id
         return grid
 
+    def edge(self, side: str) -> Edge:
+        """Left, right and top edges hold only ``main_id``; the bottom edge
+        alternates main and alternate groups, starting and ending main."""
+        s, m = self.super_cells, self.main_id
+        if side != "bottom":
+            return Edge(((m, self.rows),))
+        return Edge(((m, s), (self.alt_id, s)), (self.blocks - 1) // 2, ((m, s),))
+
     def hpair_counts(self) -> dict[tuple[int, int], int]:
-        s, b = self.super_cells, self.blocks
-        n = s * b
-        m, a = self.main_id, self.alt_id
-        out: dict[tuple[int, int], int] = {}
-        # rows above the bottom band
+        s, n, m = self.super_cells, self.rows, self.main_id
+        out = {p: s * c for p, c in self.edge("bottom").steps().items()}
         _add(out, (m, m), (n - s) * (n - 1))
-        # bottom band: inside each group, then across group boundaries
-        if s > 1:
-            _add(out, (m, m), s * (s - 1) * (b - (b // 2)))
-            _add(out, (a, a), s * (s - 1) * (b // 2))
-        _add(out, (m, a), s * ((b - 1) // 2 + (1 if b % 2 == 0 else 0)))
-        _add(out, (a, m), s * ((b - 1) // 2))
-        # blocks is odd: boundaries alternate m|a, a|m, ... starting and ending m|a
-        return {k: v for k, v in out.items() if v}
+        return out
 
     def vpair_counts(self) -> dict[tuple[int, int], int]:
-        s, b = self.super_cells, self.blocks
-        n = s * b
-        m, a = self.main_id, self.alt_id
+        s, n, m = self.super_cells, self.rows, self.main_id
         out: dict[tuple[int, int], int] = {}
-        _add(out, (m, m), (n - s - 1) * n if n - s >= 1 else 0)  # above band
-        if s > 1:
-            _add(out, (m, m), (s - 1) * s * (b - (b // 2)))
-            _add(out, (a, a), (s - 1) * s * (b // 2))
-        # seam between the band's top row and the filler above it
-        _add(out, (m, m), s * (b - (b // 2)))
-        _add(out, (a, m), s * (b // 2))
-        return {k: v for k, v in out.items() if v}
+        for v, c in self.edge("bottom").tally().items():
+            _add(out, (v, v), (s - 1) * c)  # inside the band
+            _add(out, (v, m), c)  # band top row below the filler
+        _add(out, (m, m), (n - s - 1) * n)
+        return out
 
     def quad_counts(self) -> dict[tuple[int, int, int, int], int]:
-        s, b = self.super_cells, self.blocks
-        n = s * b
-        m, a = self.main_id, self.alt_id
+        s, n, m = self.super_cells, self.rows, self.main_id
         out: dict[tuple[int, int, int, int], int] = {}
-        _add(out, (m, m, m, m), (n - s - 1) * (n - 1) if n - s >= 1 else 0)
-        # junction rows inside the bottom band
-        if s > 1:
-            _add(out, (m, m, m, m), (s - 1) * (s - 1) * (b - (b // 2)))
-            _add(out, (a, a, a, a), (s - 1) * (s - 1) * (b // 2))
-            _add(out, (m, a, m, a), (s - 1) * ((b - 1) // 2 + (b % 2 == 0)))
-            _add(out, (a, m, a, m), (s - 1) * ((b - 1) // 2))
-        # junction row at the band's top edge
-        if s > 1:
-            _add(out, (m, m, m, m), (s - 1) * (b - (b // 2)))
-            _add(out, (a, a, m, m), (s - 1) * (b // 2))
-        else:
-            _add(out, (m, m, m, m), 0)
-        _add(out, (m, a, m, m), (b - 1) // 2 + (b % 2 == 0))
-        _add(out, (a, m, m, m), (b - 1) // 2)
-        return {k: v for k, v in out.items() if v}
+        for (u, v), c in self.edge("bottom").steps().items():
+            _add(out, (u, v, u, v), (s - 1) * c)  # inside the band
+            _add(out, (u, v, m, m), c)  # band top row below the filler
+        _add(out, (m, m, m, m), (n - s - 1) * (n - 1))
+        return out
 
 
 def _add(d: dict, key, val: int) -> None:
@@ -263,6 +360,9 @@ class HierarchySpec:
     kind: str = "custom"
     anchored: bool = False
     meta: dict[str, str] = field(default_factory=dict)
+    # (side, origin) per level, and the top level they were computed up to
+    _frames: list[tuple[int, Point]] = field(default_factory=list, init=False, repr=False, compare=False)
+    _frames_top: Level | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.base:
@@ -283,10 +383,7 @@ class HierarchySpec:
 
     def side(self, level: int) -> int:
         self._check_level(level)
-        s = self.base[0].width
-        for lv in self.levels[: level - 1]:
-            s *= lv.branching
-        return s
+        return self._frame_table()[level - 1][0]
 
     def cell_count(self, level: int) -> int:
         return self.side(level) ** 2
@@ -294,14 +391,27 @@ class HierarchySpec:
     def origin(self, level: int) -> Point:
         """Absolute position of the level's bottom-left cell (frames nest)."""
         self._check_level(level)
-        ox, oy = self.base[0].origin
-        side = self.base[0].width
-        for lv in self.levels[: level - 1]:
+        return self._frame_table()[level - 1][1]
+
+    def _frame_table(self) -> list[tuple[int, Point]]:
+        """(side, origin) of every level, indexed by level - 1.
+
+        The table is kept until ``levels`` grows, shrinks or has its last
+        level replaced (the builders append levels one at a time).
+        """
+        levels = self.levels
+        top = levels[-1] if levels else None
+        if len(self._frames) == len(levels) + 1 and self._frames_top is top:
+            return self._frames
+        side, (ox, oy) = self.base[0].width, self.base[0].origin
+        table = [(side, (ox, oy))]
+        for lv in levels:
             ac, ar = lv.anchor
-            ox -= ac * side
-            oy -= ar * side
+            ox, oy = ox - ac * side, oy - ar * side
             side *= lv.branching
-        return (ox, oy)
+            table.append((side, (ox, oy)))
+        self._frames, self._frames_top = table, top
+        return table
 
     def _check_level(self, level: int) -> None:
         if not (1 <= level <= self.num_levels):
@@ -530,12 +640,19 @@ def count_occurrences(
     pid: int,
     mode: str = SLIDING,
     cap: int | None = None,
+    _memo: dict | None = None,
 ) -> int:
     """Exact number of occurrences of ``needle`` in an (implicit) level patch.
 
     ``block_aligned`` counts needle-sized blocks of the hierarchy grid (the
     needle must match a whole level); ``sliding`` counts every translate
-    fully inside the support, straddles included.
+    fully inside the support, straddles included.  Sliding counts recurse
+    on the seams between children (see the module docstring) and only
+    materialize seam strips one needle wide and corner tiles at the lowest
+    levels that hold the needle, unless the needle is wider than the
+    children of ``level`` itself, which is then scanned whole; every
+    materialization is checked against ``cap``.  ``_memo`` carries the
+    seam memo between calls that count the same needle under the same cap.
     """
     spec._check_level(level)
     side = spec.side(level)
@@ -546,8 +663,8 @@ def count_occurrences(
     if mode == BLOCK_ALIGNED:
         return _count_block_aligned(spec, needle, level, pid)
     if mode == SLIDING:
-        memo: dict = {}
-        return _count_sliding(spec, needle, level, pid, memo, DEFAULT_CELL_CAP if cap is None else cap)
+        cap = DEFAULT_CELL_CAP if cap is None else cap
+        return _SlidingCount(spec, needle, cap, {} if _memo is None else _memo).patch(level, pid)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -575,44 +692,6 @@ def _count_block_aligned(spec, needle, level, pid) -> int:
     return sum(mat[i - 1][pid - 1] for i in matching)
 
 
-def _count_sliding(spec, needle, level, pid, memo, cap) -> int:
-    key = ("n", level, pid)
-    if key in memo:
-        return memo[key]
-    w, h = needle.width, needle.height
-    side = spec.side(level)
-    if w > side or h > side:
-        return 0
-    if level == 1:
-        res = scan_count(spec.base[pid - 1].cells, needle)
-        memo[key] = res
-        return res
-    s = spec.side(level - 1)
-    if w > s or h > s:
-        # needle wider than the children: fall back to a direct scan
-        res = scan_count(_materialize_cells_capped(spec, level, pid, cap), needle)
-        memo[key] = res
-        return res
-    lv = spec.levels[level - 2]
-    arr = lv.arrangements[pid - 1]
-    step = arr.counts(spec.k(level - 1))
-    total = sum(
-        step[i - 1] * _count_sliding(spec, needle, level - 1, i, memo, cap)
-        for i in range(1, spec.k(level - 1) + 1)
-    )
-    if w >= 2:
-        for (a, b), npairs in arr.hpair_counts().items():
-            total += npairs * _vband_count(spec, needle, level - 1, a, b, memo)
-    if h >= 2:
-        for (a, b), npairs in arr.vpair_counts().items():
-            total += npairs * _hband_count(spec, needle, level - 1, a, b, memo)
-    if w >= 2 and h >= 2:
-        for quad, nq in arr.quad_counts().items():
-            total += nq * _corner_count(spec, needle, level - 1, quad, memo)
-    memo[key] = total
-    return total
-
-
 def _materialize_cells_capped(spec, level, pid, cap) -> np.ndarray:
     need = spec.cell_count(level)
     if need > cap:
@@ -622,63 +701,162 @@ def _materialize_cells_capped(spec, level, pid, cap) -> np.ndarray:
     return _materialize_cells(spec, level, pid, {})
 
 
-def _vband_count(spec, needle, t, a, b, memo) -> int:
-    """Placements crossing the vertical seam between children a|b at level t."""
-    key = ("V", t, a, b)
-    if key in memo:
-        return memo[key]
-    w, h = needle.width, needle.height
-    s = spec.side(t)
-    left = materialize_region(spec, t, a, s - (w - 1), 0, w - 1, s)
-    right = materialize_region(spec, t, b, 0, 0, w - 1, s)
-    band = np.hstack([left, right])
-    res = scan_count(band, needle, x_lo=0, x_hi=w - 2, y_lo=0, y_hi=s - h)
-    memo[key] = res
-    return res
+# the tile each patch of a 2x2 junction (bl, br, tl, tr) puts next to the
+# junction: (its corner, row and column of the tile in the junction block)
+_JUNCTION = (("tr", 0, 0), ("tl", 0, 1), ("br", 1, 0), ("bl", 1, 1))
 
 
-def _hband_count(spec, needle, t, a, b, memo) -> int:
-    """Placements crossing the horizontal seam between child a below child b."""
-    key = ("H", t, a, b)
-    if key in memo:
-        return memo[key]
-    w, h = needle.width, needle.height
-    s = spec.side(t)
-    bottom = materialize_region(spec, t, a, 0, s - (h - 1), s, h - 1)
-    top = materialize_region(spec, t, b, 0, 0, s, h - 1)
-    band = np.vstack([bottom, top])
-    res = scan_count(band, needle, x_lo=0, x_hi=s - w, y_lo=0, y_hi=h - 2)
-    memo[key] = res
-    return res
+class _SlidingCount:
+    """Memoized sliding counts of one needle over one hierarchy.
 
+    Memo keys, with t a level and a, b, pid patch ids at that level:
 
-def _corner_count(spec, needle, t, quad, memo) -> int:
-    """Placements crossing both seams at a 2x2 child junction (bl, br, tl, tr)."""
-    key = ("C", t) + tuple(quad)
-    if key in memo:
-        return memo[key]
-    w, h = needle.width, needle.height
-    s = spec.side(t)
-    bl, br, tl, tr = quad
-    blk = np.vstack(
-        [
-            np.hstack(
-                [
-                    materialize_region(spec, t, bl, s - (w - 1), s - (h - 1), w - 1, h - 1),
-                    materialize_region(spec, t, br, 0, s - (h - 1), w - 1, h - 1),
-                ]
-            ),
-            np.hstack(
-                [
-                    materialize_region(spec, t, tl, s - (w - 1), 0, w - 1, h - 1),
-                    materialize_region(spec, t, tr, 0, 0, w - 1, h - 1),
-                ]
-            ),
-        ]
-    )
-    res = scan_count(blk, needle, x_lo=0, x_hi=w - 2, y_lo=0, y_hi=h - 2)
-    memo[key] = res
-    return res
+    * ``("n", t, pid)``: placements inside the patch;
+    * ``("V", t, a, b)``: placements crossing only the vertical seam of a
+      left of b (origins on the seam's rows, not crossing top or bottom);
+    * ``("H", t, a, b)``: placements crossing only the horizontal seam of
+      a below b;
+    * ``("C", bl, br, tl, tr)``: placements crossing both seams of a 2x2
+      junction, keyed by the patches holding the four tiles around it;
+    * ``("K", t, pid, corner)``: the patch holding a (w-1) x (h-1) corner
+      tile of a level-t patch, and ``("T", pid, corner)`` that tile.
+
+    Seams and junctions are only evaluated at levels whose side is at
+    least the needle's, so a placement crosses at most one seam each way.
+    """
+
+    def __init__(self, spec: HierarchySpec, needle: Patch, cap: int, memo: dict):
+        self.spec, self.needle, self.cap, self.memo = spec, needle, cap, memo
+        self.w, self.h = needle.width, needle.height
+        self.sides = [s for s, _ in spec._frame_table()]
+        # lowest level whose patches hold a corner tile of the needle
+        self.tile_level = next(
+            (t for t, s in enumerate(self.sides, start=1) if s >= max(self.w, self.h) - 1), 1
+        )
+
+    def _fits_children(self, t: int) -> bool:
+        """The needle fits inside every child of a level-t patch."""
+        return t > 1 and self.sides[t - 2] >= max(self.w, self.h)
+
+    def patch(self, t: int, pid: int) -> int:
+        key = ("n", t, pid)
+        if key in self.memo:
+            return self.memo[key]
+        spec, w, h = self.spec, self.w, self.h
+        if t == 1:
+            res = scan_count(spec.base[pid - 1].cells, self.needle)
+        elif not self._fits_children(t):
+            res = scan_count(_materialize_cells_capped(spec, t, pid, self.cap), self.needle)
+        else:
+            arr = spec.levels[t - 2].arrangements[pid - 1]
+            step = arr.counts(spec.k(t - 1))
+            res = sum(n * self.patch(t - 1, i) for i, n in enumerate(step, start=1) if n)
+            if w >= 2:
+                res += sum(n * self.vseam(t - 1, a, b) for (a, b), n in arr.hpair_counts().items())
+            if h >= 2:
+                res += sum(n * self.hseam(t - 1, a, b) for (a, b), n in arr.vpair_counts().items())
+            if w >= 2 and h >= 2:
+                res += sum(n * self.corner(t - 1, q) for q, n in arr.quad_counts().items())
+        self.memo[key] = res
+        return res
+
+    def vseam(self, t: int, a: int, b: int) -> int:
+        """Placements crossing the vertical seam between level-t patches a|b.
+
+        The seam is the stack of the row seams between a's right-edge
+        children and b's left-edge children, joined at 2x2 junctions.
+        """
+        key = ("V", t, a, b)
+        if key in self.memo:
+            return self.memo[key]
+        w, h = self.w, self.h
+        if self._fits_children(t):
+            arrs = self.spec.levels[t - 2].arrangements
+            seam = arrs[a - 1].edge("right").pair(arrs[b - 1].edge("left"))
+            res = sum(n * self.vseam(t - 1, x, y) for (x, y), n in seam.tally().items())
+            if h >= 2:
+                res += sum(n * self.corner(t - 1, (x, y, x2, y2))
+                           for ((x, y), (x2, y2)), n in seam.steps().items())
+        else:
+            s = self.sides[t - 1]
+            self._check_cap(2 * (w - 1) * s, f"vertical seam strip at level {t}")
+            band = np.hstack([
+                materialize_region(self.spec, t, a, s - (w - 1), 0, w - 1, s),
+                materialize_region(self.spec, t, b, 0, 0, w - 1, s),
+            ])
+            res = scan_count(band, self.needle, x_lo=0, x_hi=w - 2, y_lo=0, y_hi=s - h)
+        self.memo[key] = res
+        return res
+
+    def hseam(self, t: int, a: int, b: int) -> int:
+        """Placements crossing the horizontal seam between level-t patch a
+        below patch b: the row of column seams between a's top-edge and b's
+        bottom-edge children, joined at 2x2 junctions."""
+        key = ("H", t, a, b)
+        if key in self.memo:
+            return self.memo[key]
+        w, h = self.w, self.h
+        if self._fits_children(t):
+            arrs = self.spec.levels[t - 2].arrangements
+            seam = arrs[a - 1].edge("top").pair(arrs[b - 1].edge("bottom"))
+            res = sum(n * self.hseam(t - 1, p, q) for (p, q), n in seam.tally().items())
+            if w >= 2:
+                res += sum(n * self.corner(t - 1, (p, p2, q, q2))
+                           for ((p, q), (p2, q2)), n in seam.steps().items())
+        else:
+            s = self.sides[t - 1]
+            self._check_cap(2 * (h - 1) * s, f"horizontal seam strip at level {t}")
+            band = np.vstack([
+                materialize_region(self.spec, t, a, 0, s - (h - 1), s, h - 1),
+                materialize_region(self.spec, t, b, 0, 0, s, h - 1),
+            ])
+            res = scan_count(band, self.needle, x_lo=0, x_hi=s - w, y_lo=0, y_hi=h - 2)
+        self.memo[key] = res
+        return res
+
+    def corner(self, t: int, quad: tuple[int, int, int, int]) -> int:
+        """Placements crossing both seams at a 2x2 junction (bl, br, tl, tr)
+        of level-t patches.  Only the four (w-1) x (h-1) tiles around the
+        junction matter, so the memo key is the patches those tiles come
+        from at the lowest level that holds them."""
+        owners = tuple(self.tile_owner(t, pid, c) for pid, (c, _, _) in zip(quad, _JUNCTION))
+        key = ("C", *owners)
+        if key in self.memo:
+            return self.memo[key]
+        cw, ch = self.w - 1, self.h - 1
+        blk = np.empty((2 * ch, 2 * cw), dtype=np.uint8)
+        for pid, (c, row, col) in zip(owners, _JUNCTION):
+            blk[row * ch : (row + 1) * ch, col * cw : (col + 1) * cw] = self.tile(pid, c)
+        res = scan_count(blk, self.needle, x_lo=0, x_hi=self.w - 2, y_lo=0, y_hi=self.h - 2)
+        self.memo[key] = res
+        return res
+
+    def tile_owner(self, t: int, pid: int, corner: str) -> int:
+        """The patch at ``tile_level`` holding the (w-1) x (h-1) cells at
+        corner "bl", "br", "tl" or "tr" of level-t patch ``pid``."""
+        if t == self.tile_level:
+            return pid
+        key = ("K", t, pid, corner)
+        if key not in self.memo:
+            arr = self.spec.levels[t - 2].arrangements[pid - 1]
+            last = arr.rows - 1
+            child = arr.id_at(last if corner[1] == "r" else 0, last if corner[0] == "t" else 0)
+            self.memo[key] = self.tile_owner(t - 1, child, corner)
+        return self.memo[key]
+
+    def tile(self, pid: int, corner: str) -> np.ndarray:
+        """The (w-1) x (h-1) corner tile of patch ``pid`` at ``tile_level``."""
+        key = ("T", pid, corner)
+        if key not in self.memo:
+            cw, ch = self.w - 1, self.h - 1
+            s = self.sides[self.tile_level - 1]
+            x0, y0 = (s - cw if corner[1] == "r" else 0), (s - ch if corner[0] == "t" else 0)
+            self.memo[key] = materialize_region(self.spec, self.tile_level, pid, x0, y0, cw, ch)
+        return self.memo[key]
+
+    def _check_cap(self, need: int, what: str) -> None:
+        if need > self.cap:
+            raise CapacityError(f"{what} requires {need} cells (cap {self.cap})")
 
 
 def block_frequency_matrix(spec: HierarchySpec, m: int, n: int) -> list[list[Fraction]]:

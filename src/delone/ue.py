@@ -283,8 +283,9 @@ def frequency_convergence_report(
     for i in range(1, spec.k(level_lo) + 1):
         if level_lo == 1 and spec.base[i - 1].same_content(needle):
             nid = i
+    memo: dict = {}  # one seam memo for every row: they count the same needle
     base_counts = [
-        count_occurrences(spec, needle, level_lo, i, SLIDING, cap=cap)
+        count_occurrences(spec, needle, level_lo, i, SLIDING, cap=cap, _memo=memo)
         for i in range(1, spec.k(level_lo) + 1)
     ]
     base_cells = spec.cell_count(level_lo)
@@ -298,7 +299,7 @@ def frequency_convergence_report(
         else:
             freq = block_frequency_matrix(spec, level_lo, t)
         for j in range(1, spec.k(t) + 1):
-            cnt = count_occurrences(spec, needle, t, j, SLIDING, cap=cap)
+            cnt = count_occurrences(spec, needle, t, j, SLIDING, cap=cap, _memo=memo)
             dens = Fraction(cnt, cells)
             if freq is None:
                 lo = hi = dens

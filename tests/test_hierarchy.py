@@ -1,8 +1,13 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from delone import cli
 from delone import hierarchy as H
-from delone import nonrect
+from delone import nonrect, ue
 from delone.hierarchy import (
     BLOCK_ALIGNED,
     SLIDING,
@@ -12,7 +17,7 @@ from delone.hierarchy import (
     HierarchySpec,
     Level,
 )
-from delone.patch import Patch, from_rows
+from delone.patch import Patch, dumps_patch, from_rows
 
 
 def toy_spec(ell=1, m=1, p_star=1, n_blocks=1):
@@ -26,14 +31,42 @@ def toy_spec(ell=1, m=1, p_star=1, n_blocks=1):
 # arrangements: closed forms against dense recomputation
 # ----------------------------------------------------------------------
 
+def _naive_tally(*parts: np.ndarray) -> Counter:
+    return Counter(zip(*(p.ravel().tolist() for p in parts)))
+
+
 @pytest.mark.parametrize("s,b", [(1, 3), (2, 3), (1, 5), (3, 5), (2, 7)])
 def test_altbottom_matches_dense(s, b):
-    alt = AltBottomArrangement(s, b, main_id=1, alt_id=2)
-    dense = DenseArrangement(alt.to_grid())
-    assert alt.counts(2) == dense.counts(2)
-    assert alt.hpair_counts() == dense.hpair_counts()
-    assert alt.vpair_counts() == dense.vpair_counts()
-    assert alt.quad_counts() == dense.quad_counts()
+    _check_altbottom_against_dense(s, b, (1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 5).map(lambda i: 2 * i + 1),
+    st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True),
+)
+def test_altbottom_matches_dense_random(s, b, ids):
+    _check_altbottom_against_dense(s, b, ids)
+
+
+def _check_altbottom_against_dense(s, b, ids):
+    """Closed-form tallies and edges against the dense grid, recounted."""
+    alt = AltBottomArrangement(s, b, main_id=ids[0], alt_id=ids[1])
+    g = alt.to_grid()
+    dense = DenseArrangement(g)
+    assert alt.counts(4) == dense.counts(4)
+    assert alt.hpair_counts() == dense.hpair_counts() == _naive_tally(g[:, :-1], g[:, 1:])
+    assert alt.vpair_counts() == dense.vpair_counts() == _naive_tally(g[:-1], g[1:])
+    quads = _naive_tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])
+    assert alt.quad_counts() == dense.quad_counts() == quads
+    lines = {"left": g[:, 0], "right": g[:, -1], "bottom": g[0], "top": g[-1]}
+    for side, line in lines.items():
+        steps = _naive_tally(line[:-1], line[1:])
+        for edge in (alt.edge(side), dense.edge(side)):
+            assert edge.length == len(line)
+            assert edge.tally() == Counter(line.tolist())
+            assert edge.steps() == steps
     for row in range(alt.rows):
         for col in range(alt.cols):
             assert alt.id_at(col, row) == dense.id_at(col, row)
@@ -387,3 +420,129 @@ def test_sliding_needle_wider_than_grandchildren(ue3):
     needle = Patch(H.materialize(spec, 3, 1).cells[5:11, 7:13])
     grid = H.materialize(spec, 4, 1).cells
     assert H.count_occurrences(spec, needle, 4, 1, SLIDING) == H.scan_count(grid, needle)
+
+
+# ----------------------------------------------------------------------
+# seam recursion against full scans
+# ----------------------------------------------------------------------
+
+MAX_SIDE = 160
+
+
+def _bits(draw, rows, cols):
+    cells = draw(st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=np.uint8).reshape(rows, cols)
+
+
+@st.composite
+def small_specs(draw):
+    """Random hierarchies mixing dense levels (branching 2-4, 1-3 patches)
+    and alternating-bottom levels (small odd block counts)."""
+    side, k = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    base = [Patch(_bits(draw, side, side)) for _ in range(k)]
+    levels = []
+    for _ in range(draw(st.integers(1, 4))):
+        if k >= 2 and draw(st.booleans()):
+            s, b = draw(st.integers(1, 2)), draw(st.sampled_from([3, 5]))
+            main, alt = draw(st.permutations(range(1, k + 1)))[:2]
+            arrs = [AltBottomArrangement(s, b, main, alt), AltBottomArrangement(s, b, alt, main)]
+        else:
+            n = draw(st.integers(2, 4))
+            ids = st.lists(st.integers(1, k), min_size=n * n, max_size=n * n)
+            arrs = [
+                DenseArrangement(np.array(draw(ids)).reshape(n, n))
+                for _ in range(draw(st.integers(1, 3)))
+            ]
+        if side * arrs[0].rows > MAX_SIDE:
+            break
+        side *= arrs[0].rows
+        levels.append(Level(arrs))
+        k = len(arrs)
+    assume(levels)
+    return HierarchySpec(base, levels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_specs(), st.data())
+def test_sliding_recursion_equals_scan(spec, data):
+    top = spec.num_levels
+    grids = {
+        (t, p): H.materialize(spec, t, p).cells
+        for t in range(1, top + 1)
+        for p in range(1, spec.k(t) + 1)
+    }
+    # rectangular needles, mostly small enough for seams several levels
+    # deep, some up to 7 wide, so wider than grandchildren
+    dims = st.one_of(st.integers(1, 3), st.integers(1, 7)).filter(lambda d: d <= spec.side(top))
+    w, h = data.draw(dims), data.draw(dims)
+    if data.draw(st.booleans()):
+        src = grids[(top, data.draw(st.integers(1, spec.k(top))))]
+        x = data.draw(st.integers(0, src.shape[1] - w))
+        y = data.draw(st.integers(0, src.shape[0] - h))
+        needle = Patch(src[y : y + h, x : x + w].copy())
+    else:
+        needle = Patch(_bits(data.draw, h, w))
+    want = {}
+    for (t, p), grid in grids.items():
+        if max(w, h) <= spec.side(t):
+            want[(t, p)] = H.scan_count(grid, needle)
+            assert H.count_occurrences(spec, needle, t, p, SLIDING) == want[(t, p)], (t, p)
+    lo = min(t for t, _ in want)
+    rep = ue.frequency_convergence_report(spec, needle, lo, top)
+    assert {(r.level, r.pid): r.count for r in rep.rows} == want
+
+
+def test_frames_follow_level_edits():
+    def fresh(spec, level):
+        side, (ox, oy) = spec.base[0].width, spec.base[0].origin
+        for lv in spec.levels[: level - 1]:
+            ox, oy = ox - lv.anchor[0] * side, oy - lv.anchor[1] * side
+            side *= lv.branching
+        return side, (ox, oy)
+
+    spec = toy_spec(ell=1)
+    assert spec.side(2) == 12
+    spec.levels.append(ue.mix_level())  # builders append after reading sides
+    spec.levels.append(nonrect.alternation_level(1, 1, 2))
+    assert [(spec.side(t), spec.origin(t)) for t in range(1, 5)] == [fresh(spec, t) for t in range(1, 5)]
+    spec.levels[-1] = ue.mix_level()
+    assert spec.side(4) == 108 and spec.origin(4) == fresh(spec, 4)[1]
+    spec.levels.pop()
+    assert spec.num_levels == 3 and spec.side(3) == 36
+    with pytest.raises(H.SpecError):
+        spec.side(4)
+
+
+# ----------------------------------------------------------------------
+# rigorous scale: sides far beyond any materialization
+# ----------------------------------------------------------------------
+
+RIGOROUS = {
+    "nonrect": lambda: nonrect.build_delone_spec(nonrect.counting_schedule(1), 1, mode="rigorous").spec,
+    "ue": lambda: ue.build_ue_spec(None, 1, mode="rigorous").spec,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RIGOROUS))
+def test_rigorous_two_by_two_counts_cover_the_top_level(kind):
+    spec = RIGOROUS[kind]()
+    top = spec.num_levels
+    side = spec.side(top)
+    assert top == 65 and side > 10**1200
+    # every 2x2 placement matches exactly one of the 16 needles
+    needles = [Patch(np.array(bits, dtype=np.uint8).reshape(2, 2))
+               for bits in itertools.product((0, 1), repeat=4)]
+    total = sum(H.count_occurrences(spec, nd, top, 1, SLIDING) for nd in needles)
+    assert total == (side - 1) ** 2
+
+
+def test_cli_count_on_rigorous_descriptor(tmp_path, capsys):
+    spec = RIGOROUS["nonrect"]()
+    H.write_spec(tmp_path / "r.dhs", spec)
+    needle = from_rows(["10", "11"])
+    (tmp_path / "n.dpf").write_text(dumps_patch(needle))
+    top = spec.num_levels
+    rc = cli.main(["count", "--spec", str(tmp_path / "r.dhs"), "--needle", str(tmp_path / "n.dpf"),
+                   "--level", str(top), "--id", "2"])
+    assert rc == 0
+    assert int(capsys.readouterr().out) == H.count_occurrences(spec, needle, top, 2, SLIDING)
