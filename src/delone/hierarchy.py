@@ -579,7 +579,9 @@ def scan_count(
     """Exact-match placements of ``needle`` in ``grid`` with origins in ranges.
 
     A placement matches when occupied AND unoccupied cells agree.  Ranges
-    are inclusive bounds on the placement origin (bottom-left cell).
+    are inclusive bounds on the placement origin (bottom-left cell).  The
+    grid slice the ranges cover goes through ``_scan_full``, a boolean
+    pass with no arithmetic on cells.
     """
     H, W = grid.shape
     w, h = needle.width, needle.height
@@ -590,29 +592,28 @@ def scan_count(
     if x_lo > x_hi or y_lo > y_hi:
         return 0
     sub = grid[y_lo : y_hi + h, x_lo : x_hi + w]
-    return _scan_full(np.ascontiguousarray(sub), needle)
+    return _scan_full(sub, needle)
 
 
 def _scan_full(grid: np.ndarray, needle: Patch) -> int:
+    """Exact-match placements of ``needle`` at every origin of ``grid``.
+
+    One boolean accumulator over the placement origins is ANDed with the
+    grid shifted by each needle offset, tested against ``grid != 0`` where
+    the needle cell is occupied and ``grid == 0`` where it is empty.  No
+    arithmetic is done on cells, so nothing can overflow.
+    """
     H, W = grid.shape
     w, h = needle.width, needle.height
     outh, outw = H - h + 1, W - w + 1
-    g = grid.astype(np.int64)
-    # windowed totals via an integral image
-    integ = np.zeros((H + 1, W + 1), dtype=np.int64)
-    integ[1:, 1:] = g.cumsum(axis=0).cumsum(axis=1)
-    totals = (
-        integ[h : h + outh, w : w + outw]
-        - integ[0:outh, w : w + outw]
-        - integ[h : h + outh, 0:outw]
-        + integ[0:outh, 0:outw]
-    )
-    ones = needle.popcount()
-    hits = np.zeros((outh, outw), dtype=np.int64)
-    ys, xs = np.nonzero(needle.cells)
-    for dy, dx in zip(ys, xs):
-        hits += g[dy : dy + outh, dx : dx + outw]
-    return int(((hits == ones) & (totals == ones)).sum())
+    occupied = grid != 0
+    empty = ~occupied
+    hit = np.ones((outh, outw), dtype=bool)
+    for dy, row in enumerate(needle.cells.tolist()):
+        for dx, bit in enumerate(row):
+            src = occupied if bit else empty
+            hit &= src[dy : dy + outh, dx : dx + outw]
+    return int(np.count_nonzero(hit))
 
 
 def aligned_block_counts(grid: np.ndarray, spec: HierarchySpec, m: int) -> list[int]:
@@ -623,8 +624,9 @@ def aligned_block_counts(grid: np.ndarray, spec: HierarchySpec, m: int) -> list[
         raise SpecError("grid is not block aligned at that level")
     tiles = grid.reshape(H // s, s, W // s, s).transpose(0, 2, 1, 3)
     out = []
+    memo: dict = {}
     for i in range(1, spec.k(m) + 1):
-        ref = _materialize_cells(spec, m, i, {})
+        ref = _materialize_cells(spec, m, i, memo)
         out.append(int(np.all(tiles == ref, axis=(2, 3)).sum()))
     return out
 
@@ -681,10 +683,11 @@ def _count_block_aligned(spec, needle, level, pid) -> int:
     m = _level_with_side(spec, needle.width)
     if m is None:
         raise SpecError(f"no hierarchy level has side {needle.width}")
+    memo: dict = {}
     matching = [
         i
         for i in range(1, spec.k(m) + 1)
-        if np.array_equal(_materialize_cells(spec, m, i, {}), needle.cells)
+        if np.array_equal(_materialize_cells(spec, m, i, memo), needle.cells)
     ]
     if not matching:
         return 0
@@ -986,6 +989,11 @@ def estimate_repetitivity(patch: Patch, r: int) -> int | None:
 
     Pattern equality is exact bitset equality (occupied and empty cells).
     Returns None ("window too small") when no R <= side - r works.
+
+    Each pattern gets one integral image of its occurrences (int32 below
+    2^31 pattern origins, int64 above), and its own smallest R is searched
+    by bisection above the largest R found so far: a window that holds
+    the pattern at side R still holds it at every larger side.
     """
     side = patch.side
     if r < 1:
@@ -995,51 +1003,52 @@ def estimate_repetitivity(patch: Patch, r: int) -> int | None:
     if r > 8:
         raise ValueError("pattern side above 8 is not supported")
     labels = _pattern_labels(patch.cells, r)
-    nlab = int(labels.max()) + 1
-    lo, hi = r, side - r
-    if not _window_check(labels, nlab, side, r, hi):
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _window_check(labels, nlab, side, r, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    H, W = labels.shape
+    dtype = np.int32 if H * W < 2**31 else np.int64
+    integ = np.zeros((H + 1, W + 1), dtype=dtype)
+    best, top = r, side - r
+    for lab in range(int(labels.max()) + 1):
+        np.cumsum(labels == lab, axis=0, dtype=dtype, out=integ[1:, 1:])
+        np.cumsum(integ[1:, 1:], axis=1, out=integ[1:, 1:])
+        if _windows_hold(integ, side, r, best):
+            continue
+        if not _windows_hold(integ, side, r, top):
+            return None
+        lo, hi = best + 1, top
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _windows_hold(integ, side, r, mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        best = lo
+    return best
 
 
 def _pattern_labels(cells: np.ndarray, r: int) -> np.ndarray:
+    """Dense label of the r x r pattern at each origin (r*r <= 64 code bits)."""
     H, W = cells.shape
     outh, outw = H - r + 1, W - r + 1
-    ids = np.zeros((outh, outw), dtype=np.int64)
-    g = cells.astype(np.int64)
+    ids = np.zeros((outh, outw), dtype=np.uint64)
+    g = cells.astype(np.uint64)
     shift = 0
     for dy in range(r):
         for dx in range(r):
-            ids |= g[dy : dy + outh, dx : dx + outw] << shift
+            ids |= g[dy : dy + outh, dx : dx + outw] << np.uint64(shift)
             shift += 1
     uniq, inv = np.unique(ids, return_inverse=True)
     return inv.reshape(ids.shape)
 
 
-def _window_check(labels: np.ndarray, nlab: int, side: int, r: int, R: int) -> bool:
-    """True iff every R x R window of the original patch holds every label."""
+def _windows_hold(integ: np.ndarray, side: int, r: int, R: int) -> bool:
+    """True iff every R x R window of the patch holds a pattern counted in
+    the integral image ``integ`` of pattern origins."""
     K = R - r + 1  # span of pattern origins inside one window
-    H, W = labels.shape
-    outh, outw = side - R + 1, side - R + 1
-    for lab in range(nlab):
-        ind = (labels == lab).astype(np.int64)
-        integ = np.zeros((H + 1, W + 1), dtype=np.int64)
-        integ[1:, 1:] = ind.cumsum(axis=0).cumsum(axis=1)
-        sums = (
-            integ[K : K + outh, K : K + outw]
-            - integ[0:outh, K : K + outw]
-            - integ[K : K + outh, 0:outw]
-            + integ[0:outh, 0:outw]
-        )
-        if not (sums > 0).all():
-            return False
-    return True
+    n = side - R + 1
+    sums = integ[K : K + n, K : K + n] - integ[0:n, K : K + n]
+    sums -= integ[K : K + n, 0:n]
+    sums += integ[0:n, 0:n]
+    return bool((sums > 0).all())
 
 
 # ----------------------------------------------------------------------

@@ -216,10 +216,14 @@ def all_pairs(points: Sequence[Point]) -> list[tuple[Point, Point]]:
 
 
 def _argmax_ratio(num: np.ndarray, den: np.ndarray) -> int:
-    """Index of the exact maximum of num[i]/den[i] (int64 inputs)."""
+    """Index of the exact maximum of num[i]/den[i].
+
+    Inputs are int64 arrays whose cross products num[i] * den[j] stay
+    below 2^62, or object arrays of Python ints.
+    """
     idx = int(np.argmax(num / den))
     while True:
-        bad = np.nonzero(num * int(den[idx]) > int(num[idx]) * den)[0]
+        bad = np.nonzero(num * den[idx] > num[idx] * den)[0]
         if bad.size == 0:
             return idx
         idx = int(bad[0])
@@ -230,12 +234,13 @@ def exhaustive_distortion_sq(points: Sequence[Point], twice_values: Sequence[Poi
 
     Vectorized over the full pair set; inputs are lattice points and
     doubled image values, so every comparison is integer arithmetic.
+    The pass runs in int64 only when every product it forms stays below
+    2^62, and on Python ints (``dtype=object``) otherwise.
     """
-    pts = np.asarray(points, dtype=np.int64)
-    img = np.asarray(twice_values, dtype=np.int64)
-    n = len(pts)
+    n = len(points)
     if n < 2:
         raise ValueError("need at least two points")
+    pts, img = _exact_arrays(points, twice_values)
     iu, ju = np.triu_indices(n, k=1)
     dsrc = ((pts[iu] - pts[ju]) ** 2).sum(axis=1)
     dimg4 = ((img[iu] - img[ju]) ** 2).sum(axis=1)
@@ -248,6 +253,22 @@ def exhaustive_distortion_sq(points: Sequence[Point], twice_values: Sequence[Poi
         Fraction(int(dimg4[hi]), 4 * int(dsrc[hi])),
         Fraction(int(dimg4[lo]), 4 * int(dsrc[lo])),
     )
+
+
+def _exact_arrays(points: Sequence[Point], twice_values: Sequence[Point]) -> list[np.ndarray]:
+    """(n, 2) arrays of the points and the doubled images: int64 when the
+    distortion pass cannot overflow, object arrays of Python ints otherwise."""
+    try:
+        arrs = [np.asarray(v, dtype=np.int64) for v in (points, twice_values)]
+    except OverflowError:
+        arrs = None
+    if arrs is not None:
+        sp, si = (max(1, *(int(c.max()) - int(c.min()) for c in a.T)) for a in arrs)
+        # squared distances are at most 2 span^2, and _argmax_ratio
+        # multiplies an image distance by four times a source distance
+        if 16 * sp**2 * si**2 < 2**62:
+            return arrs
+    return [np.array([(int(x), int(y)) for x, y in v], dtype=object) for v in (points, twice_values)]
 
 
 def extension_certificate(f: CandidateMap):

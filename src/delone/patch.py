@@ -134,8 +134,7 @@ class Patch:
             yield (ox + int(xs[i]), oy + int(ys[i]))
 
     def __str__(self) -> str:
-        rows = ["".join("1" if v else "0" for v in row) for row in self.cells[::-1]]
-        return "\n".join(rows)
+        return _text_rows(self.cells, sep=False)[:-1]
 
 
 def from_rows(rows: Iterable[str], origin: Point = (0, 0), full_boundary: bool = False) -> Patch:
@@ -180,11 +179,25 @@ def corner_density(patch: Patch, corner_side: int) -> Fraction:
 # text formats
 # ----------------------------------------------------------------------
 
+def _text_rows(cells: np.ndarray, sep: bool) -> str:
+    """Rows of '0'/'1', top row first, each ending in a newline.
+
+    Built as one uint8 buffer (digits, optional single-space separators,
+    newlines) and decoded once, so no Python code runs per cell.
+    """
+    h, w = cells.shape
+    step = 2 if sep else 1
+    buf = np.full((h, 2 * w if sep else w + 1), ord(" "), dtype=np.uint8)
+    buf[:, : step * w : step] = cells[::-1] | ord("0")
+    buf[:, -1] = ord("\n")
+    return buf.tobytes().decode("ascii")
+
+
 def dumps_patch(patch: Patch) -> str:
     """Serialize to the .dpf text format (header line, then rows top-down)."""
     flag = " full_boundary" if patch.full_boundary else ""
     head = f"PATCH {patch.width} {patch.height} {patch.origin[0]} {patch.origin[1]}{flag}"
-    return head + "\n" + str(patch) + "\n"
+    return head + "\n" + _text_rows(patch.cells, sep=False)
 
 
 def _parse_patch_header(line: str):
@@ -253,8 +266,7 @@ def read_points(path) -> list[Point]:
 
 def dumps_pbm(patch: Patch) -> str:
     """Plain PBM ("P1"): 1 = occupied, top row first."""
-    rows = [" ".join(str(int(v)) for v in row) for row in patch.cells[::-1]]
-    return f"P1\n{patch.width} {patch.height}\n" + "\n".join(rows) + "\n"
+    return f"P1\n{patch.width} {patch.height}\n" + _text_rows(patch.cells, sep=True)
 
 
 def loads_pbm(text: str) -> Patch:

@@ -18,6 +18,7 @@ from delone.hierarchy import (
     Level,
 )
 from delone.patch import Patch, dumps_patch, from_rows
+from tests_oracles import repetitivity_oracle
 
 
 def toy_spec(ell=1, m=1, p_star=1, n_blocks=1):
@@ -121,15 +122,47 @@ def test_materialize_region_matches_slices():
 # occurrence counting
 # ----------------------------------------------------------------------
 
-def _naive_sliding(grid: np.ndarray, needle: Patch) -> int:
+def _naive_sliding(grid: np.ndarray, needle: Patch, x_lo=0, x_hi=None, y_lo=0, y_hi=None) -> int:
     gh, gw = grid.shape
     h, w = needle.cells.shape
     cnt = 0
     for y in range(gh - h + 1):
         for x in range(gw - w + 1):
+            if x < x_lo or y < y_lo:
+                continue
+            if (x_hi is not None and x > x_hi) or (y_hi is not None and y > y_hi):
+                continue
             if np.array_equal(grid[y : y + h, x : x + w], needle.cells):
                 cnt += 1
     return cnt
+
+
+def _fill(draw, rows, cols):
+    """Random bits, or all zeros, or all ones."""
+    kind = draw(st.sampled_from(["bits", "zeros", "ones"]))
+    if kind == "bits":
+        return _bits(draw, rows, cols)
+    return np.full((rows, cols), kind == "ones", dtype=np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scan_count_property(data):
+    draw = data.draw
+    gh, gw = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    grid = _fill(draw, gh, gw)
+    h, w = draw(st.integers(1, gh)), draw(st.integers(1, gw))
+    if draw(st.booleans()):
+        y, x = draw(st.integers(0, gh - h)), draw(st.integers(0, gw - w))
+        needle = Patch(grid[y : y + h, x : x + w])
+    else:
+        needle = Patch(_fill(draw, h, w))
+    hi = st.none() | st.integers(0, max(gh, gw) + 1)
+    x_lo, y_lo = draw(st.integers(0, gw)), draw(st.integers(0, gh))
+    x_hi, y_hi = draw(hi), draw(hi)
+    got = H.scan_count(grid, needle, x_lo, x_hi, y_lo, y_hi)
+    assert got == _naive_sliding(grid, needle, x_lo, x_hi, y_lo, y_hi)
+    assert H.scan_count(grid, needle) == _naive_sliding(grid, needle)
 
 
 def test_scan_count_matches_naive_loops():
@@ -251,32 +284,6 @@ def test_validate_flags_bad_child_id():
 # repetitivity
 # ----------------------------------------------------------------------
 
-def _repetitivity_oracle(cells: np.ndarray, r: int):
-    """Exhaustive double scan: smallest R (up to side - r) such that every
-    R x R window holds every r x r pattern of the patch."""
-    side = cells.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(cells, (r, r))
-    flat = win.reshape(win.shape[0], win.shape[1], r * r)
-    codes = np.zeros(win.shape[:2], dtype=np.int64)
-    for t in range(r * r):
-        codes = codes * 2 + flat[:, :, t]
-    all_codes = set(np.unique(codes))
-    for R in range(r, side - r + 1):
-        K = R - r + 1
-        good = True
-        for wy in range(side - R + 1):
-            for wx in range(side - R + 1):
-                seen = set(np.unique(codes[wy : wy + K, wx : wx + K]))
-                if seen != all_codes:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            return R
-    return None
-
-
 def test_repetitivity_full_patch():
     p = Patch(np.ones((9, 9), dtype=np.uint8))
     assert H.estimate_repetitivity(p, 1) == 1
@@ -293,7 +300,7 @@ def test_repetitivity_matches_oracle_on_toy(nonrect3):
     window = H.materialize(spec, 3, 1)  # 36 x 36
     for r in (1, 2):
         got = H.estimate_repetitivity(window, r)
-        want = _repetitivity_oracle(window.cells, r)
+        want = repetitivity_oracle(window.cells, r)
         assert got == want and got is not None
 
 
@@ -308,6 +315,40 @@ def test_repetitivity_window_too_small_marker():
     cells = np.zeros((12, 12), dtype=np.uint8)
     cells[0, 0] = 1  # a pattern that lives only in one corner
     assert H.estimate_repetitivity(Patch(cells), 1) is None
+
+
+def test_repetitivity_r8_matches_oracle(ue3):
+    # r = 8 puts the last pattern bit at bit 63 of the code
+    window = Patch(H.materialize(ue3.spec, 4, 1).cells[5:29, 7:31])
+    periodic = Patch(np.tile(np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=np.uint8), (8, 8)))
+    for p in (window, periodic):
+        assert p.side == 24
+        assert H.estimate_repetitivity(p, 8) == repetitivity_oracle(p.cells, 8)
+    assert H.estimate_repetitivity(periodic, 8) == 10
+
+
+@st.composite
+def repetitivity_cases(draw):
+    """A square patch (random, constant or a tiled motif with one flipped
+    cell) and a pattern side r in 1..3."""
+    r = draw(st.integers(1, 3))
+    side = draw(st.integers(3 * r, 3 * r + 6))
+    if draw(st.booleans()):
+        motif = _fill(draw, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        cells = np.tile(motif, (side, side))[:side, :side].copy()
+        if draw(st.booleans()):
+            y, x = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
+            cells[y, x] ^= 1
+    else:
+        cells = _fill(draw, side, side)
+    return Patch(cells), r
+
+
+@settings(max_examples=150, deadline=None)
+@given(repetitivity_cases())
+def test_repetitivity_property(case):
+    p, r = case
+    assert H.estimate_repetitivity(p, r) == repetitivity_oracle(p.cells, r)
 
 
 def test_repetitivity_preconditions():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 from delone import maps
+from tests_oracles import extension_certificate_oracle
 from delone.maps import CandidateMap, MapInvariantError
 from delone.sampling import random_bilip_map
 
@@ -115,6 +116,30 @@ def test_extension_is_six_l_on_window_pairs():
         f = random_bilip_map(rng, w, h)
         lsq, hsq, ok = maps.extension_certificate(f)
         assert ok, f"{w}x{h}: extension distortion {hsq} > 36 * {lsq}"
+
+
+def _stretched(f, factor):
+    return CandidateMap(f.window, {p: (u * factor, v * factor) for p, (u, v) in f.images.items()})
+
+
+def test_stretched_two_point_map_is_exact():
+    # doubled image differences of 6e9 square past the int64 range
+    f = CandidateMap((0, 0, 1, 0), {(0, 0): (0, 0), (1, 0): (3 * 10**9, 0)})
+    lsq, hsq, ok = maps.extension_certificate(f)
+    assert lsq == hsq == 9 * 10**18 and ok
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stretched_two_by_one_maps_match_python_ints(seed):
+    f = _stretched(random_bilip_map(random.Random(seed), 2, 1), 3 * 10**9)
+    assert maps.extension_certificate(f) == extension_certificate_oracle(f)
+
+
+@pytest.mark.parametrize("factor", [1, 2**22, 2**23, 2**24, 2**25, 3 * 10**9, 10**30])
+def test_extension_certificate_across_the_int64_guard(factor):
+    # a 5x3 map moves from int64 to Python ints between 2**23 and 2**24
+    f = _stretched(random_bilip_map(random.Random(factor % 97), 5, 3), factor)
+    assert maps.extension_certificate(f) == extension_certificate_oracle(f)
 
 
 def test_delone_params_of_patch():

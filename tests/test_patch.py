@@ -114,3 +114,39 @@ def test_subpatch_and_translation():
     moved = sparse.translated(4, 6)
     assert moved.origin == (4, 6)
     assert moved.same_content(sparse)
+
+
+def _joined_rows(p: patch.Patch) -> str:
+    """The per-cell join formula the text writers once used."""
+    return "\n".join("".join("1" if v else "0" for v in row) for row in p.cells[::-1])
+
+
+def _joined_pbm(p: patch.Patch) -> str:
+    rows = [" ".join(str(int(v)) for v in row) for row in p.cells[::-1]]
+    return f"P1\n{p.width} {p.height}\n" + "\n".join(rows) + "\n"
+
+
+@st.composite
+def patches(draw):
+    """Patches of random shape (1 x n and n x 1 included): random bits,
+    all zeros or all ones, at a random origin."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["bits", "zeros", "ones"]))
+    if kind == "bits":
+        bits = draw(st.lists(st.integers(0, 1), min_size=h * w, max_size=h * w))
+        cells = np.array(bits, dtype=np.uint8).reshape(h, w)
+    else:
+        cells = np.full((h, w), kind == "ones", dtype=np.uint8)
+    origin = (draw(st.integers(-50, 50)), draw(st.integers(-50, 50)))
+    return patch.Patch(cells, origin, full_boundary=kind == "ones")
+
+
+@given(patches())
+def test_text_writers_match_the_join_formulas(p):
+    assert str(p) == _joined_rows(p)
+    assert patch.dumps_pbm(p) == _joined_pbm(p)
+    flag = " full_boundary" if p.full_boundary else ""
+    head = f"PATCH {p.width} {p.height} {p.origin[0]} {p.origin[1]}{flag}"
+    assert patch.dumps_patch(p) == head + "\n" + _joined_rows(p) + "\n"
+    assert patch.loads_patch(patch.dumps_patch(p)) == p
+    assert patch.loads_pbm(patch.dumps_pbm(p)).same_content(p)

@@ -5,6 +5,7 @@ double loops, window rescans), sharing no code with the library paths it
 checks.
 """
 
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,6 +18,23 @@ def _fhat(f, p):
         return (F(u), F(v))
     u, v = f.images[(p[0] + 1, p[1])]
     return (F(u) - F(1, 2), F(v))
+
+
+def extension_certificate_oracle(f):
+    """(L^2, Lhat^2, Lhat^2 <= 36 L^2) over all pairs, in Fractions."""
+
+    def bilip_sq(values):
+        ratios = [
+            ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) / ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)
+            for (p, a), (q, b) in itertools.combinations(values.items(), 2)
+        ]
+        return max(max(ratios), 1 / min(ratios))
+
+    x0, y0, x1, y1 = f.window
+    window = [(x, y) for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)]
+    lsq = bilip_sq({p: (F(u), F(v)) for p, (u, v) in f.images.items()})
+    hsq = bilip_sq({p: _fhat(f, p) for p in window})
+    return lsq, hsq, hsq <= 36 * lsq
 
 
 def stretch_oracle(f, grid, lam):
