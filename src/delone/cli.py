@@ -174,8 +174,7 @@ def cmd_export(args) -> int:
     if args.closed:
         p = p.closed()
     if args.format == "pbm":
-        with open(args.out, "w") as fh:
-            fh.write(patch.dumps_pbm(p))
+        patch.write_pbm(args.out, p)
     elif args.format == "points":
         patch.write_points(args.out, p.points())
     else:

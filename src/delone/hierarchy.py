@@ -22,7 +22,9 @@ too large to store explicitly in rigorous parameter regimes.
 
 from __future__ import annotations
 
+import functools
 import os
+import re
 from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass, field
@@ -31,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .patch import Patch, PatchFormatError, Point, parse_patch_lines, dumps_patch
+from .patch import Patch, PatchFormatError, Point, _text_buf, dumps_patch, parse_patch_lines
 
 BLOCK_ALIGNED = "block_aligned"
 SLIDING = "sliding"
@@ -351,6 +353,10 @@ class Level:
         return self.arrangements[0].rows
 
 
+# (side, origin, popcounts, child counts) of one level
+_FrameRow = tuple[int, Point, list[int], list[list[int]]]
+
+
 @dataclass
 class HierarchySpec:
     """Base patches plus one :class:`Level` per higher hierarchy level."""
@@ -360,8 +366,8 @@ class HierarchySpec:
     kind: str = "custom"
     anchored: bool = False
     meta: dict[str, str] = field(default_factory=dict)
-    # (side, origin) per level, and the top level they were computed up to
-    _frames: list[tuple[int, Point]] = field(default_factory=list, init=False, repr=False, compare=False)
+    # the frame table (see _frame_table), and the top level it reaches
+    _frames: list[_FrameRow] = field(default_factory=list, init=False, repr=False, compare=False)
     _frames_top: Level | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -393,24 +399,34 @@ class HierarchySpec:
         self._check_level(level)
         return self._frame_table()[level - 1][1]
 
-    def _frame_table(self) -> list[tuple[int, Point]]:
-        """(side, origin) of every level, indexed by level - 1.
+    def _frame_table(self) -> list[_FrameRow]:
+        """(side, origin, popcounts, child counts) of every level, indexed by
+        level - 1.  Child counts hold, per arrangement, the number of cells
+        holding each child id (none at level 1).
 
-        The table is kept until ``levels`` grows, shrinks or has its last
-        level replaced (the builders append levels one at a time).
+        The table is kept while the level it was computed up to is still in
+        place; levels appended on top of it (the builders append one at a
+        time) only add rows, so each costs one step of counts.  Any other
+        edit of ``levels`` (a shrink, a replaced last level) rebuilds it.
         """
-        levels = self.levels
-        top = levels[-1] if levels else None
-        if len(self._frames) == len(levels) + 1 and self._frames_top is top:
-            return self._frames
-        side, (ox, oy) = self.base[0].width, self.base[0].origin
-        table = [(side, (ox, oy))]
-        for lv in levels:
+        levels, table = self.levels, self._frames
+        n = len(table)
+        if n == len(levels) + 1 and self._frames_top is (levels[-1] if levels else None):
+            return table
+        if not (1 <= n <= len(levels) and self._frames_top is (levels[n - 2] if n >= 2 else None)):
+            base = self.base[0]
+            table = [(base.width, base.origin, [p.popcount() for p in self.base], [])]
+        for lv in levels[len(table) - 1 :]:
+            side, (ox, oy), pops, _ = table[-1]
             ac, ar = lv.anchor
-            ox, oy = ox - ac * side, oy - ar * side
-            side *= lv.branching
-            table.append((side, (ox, oy)))
-        self._frames, self._frames_top = table, top
+            counts = [arr.counts(len(pops)) for arr in lv.arrangements]
+            table.append((
+                side * lv.branching,
+                (ox - ac * side, oy - ar * side),
+                [sum(c * p for c, p in zip(col, pops)) for col in counts],
+                counts,
+            ))
+        self._frames, self._frames_top = table, (levels[-1] if levels else None)
         return table
 
     def _check_level(self, level: int) -> None:
@@ -427,10 +443,7 @@ class HierarchySpec:
         self._check_level(level)
         if level == 1:
             raise SpecError("level 1 has no arrangement")
-        lv = self.levels[level - 2]
-        kp = self.k(level - 1)
-        cols = [arr.counts(kp) for arr in lv.arrangements]
-        return [[cols[j][i] for j in range(len(cols))] for i in range(kp)]
+        return [list(row) for row in zip(*self._frame_table()[level - 1][3])]
 
     def count_matrix(self, m: int, n: int) -> list[list[int]]:
         """Block counts of level-m patches inside level-n patches (k_m x k_n)."""
@@ -444,18 +457,17 @@ class HierarchySpec:
         return mat
 
     def popcounts(self, level: int) -> list[int]:
-        pops = [p.popcount() for p in self.base]
-        for t in range(2, level + 1):
-            step = self.step_count_matrix(t)
-            pops = [
-                sum(step[i][j] * pops[i] for i in range(len(pops)))
-                for j in range(len(step[0]))
-            ]
-        return pops
+        """Occupied cells of each level patch (the base popcounts pushed up
+        through the step count matrices), read from the frame table: the
+        first call costs one step per level, later calls none."""
+        self._check_level(level)
+        return list(self._frame_table()[level - 1][2])
 
     def density(self, level: int, pid: int) -> Fraction:
         """Occupied fraction of the (implicit) level patch, exact."""
-        return Fraction(self.popcounts(level)[pid - 1], self.cell_count(level))
+        self._check_level(level)
+        side, _, pops, _ = self._frame_table()[level - 1]
+        return Fraction(pops[pid - 1], side * side)
 
 
 def _imat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -731,7 +743,9 @@ class _SlidingCount:
     def __init__(self, spec: HierarchySpec, needle: Patch, cap: int, memo: dict):
         self.spec, self.needle, self.cap, self.memo = spec, needle, cap, memo
         self.w, self.h = needle.width, needle.height
-        self.sides = [s for s, _ in spec._frame_table()]
+        table = spec._frame_table()
+        self.sides = [row[0] for row in table]
+        self.child_counts = [row[3] for row in table]
         # lowest level whose patches hold a corner tile of the needle
         self.tile_level = next(
             (t for t, s in enumerate(self.sides, start=1) if s >= max(self.w, self.h) - 1), 1
@@ -752,7 +766,7 @@ class _SlidingCount:
             res = scan_count(_materialize_cells_capped(spec, t, pid, self.cap), self.needle)
         else:
             arr = spec.levels[t - 2].arrangements[pid - 1]
-            step = arr.counts(spec.k(t - 1))
+            step = self.child_counts[t - 1][pid - 1]
             res = sum(n * self.patch(t - 1, i) for i, n in enumerate(step, start=1) if n)
             if w >= 2:
                 res += sum(n * self.vseam(t - 1, a, b) for (a, b), n in arr.hpair_counts().items())
@@ -952,10 +966,9 @@ def validate_scheme(spec: HierarchySpec) -> SchemeReport:
     check("children_valid", ok, wit)
 
     ok, wit = True, ""
-    for t, lv in enumerate(spec.levels, start=2):
-        kp = spec.k(t - 1)
-        for j, arr in enumerate(lv.arrangements, start=1):
-            counts = arr.counts(kp)
+    table = spec._frame_table()
+    for t in range(2, spec.num_levels + 1):
+        for j, counts in enumerate(table[t - 1][3], start=1):
             for i, c in enumerate(counts, start=1):
                 if c == 0:
                     ok, wit = False, f"level {t} patch {j} never uses child {i}"
@@ -1055,35 +1068,94 @@ def _windows_hold(integ: np.ndarray, side: int, r: int, R: int) -> bool:
 # descriptor file (.dhs)
 # ----------------------------------------------------------------------
 
-def dumps_spec(spec: HierarchySpec) -> str:
-    out = ["DHS 1", f"kind {spec.kind}", f"anchored {int(spec.anchored)}"]
+def _spec_chunks(spec: HierarchySpec) -> Iterator[bytes | np.ndarray]:
+    """The .dhs text of ``spec`` as encoded chunks, each ending in a newline.
+
+    A dense arrangement body with ids 0..9 is one uint8 buffer laid out
+    by :func:`patch._text_buf` (digits at even columns, single spaces, a
+    newline per row); other ids are joined row by row.
+    """
+    def line(text: str) -> bytes:
+        return (text + "\n").encode()
+
+    yield line(f"DHS 1\nkind {spec.kind}\nanchored {int(spec.anchored)}")
     for k in sorted(spec.meta):
-        out.append(f"meta {k} {spec.meta[k]}")
-    out.append(f"level 1 patches {len(spec.base)}")
+        yield line(f"meta {k} {spec.meta[k]}")
+    yield line(f"level 1 patches {len(spec.base)}")
     for p in spec.base:
-        out.append(dumps_patch(p).rstrip("\n"))
+        yield dumps_patch(p).encode()
     for t, lv in enumerate(spec.levels, start=2):
-        out.append(f"level {t} patches {len(lv.arrangements)}")
-        out.append(f"anchor {lv.anchor[0]} {lv.anchor[1]}")
+        yield line(f"level {t} patches {len(lv.arrangements)}\nanchor {lv.anchor[0]} {lv.anchor[1]}")
         if lv.n_is_one:
-            out.append("n1")
+            yield line("n1")
         for k in sorted(lv.meta):
-            out.append(f"meta {k} {lv.meta[k]}")
+            yield line(f"meta {k} {lv.meta[k]}")
         for arr in lv.arrangements:
             if isinstance(arr, AltBottomArrangement):
-                out.append(
+                yield line(
                     f"arrangement {arr.rows} {arr.cols} altbottom "
                     f"{arr.super_cells} {arr.blocks} {arr.main_id} {arr.alt_id}"
                 )
+                continue
+            yield line(f"arrangement {arr.rows} {arr.cols}")
+            lo, hi = arr.id_bounds()
+            if 0 <= lo and hi <= 9:
+                yield _text_buf(arr.grid, sep=True)
             else:
-                out.append(f"arrangement {arr.rows} {arr.cols}")
-                for row in arr.grid[::-1]:
-                    out.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(out) + "\n"
+                yield line("\n".join(" ".join(map(str, row)) for row in arr.grid[::-1].tolist()))
+
+
+def dumps_spec(spec: HierarchySpec) -> str:
+    """The .dhs descriptor text of ``spec``."""
+    return b"".join(_spec_chunks(spec)).decode()
+
+
+def write_spec(path, spec: HierarchySpec) -> None:
+    """Write :func:`dumps_spec` of ``spec``, one encoded chunk at a time."""
+    with open(path, "wb") as fh:
+        for chunk in _spec_chunks(spec):
+            fh.write(chunk)
 
 
 def loads_spec(text: str) -> HierarchySpec:
-    lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
+    """Parse a .dhs descriptor, checking it while it loads.
+
+    Any malformed input raises :class:`PatchFormatError`: a header line
+    with missing, extra or non-integer fields; levels not numbered 1, 2,
+    3, ... in order; a ``patches`` count other than the number of patches
+    or arrangements that follow; an arrangement body that is not ``rows``
+    lines of ``cols`` decimal ids separated by single spaces; a child id
+    outside 1..k of the level below; and the structural errors of the
+    constructors (frames not square, even ``blocks``, ...).
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    try:
+        return _parse_spec(lines)
+    except PatchFormatError:
+        raise
+    except ValueError as exc:  # SpecError and the patch checks
+        raise PatchFormatError(str(exc)) from None
+
+
+def _fields(line: str, layout: str) -> list[int]:
+    """The integers of a header line laid out as ``layout``: keywords, and
+    ``#`` for each integer field, separated by whitespace."""
+    m = _layout_re(layout).fullmatch(line)
+    if m is not None:
+        try:
+            return [int(g) for g in m.groups()]
+        except ValueError:
+            pass
+    raise PatchFormatError(f"expected {layout!r}, got {line!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _layout_re(layout: str) -> re.Pattern:
+    words = (r"(\S+)" if w == "#" else re.escape(w) for w in layout.split())
+    return re.compile(r"\s*" + r"\s+".join(words) + r"\s*")
+
+
+def _parse_spec(lines: list[str]) -> HierarchySpec:
     if not lines or lines[0].split() != ["DHS", "1"]:
         raise PatchFormatError("missing DHS 1 header")
     i = 1
@@ -1091,11 +1163,11 @@ def loads_spec(text: str) -> HierarchySpec:
     meta: dict[str, str] = {}
     while i < len(lines) and not lines[i].startswith("level "):
         parts = lines[i].split(None, 2)
-        if parts[0] == "kind":
+        if parts[0] == "kind" and len(parts) == 2:
             kind = parts[1]
         elif parts[0] == "anchored":
-            anchored = bool(int(parts[1]))
-        elif parts[0] == "meta":
+            anchored = bool(_fields(lines[i], "anchored #")[0])
+        elif parts[0] == "meta" and len(parts) > 1:
             meta[parts[1]] = parts[2] if len(parts) > 2 else ""
         else:
             raise PatchFormatError(f"unexpected line {lines[i]!r}")
@@ -1104,61 +1176,98 @@ def loads_spec(text: str) -> HierarchySpec:
     base: list[Patch] = []
     levels: list[Level] = []
     while i < len(lines):
-        head = lines[i].split()
-        if head[0] != "level" or head[2] != "patches":
-            raise PatchFormatError(f"expected level header, got {lines[i]!r}")
-        lvl_no, kk = int(head[1]), int(head[3])
+        t, kk = _fields(lines[i], "level # patches #")
+        if t != len(levels) + 1 + bool(base):
+            raise PatchFormatError(f"level {t} out of order: levels must be numbered 1, 2, 3, ...")
+        if kk < 1:
+            raise PatchFormatError(f"level {t}: patches must be positive")
         i += 1
-        if lvl_no == 1:
+        if t == 1:
             for _ in range(kk):
                 p, i = parse_patch_lines(lines, i)
                 base.append(p)
             continue
+        kp = len(levels[-1].arrangements) if levels else len(base)
         anchor, n1, lmeta = (0, 0), False, {}
         arrs: list[Arrangement] = []
         while i < len(lines) and not lines[i].startswith("level "):
-            parts = lines[i].split()
+            parts = lines[i].split(None, 2)
             if parts[0] == "anchor":
-                anchor = (int(parts[1]), int(parts[2]))
+                anchor = tuple(_fields(lines[i], "anchor # #"))
                 i += 1
-            elif parts[0] == "n1":
+            elif parts == ["n1"]:
                 n1 = True
                 i += 1
-            elif parts[0] == "meta":
-                p3 = lines[i].split(None, 2)
-                lmeta[p3[1]] = p3[2] if len(p3) > 2 else ""
+            elif parts[0] == "meta" and len(parts) > 1:
+                lmeta[parts[1]] = parts[2] if len(parts) > 2 else ""
                 i += 1
             elif parts[0] == "arrangement":
-                rows, cols = int(parts[1]), int(parts[2])
-                if len(parts) > 3 and parts[3] == "altbottom":
-                    s, b, main, alt = (int(v) for v in parts[4:8])
-                    arr = AltBottomArrangement(s, b, main, alt)
-                    if arr.rows != rows or arr.cols != cols:
-                        raise PatchFormatError("altbottom dimensions disagree")
-                    arrs.append(arr)
-                    i += 1
-                else:
-                    body = lines[i + 1 : i + 1 + rows]
-                    if len(body) != rows:
-                        raise PatchFormatError("truncated arrangement body")
-                    grid = np.array(
-                        [[int(v) for v in ln.split()] for ln in body], dtype=np.int64
-                    )[::-1]
-                    if grid.shape != (rows, cols):
-                        raise PatchFormatError("arrangement body shape mismatch")
-                    arrs.append(DenseArrangement(grid))
-                    i += 1 + rows
+                arr, i = _parse_arrangement(lines, i)
+                lo, hi = arr.id_bounds()
+                if lo < 1 or hi > kp:
+                    raise PatchFormatError(
+                        f"level {t} arrangement {len(arrs) + 1}: child id "
+                        f"{lo if lo < 1 else hi} outside 1..{kp}"
+                    )
+                arrs.append(arr)
             else:
                 raise PatchFormatError(f"unexpected line {lines[i]!r}")
         if len(arrs) != kk:
-            raise PatchFormatError(f"level {lvl_no}: expected {kk} arrangements")
+            raise PatchFormatError(f"level {t}: header says {kk} patches, body holds {len(arrs)}")
         levels.append(Level(arrs, anchor, n1, lmeta))
     return HierarchySpec(base, levels, kind, anchored, meta)
 
 
-def write_spec(path, spec: HierarchySpec) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_spec(spec))
+def _parse_arrangement(lines: list[str], i: int) -> tuple[Arrangement, int]:
+    """The arrangement whose header is ``lines[i]``, and the next index."""
+    if len(lines[i].split()) > 3:
+        rows, cols, s, b, main, alt = _fields(lines[i], "arrangement # # altbottom # # # #")
+        arr = AltBottomArrangement(s, b, main, alt)
+        if arr.rows != rows or arr.cols != cols:
+            raise PatchFormatError("altbottom dimensions disagree")
+        return arr, i + 1
+    rows, cols = _fields(lines[i], "arrangement # #")
+    if rows < 1 or cols < 1:
+        raise PatchFormatError(f"empty arrangement {rows}x{cols}")
+    body = lines[i + 1 : i + 1 + rows]
+    if len(body) != rows:
+        raise PatchFormatError("truncated arrangement body")
+    return DenseArrangement(_parse_ids(body, rows, cols)), i + 1 + rows
+
+
+def _parse_ids(body: list[str], rows: int, cols: int) -> np.ndarray:
+    """The id grid (row 0 the bottom row) of an arrangement body, top row
+    first: ``rows`` lines of ``cols`` decimal ids and single spaces.
+
+    Checked and converted in whole-array passes over the body's bytes.
+    With one digit per id (2 bytes per id) the digits and separators sit
+    at even and odd bytes; otherwise every id ends at a separator byte.
+    Either way the separators must be spaces with a newline at every
+    ``cols``-th one, and ids may not be empty.
+    """
+    buf = np.frombuffer("\n".join([*body, ""]).encode(), dtype=np.uint8)
+    n = rows * cols
+    if buf.size < 2 * n:  # before any array of n entries is allocated
+        raise PatchFormatError(f"arrangement body is not {rows} rows of {cols} ids")
+    want = np.full(n, ord(" "), dtype=np.uint8)
+    want[cols - 1 :: cols] = ord("\n")
+    digit = buf - ord("0")  # non-digits wrap to values above 9
+    if buf.size == 2 * n:
+        ids = digit[0::2]
+        if ids.max() <= 9 and (buf[1::2] == want).all():
+            return np.ascontiguousarray(ids.reshape(rows, cols)[::-1], dtype=np.int64)
+    seps = np.flatnonzero(digit > 9)
+    lengths = np.diff(seps, prepend=-1) - 1
+    if seps.size != n or not np.array_equal(buf[seps], want) or lengths.min() < 1:
+        raise PatchFormatError(f"arrangement body is not {rows} rows of {cols} ids")
+    width = int(lengths.max())
+    if width > 18:
+        raise PatchFormatError("arrangement id too large")
+    ids = np.zeros(n, dtype=np.int64)
+    for j in range(1, width + 1):  # the digit of weight 10^(j-1), 0 past an id's length
+        # seps - j only wraps below 0 for a first id shorter than j, which is masked
+        ids += np.where(lengths >= j, digit[seps - j], 0).astype(np.int64) * 10 ** (j - 1)
+    return ids.reshape(rows, cols)[::-1]
 
 
 def read_spec(path) -> HierarchySpec:

@@ -179,25 +179,34 @@ def corner_density(patch: Patch, corner_side: int) -> Fraction:
 # text formats
 # ----------------------------------------------------------------------
 
-def _text_rows(cells: np.ndarray, sep: bool) -> str:
-    """Rows of '0'/'1', top row first, each ending in a newline.
+def _text_buf(cells: np.ndarray, sep: bool) -> np.ndarray:
+    """Rows of '0'/'1', top row first, each ending in a newline, as ASCII.
 
-    Built as one uint8 buffer (digits, optional single-space separators,
-    newlines) and decoded once, so no Python code runs per cell.
+    One uint8 buffer of digits, optional single-space separators and
+    newlines, so no Python code runs per cell.  Any integer cells 0..9
+    come out as their digit (``c | ord("0")`` is ``c + ord("0")`` there).
     """
     h, w = cells.shape
     step = 2 if sep else 1
     buf = np.full((h, 2 * w if sep else w + 1), ord(" "), dtype=np.uint8)
     buf[:, : step * w : step] = cells[::-1] | ord("0")
     buf[:, -1] = ord("\n")
-    return buf.tobytes().decode("ascii")
+    return buf
+
+
+def _text_rows(cells: np.ndarray, sep: bool) -> str:
+    """:func:`_text_buf` decoded to a string."""
+    return str(_text_buf(cells, sep), "ascii")
+
+
+def _dpf_head(patch: Patch) -> str:
+    flag = " full_boundary" if patch.full_boundary else ""
+    return f"PATCH {patch.width} {patch.height} {patch.origin[0]} {patch.origin[1]}{flag}\n"
 
 
 def dumps_patch(patch: Patch) -> str:
     """Serialize to the .dpf text format (header line, then rows top-down)."""
-    flag = " full_boundary" if patch.full_boundary else ""
-    head = f"PATCH {patch.width} {patch.height} {patch.origin[0]} {patch.origin[1]}{flag}"
-    return head + "\n" + _text_rows(patch.cells, sep=False)
+    return _dpf_head(patch) + _text_rows(patch.cells, sep=False)
 
 
 def _parse_patch_header(line: str):
@@ -206,7 +215,10 @@ def _parse_patch_header(line: str):
         raise PatchFormatError(f"expected PATCH header, got: {line!r}")
     if len(parts) not in (5, 6):
         raise PatchFormatError(f"bad PATCH header: {line!r}")
-    w, h, ox, oy = (int(p) for p in parts[1:5])
+    try:
+        w, h, ox, oy = (int(p) for p in parts[1:5])
+    except ValueError:
+        raise PatchFormatError(f"bad PATCH header: {line!r}") from None
     flag = len(parts) == 6
     if flag and parts[5] != "full_boundary":
         raise PatchFormatError(f"unknown flag {parts[5]!r}")
@@ -215,6 +227,8 @@ def _parse_patch_header(line: str):
 
 def parse_patch_lines(lines: list[str], start: int = 0) -> tuple[Patch, int]:
     """Parse one PATCH block from ``lines[start:]``; returns (patch, next index)."""
+    if start >= len(lines):
+        raise PatchFormatError("missing PATCH block")
     w, h, ox, oy, flag = _parse_patch_header(lines[start])
     rows = lines[start + 1 : start + 1 + h]
     if len(rows) != h:
@@ -232,9 +246,16 @@ def loads_patch(text: str) -> Patch:
     return patch
 
 
+def _write_text(path, head: str, buf: np.ndarray) -> None:
+    """Write a header and a text buffer as bytes, without a str copy."""
+    with open(path, "wb") as fh:
+        fh.write(head.encode("ascii"))
+        fh.write(buf)
+
+
 def write_patch(path, patch: Patch) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_patch(patch))
+    """Write :func:`dumps_patch` of ``patch``."""
+    _write_text(path, _dpf_head(patch), _text_buf(patch.cells, sep=False))
 
 
 def read_patch(path) -> Patch:
@@ -264,9 +285,18 @@ def read_points(path) -> list[Point]:
     return pts
 
 
+def _pbm_head(patch: Patch) -> str:
+    return f"P1\n{patch.width} {patch.height}\n"
+
+
 def dumps_pbm(patch: Patch) -> str:
     """Plain PBM ("P1"): 1 = occupied, top row first."""
-    return f"P1\n{patch.width} {patch.height}\n" + _text_rows(patch.cells, sep=True)
+    return _pbm_head(patch) + _text_rows(patch.cells, sep=True)
+
+
+def write_pbm(path, patch: Patch) -> None:
+    """Write :func:`dumps_pbm` of ``patch``."""
+    _write_text(path, _pbm_head(patch), _text_buf(patch.cells, sep=True))
 
 
 def loads_pbm(text: str) -> Patch:

@@ -1,0 +1,268 @@
+"""The .dhs descriptor codec: byte-exact round trips and malformed input."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from delone import cli
+from delone import hierarchy as H
+from delone.hierarchy import AltBottomArrangement, DenseArrangement, HierarchySpec, Level
+from delone.patch import Patch, PatchFormatError, dumps_patch
+
+
+def _joined_dhs(spec: HierarchySpec) -> str:
+    """The per-id join formula the .dhs writer once used."""
+    out = ["DHS 1", f"kind {spec.kind}", f"anchored {int(spec.anchored)}"]
+    for k in sorted(spec.meta):
+        out.append(f"meta {k} {spec.meta[k]}")
+    out.append(f"level 1 patches {len(spec.base)}")
+    for p in spec.base:
+        out.append(dumps_patch(p).rstrip("\n"))
+    for t, lv in enumerate(spec.levels, start=2):
+        out.append(f"level {t} patches {len(lv.arrangements)}")
+        out.append(f"anchor {lv.anchor[0]} {lv.anchor[1]}")
+        if lv.n_is_one:
+            out.append("n1")
+        for k in sorted(lv.meta):
+            out.append(f"meta {k} {lv.meta[k]}")
+        for arr in lv.arrangements:
+            if isinstance(arr, AltBottomArrangement):
+                out.append(
+                    f"arrangement {arr.rows} {arr.cols} altbottom "
+                    f"{arr.super_cells} {arr.blocks} {arr.main_id} {arr.alt_id}"
+                )
+            else:
+                out.append(f"arrangement {arr.rows} {arr.cols}")
+                for row in arr.grid[::-1]:
+                    out.append(" ".join(str(int(v)) for v in row))
+    return "\n".join(out) + "\n"
+
+
+WORDS = st.from_regex(r"[a-z][a-z0-9_/]{0,6}", fullmatch=True)
+VALUES = st.from_regex(r"[a-z0-9/]{1,6}( [a-z0-9/]{1,6})?", fullmatch=True)
+
+
+@st.composite
+def dhs_specs(draw):
+    """Hierarchies of 0..3 levels over 1..12 base patches: dense levels of
+    1..12 arrangements with ids up to 12 (so ids at or above 10 occur),
+    alternating-bottom levels over at least two children, random anchors,
+    n1 flags and meta lines."""
+    side = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 12))
+    base = [
+        Patch(np.array(draw(st.lists(st.integers(0, 1), min_size=side * side, max_size=side * side)),
+                       dtype=np.uint8).reshape(side, side))
+        for _ in range(k)
+    ]
+    levels = []
+    for _ in range(draw(st.integers(0, 3))):
+        kn = draw(st.integers(1, 12))
+        if k >= 2 and draw(st.booleans()):
+            s, b = draw(st.integers(1, 3)), draw(st.sampled_from([3, 5]))
+            pairs = st.lists(st.integers(1, k), min_size=2, max_size=2, unique=True)
+            arrs = [AltBottomArrangement(s, b, *draw(pairs)) for _ in range(kn)]
+        else:
+            b = draw(st.integers(1, 4))
+            ids = st.lists(st.integers(1, k), min_size=b * b, max_size=b * b)
+            arrs = [DenseArrangement(np.array(draw(ids), dtype=np.int64).reshape(b, b)) for _ in range(kn)]
+        n = arrs[0].rows
+        anchor = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+        meta = draw(st.dictionaries(WORDS, VALUES, max_size=2))
+        levels.append(Level(arrs, anchor, draw(st.booleans()), meta))
+        k = kn
+    meta = draw(st.dictionaries(WORDS, VALUES, max_size=2))
+    return HierarchySpec(base, levels, draw(WORDS), draw(st.booleans()), meta)
+
+
+def _same_arrangement(a, b) -> bool:
+    if isinstance(a, DenseArrangement):
+        return isinstance(b, DenseArrangement) and np.array_equal(a.grid, b.grid)
+    return a == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(dhs_specs())
+def test_dhs_codec_round_trip(spec):
+    text = H.dumps_spec(spec)
+    assert text == _joined_dhs(spec)
+    back = H.loads_spec(text)
+    assert H.dumps_spec(back) == text
+    assert (back.kind, back.anchored, back.meta) == (spec.kind, spec.anchored, spec.meta)
+    assert [p.cells.tobytes() for p in back.base] == [p.cells.tobytes() for p in spec.base]
+    for lv, lv2 in zip(spec.levels, back.levels, strict=True):
+        assert (lv.anchor, lv.n_is_one, lv.meta) == (lv2.anchor, lv2.n_is_one, lv2.meta)
+        assert all(_same_arrangement(a, b) for a, b in zip(lv.arrangements, lv2.arrangements, strict=True))
+    for t in range(1, spec.num_levels + 1):
+        assert back.popcounts(t) == spec.popcounts(t)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.dhs"
+        H.write_spec(path, spec)
+        assert path.read_bytes() == text.encode()
+
+
+def test_dhs_writer_covers_both_id_paths():
+    # ids 0..9 go through the byte buffer, larger ids through the join
+    base = [Patch(np.ones((1, 1), dtype=np.uint8))] * 12
+    for ids in ([[9, 1], [2, 3]], [[10, 1], [12, 3]]):
+        spec = HierarchySpec(base, [Level([DenseArrangement(np.array(ids))])])
+        text = H.dumps_spec(spec)
+        assert text == _joined_dhs(spec)
+        assert text.endswith("arrangement 2 2\n" + " ".join(map(str, ids[1])) + "\n"
+                             + " ".join(map(str, ids[0])) + "\n")
+        assert H.loads_spec(text).levels[0].arrangements[0].grid.tolist() == ids
+
+
+# ----------------------------------------------------------------------
+# malformed input
+# ----------------------------------------------------------------------
+
+VALID = """DHS 1
+kind custom
+anchored 0
+level 1 patches 2
+PATCH 2 2 0 0
+11
+10
+PATCH 2 2 0 0
+11
+11
+level 2 patches 2
+anchor 0 0
+arrangement 3 3
+1 2 1
+2 1 2
+1 1 1
+arrangement 3 3 altbottom 1 3 1 2
+"""
+
+# (what is wrong, the line replaced, its replacement)
+MALFORMED = [
+    ("truncated level header", "level 2 patches 2", "level 2"),
+    ("misspelt level header", "level 2 patches 2", "level 2 patchez 2"),
+    ("misspelt altbottom", "arrangement 3 3 altbottom 1 3 1 2", "arrangement 3 3 altbotom 1 3 1 2"),
+    ("bare level 1 header", "level 1 patches 2", "level 1"),
+    ("bare altbottom line", "arrangement 3 3 altbottom 1 3 1 2", "altbottom"),
+    ("altbottom without fields", "arrangement 3 3 altbottom 1 3 1 2", "arrangement 3 3 altbottom"),
+    ("altbottom short of fields", "arrangement 3 3 altbottom 1 3 1 2", "arrangement 3 3 altbottom 1 3 1"),
+    ("truncated arrangement header", "arrangement 3 3", "arrangement 3"),
+    ("truncated anchor", "anchor 0 0", "anchor 1"),
+    ("bare kind", "kind custom", "kind"),
+    ("bare anchored", "anchored 0", "anchored"),
+    ("bare meta", "anchored 0", "meta"),
+    ("non-integer field", "anchor 0 0", "anchor 0 x"),
+    ("child id out of range", "1 2 1", "1 7 1"),
+    ("child id zero", "1 2 1", "0 2 1"),
+    ("altbottom id out of range", "arrangement 3 3 altbottom 1 3 1 2", "arrangement 3 3 altbottom 1 3 1 3"),
+    ("level numbered 3 after 1", "level 2 patches 2", "level 3 patches 2"),
+    ("level 1 twice", "level 2 patches 2", "level 1 patches 2"),
+    ("more arrangements than patches", "level 2 patches 2", "level 2 patches 1"),
+    ("fewer arrangements than patches", "level 2 patches 2", "level 2 patches 3"),
+    ("fewer base patches than the count", "level 1 patches 2", "level 1 patches 3"),
+    ("more base patches than the count", "level 1 patches 2", "level 1 patches 1"),
+    ("zero patches", "level 1 patches 2", "level 1 patches 0"),
+    ("short body row", "1 2 1", "1 2"),
+    ("long body row", "1 2 1", "1 2 1 1"),
+    ("tab separator", "1 2 1", "1\t2 1"),
+    ("double space", "1 2 1", "1  2 1"),
+    ("trailing space", "1 2 1", "1 2 1 "),
+    ("leading space", "1 2 1", " 1 2 1"),
+    ("negative id", "1 2 1", "-1 2 1"),
+    ("letter in body", "1 2 1", "1 b 1"),
+    ("id far too long", "1 2 1", "1 2 " + "9" * 30),
+    ("non-square arrangement", "arrangement 3 3", "arrangement 3 2"),
+    ("huge arrangement", "arrangement 3 3", "arrangement 3 99999999999"),
+    ("empty arrangement", "arrangement 3 3", "arrangement 0 0"),
+    ("altbottom dimensions disagree", "arrangement 3 3 altbottom 1 3 1 2", "arrangement 4 4 altbottom 1 3 1 2"),
+    ("altbottom even blocks", "arrangement 3 3 altbottom 1 3 1 2", "arrangement 2 2 altbottom 1 2 1 2"),
+    ("anchor outside the grid", "anchor 0 0", "anchor 5 0"),
+    ("n1 with a field", "anchor 0 0", "n1 1"),
+    ("unknown line", "anchor 0 0", "frobnicate"),
+    ("bad patch header", "PATCH 2 2 0 0", "PATCH 2 x 0 0"),
+    ("missing DHS header", "DHS 1", "DHS 2"),
+]
+
+
+def _replace(old: str, new: str) -> str:
+    lines = VALID.split("\n")
+    return "\n".join(new if ln == old else ln for ln in lines)
+
+
+def test_valid_fixture_loads():
+    spec = H.loads_spec(VALID)
+    # base patches of 3 and 4 points: six and three of them in the dense
+    # arrangement, eight main and one alternate in the alternating one
+    assert spec.num_levels == 2 and spec.popcounts(2) == [6 * 3 + 3 * 4, 8 * 3 + 1 * 4]
+
+
+@pytest.mark.parametrize("why,old,new", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_dhs_is_a_format_error(tmp_path, capsys, why, old, new):
+    assert old in VALID.split("\n")
+    text = _replace(old, new)
+    with pytest.raises(PatchFormatError):
+        H.loads_spec(text)
+    path = tmp_path / "bad.dhs"
+    path.write_text(text)
+    assert cli.main(["stats", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_of_range_child_id_is_named():
+    # one child, and an arrangement naming id 7
+    text = "DHS 1\nlevel 1 patches 1\nPATCH 1 1 0 0\n1\nlevel 2 patches 1\narrangement 2 2\n1 1\n1 7\n"
+    with pytest.raises(PatchFormatError, match="child id 7 outside 1..1"):
+        H.loads_spec(text)
+
+
+def test_empty_id_is_a_body_error():
+    # "12  1" has the separators and the byte count of a valid row of three
+    with pytest.raises(PatchFormatError, match="not 3 rows of 3 ids"):
+        H.loads_spec(_replace("1 2 1", "12  1"))
+
+
+# every prefix of the fixture's lines but the first ten, a valid one-level
+# descriptor, and the whole
+@pytest.mark.parametrize("cut", [c for c in range(1, 17) if c != 10])
+def test_truncated_dhs_is_a_format_error(cut):
+    with pytest.raises(PatchFormatError):
+        H.loads_spec("\n".join(VALID.split("\n")[:cut]) + "\n")
+
+
+_GARBAGE = st.sampled_from(["", "x", "-1", "0", "3", "10", "1 1", "\t", "  ", "level", "arrangement",
+                            "altbottom", "PATCH", "99999999999999999999"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_dhs_loads_or_is_a_format_error(data):
+    """Random edits of a valid descriptor either load or raise
+    PatchFormatError, and ``delone stats`` exits 0 or 2 accordingly."""
+    lines = VALID.split("\n")[:-1]
+    edit = data.draw(st.sampled_from(["cut", "drop", "dup", "token"]))
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if edit == "cut":
+        text = VALID[: data.draw(st.integers(0, len(VALID)))]
+    else:
+        if edit == "drop":
+            del lines[i]
+        elif edit == "dup":
+            lines.insert(i, lines[i])
+        else:
+            toks = lines[i].split(" ")
+            j = data.draw(st.integers(0, len(toks) - 1))
+            toks[j] = data.draw(_GARBAGE)
+            lines[i] = " ".join(toks)
+        text = "\n".join(lines) + "\n"
+    try:
+        H.loads_spec(text)
+        want = 0
+    except PatchFormatError:
+        want = 2
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.dhs"
+        path.write_text(text)
+        assert cli.main(["stats", "--spec", str(path)]) == want

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -541,17 +542,39 @@ def test_frames_follow_level_edits():
             side *= lv.branching
         return side, (ox, oy)
 
+    def check(spec):
+        """Frames, popcounts and step counts of every level against a
+        recompute: the frame walk above, popcounts of materialized patches
+        and the arrangements' own counts."""
+        for t in range(1, spec.num_levels + 1):
+            assert (spec.side(t), spec.origin(t)) == fresh(spec, t)
+            pops = [H.materialize(spec, t, pid).popcount() for pid in range(1, spec.k(t) + 1)]
+            assert spec.popcounts(t) == pops
+            assert [spec.density(t, pid) for pid in range(1, spec.k(t) + 1)] == [
+                Fraction(c, spec.side(t) ** 2) for c in pops
+            ]
+            if t > 1:
+                cols = [arr.counts(spec.k(t - 1)) for arr in spec.levels[t - 2].arrangements]
+                assert spec.step_count_matrix(t) == [list(row) for row in zip(*cols)]
+
     spec = toy_spec(ell=1)
     assert spec.side(2) == 12
+    check(spec)
     spec.levels.append(ue.mix_level())  # builders append after reading sides
+    check(spec)
     spec.levels.append(nonrect.alternation_level(1, 1, 2))
-    assert [(spec.side(t), spec.origin(t)) for t in range(1, 5)] == [fresh(spec, t) for t in range(1, 5)]
+    check(spec)
     spec.levels[-1] = ue.mix_level()
-    assert spec.side(4) == 108 and spec.origin(4) == fresh(spec, 4)[1]
+    assert spec.side(4) == 108
+    check(spec)
     spec.levels.pop()
     assert spec.num_levels == 3 and spec.side(3) == 36
+    check(spec)
     with pytest.raises(H.SpecError):
         spec.side(4)
+    spec.levels.pop()
+    spec.levels += [nonrect.alternation_level(1, 1, 2), ue.mix_level()]  # two levels at once
+    check(spec)
 
 
 # ----------------------------------------------------------------------

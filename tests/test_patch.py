@@ -1,4 +1,6 @@
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,3 +152,8 @@ def test_text_writers_match_the_join_formulas(p):
     assert patch.dumps_patch(p) == head + "\n" + _joined_rows(p) + "\n"
     assert patch.loads_patch(patch.dumps_patch(p)) == p
     assert patch.loads_pbm(patch.dumps_pbm(p)).same_content(p)
+    with tempfile.TemporaryDirectory() as d:
+        for write, dumps in ((patch.write_patch, patch.dumps_patch), (patch.write_pbm, patch.dumps_pbm)):
+            path = Path(d) / "out"
+            write(path, p)
+            assert path.read_bytes() == dumps(p).encode()
