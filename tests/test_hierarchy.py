@@ -575,6 +575,11 @@ def test_frames_follow_level_edits():
     spec.levels.pop()
     spec.levels += [nonrect.alternation_level(1, 1, 2), ue.mix_level()]  # two levels at once
     check(spec)
+    spec.levels[0] = nonrect.alternation_level(1, 1, 2)  # below the top
+    assert spec.side(4) == 4 * 5 * 5 * 3
+    check(spec)
+    spec.base[0] = Patch(1 - spec.base[0].cells, spec.base[0].origin)
+    check(spec)
 
 
 # ----------------------------------------------------------------------
