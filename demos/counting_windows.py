@@ -1,10 +1,11 @@
 """Walkthrough: exact counting on implicit hierarchies, and repetitivity.
 
 Occurrence counts never require the full patch: block-aligned counts come
-from integer matrix products, sliding counts recurse with memoized
-boundary bands.  Both are checked against direct scans of a materialized
-window here, then the repetitivity radius of the window is computed (the
-smallest R such that every R x R sub-window contains every small pattern).
+from integer matrix products, sliding counts recurse on the seams between
+children, memoized by the child ids they join.  Both are checked against
+direct scans of a materialized window here, then the repetitivity radius of
+the window is computed (the smallest R such that every R x R sub-window
+contains every small pattern).
 """
 
 from fractions import Fraction as F

@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from . import choquet, hierarchy, maps, nonrect, patch, rectlab, suites, ue
 from .hierarchy import BLOCK_ALIGNED, SLIDING, CapacityError
@@ -101,8 +102,9 @@ def cmd_gen(args) -> int:
         build = ue.build_ue_spec(schedule, depth, args.mode, params)
         spec, steps = build.spec, build.steps
         lines.append(f"limit point density {build.limit_density()}")
-        for t in range(2, spec.num_levels + 1):
-            lines.append(f"offset level 1->{t}: {_show(build.offset_between(1, t))}")
+        offsets = accumulate(build.level_offsets, ue.delta_product)
+        for t, off in zip(range(2, spec.num_levels + 1), offsets, strict=True):
+            lines.append(f"offset level 1->{t}: {_show(off)}")
     else:
         seq = None
         e = args.extreme_points

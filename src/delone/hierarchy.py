@@ -1018,10 +1018,13 @@ def estimate_repetitivity(patch: Patch, r: int) -> int | None:
     Pattern equality is exact bitset equality (occupied and empty cells).
     Returns None ("window too small") when no R <= side - r works.
 
-    Each pattern gets one integral image of its occurrences (int32 below
-    2^31 pattern origins, int64 above), and its own smallest R is searched
-    by bisection above the largest R found so far: a window that holds
-    the pattern at side R still holds it at every larger side.
+    An R x R window holds a pattern iff the K x K block of pattern origins
+    it spans (K = R - r + 1) holds one of its occurrences. Each pattern's
+    occurrences form a boolean mask; a sliding OR of width K along both
+    axes marks the blocks holding one, so the test is boolean throughout
+    and counts nothing. Each pattern's own smallest R is searched by
+    bisection above the largest R found so far: a window that holds the
+    pattern at side R still holds it at every larger side.
     """
     side = patch.side
     if r < 1:
@@ -1031,21 +1034,17 @@ def estimate_repetitivity(patch: Patch, r: int) -> int | None:
     if r > 8:
         raise ValueError("pattern side above 8 is not supported")
     labels = _pattern_labels(patch.cells, r)
-    H, W = labels.shape
-    dtype = np.int32 if H * W < 2**31 else np.int64
-    integ = np.zeros((H + 1, W + 1), dtype=dtype)
     best, top = r, side - r
     for lab in range(int(labels.max()) + 1):
-        np.cumsum(labels == lab, axis=0, dtype=dtype, out=integ[1:, 1:])
-        np.cumsum(integ[1:, 1:], axis=1, out=integ[1:, 1:])
-        if _windows_hold(integ, side, r, best):
+        here = labels == lab
+        if _blocks_hold(here, best - r + 1):
             continue
-        if not _windows_hold(integ, side, r, top):
+        if not _blocks_hold(here, top - r + 1):
             return None
         lo, hi = best + 1, top
         while lo < hi:
             mid = (lo + hi) // 2
-            if _windows_hold(integ, side, r, mid):
+            if _blocks_hold(here, mid - r + 1):
                 hi = mid
             else:
                 lo = mid + 1
@@ -1054,29 +1053,41 @@ def estimate_repetitivity(patch: Patch, r: int) -> int | None:
 
 
 def _pattern_labels(cells: np.ndarray, r: int) -> np.ndarray:
-    """Dense label of the r x r pattern at each origin (r*r <= 64 code bits)."""
+    """Dense label of the r x r pattern at each origin, in the sorted order
+    of the pattern codes (bit dy*r + dx holds cell (dy, dx)).
+
+    Codes of at most 16 bits are labelled through a table over all 2^(r*r)
+    codes in one pass; longer ones (up to 64 bits) by ``np.unique``.
+    """
     H, W = cells.shape
     outh, outw = H - r + 1, W - r + 1
-    ids = np.zeros((outh, outw), dtype=np.uint64)
-    g = cells.astype(np.uint64)
-    shift = 0
-    for dy in range(r):
-        for dx in range(r):
-            ids |= g[dy : dy + outh, dx : dx + outw] << np.uint64(shift)
-            shift += 1
-    uniq, inv = np.unique(ids, return_inverse=True)
-    return inv.reshape(ids.shape)
+    small = r * r <= 16
+    dtype = np.uint16 if small else np.uint64
+    codes = np.zeros((outh, outw), dtype=dtype)
+    g = cells.astype(dtype)
+    for bit in range(r * r):
+        dy, dx = divmod(bit, r)
+        codes |= g[dy : dy + outh, dx : dx + outw] << dtype(bit)
+    if not small:
+        return np.unique(codes, return_inverse=True)[1].reshape(codes.shape)
+    present = np.zeros(1 << (r * r), dtype=bool)
+    present[codes] = True
+    return np.take((np.cumsum(present) - 1).astype(np.uint16), codes)
 
 
-def _windows_hold(integ: np.ndarray, side: int, r: int, R: int) -> bool:
-    """True iff every R x R window of the patch holds a pattern counted in
-    the integral image ``integ`` of pattern origins."""
-    K = R - r + 1  # span of pattern origins inside one window
-    n = side - R + 1
-    sums = integ[K : K + n, K : K + n] - integ[0:n, K : K + n]
-    sums -= integ[K : K + n, 0:n]
-    sums += integ[0:n, 0:n]
-    return bool((sums > 0).all())
+def _blocks_hold(mask: np.ndarray, K: int) -> bool:
+    """True iff every K x K block of ``mask`` holds a True cell."""
+    return bool(_or_runs(_or_runs(mask, K).T, K).all())
+
+
+def _or_runs(a: np.ndarray, K: int) -> np.ndarray:
+    """Row i of the result is the OR of rows i .. i + K - 1 of ``a``: runs
+    of width p doubled while 2p <= K, then two overlapping runs of p."""
+    p = 1
+    while 2 * p <= K:
+        a = a[:-p] | a[p:]
+        p *= 2
+    return a if p == K else a[: len(a) - K + p] | a[K - p :]
 
 
 # ----------------------------------------------------------------------

@@ -300,15 +300,24 @@ def write_pbm(path, patch: Patch) -> None:
 
 
 def loads_pbm(text: str) -> Patch:
+    """Parse plain PBM ("P1") with whitespace between bits; malformed text
+    raises :class:`PatchFormatError`."""
     toks = []
     for ln in text.splitlines():
         ln = ln.split("#", 1)[0]
         toks.extend(ln.split())
     if not toks or toks[0] != "P1":
         raise PatchFormatError("not a plain PBM file")
-    w, h = int(toks[1]), int(toks[2])
-    bits = [int(t) for t in toks[3:]]
+    try:
+        w, h = int(toks[1]), int(toks[2])
+    except (IndexError, ValueError):
+        raise PatchFormatError("PBM header needs an integer width and height") from None
+    if w < 1 or h < 1:
+        raise PatchFormatError(f"PBM size {w} x {h} is not positive")
+    bits = toks[3:]
     if len(bits) != w * h:
-        raise PatchFormatError("PBM size mismatch")
-    arr = np.array(bits, dtype=np.uint8).reshape(h, w)
-    return Patch(arr[::-1])
+        raise PatchFormatError(f"PBM raster holds {len(bits)} bits, not {w} x {h}")
+    if not set(bits) <= {"0", "1"}:
+        raise PatchFormatError("PBM bits must be 0 or 1")
+    arr = np.array(bits) == "1"
+    return Patch(arr.reshape(h, w)[::-1])

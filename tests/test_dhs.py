@@ -1,4 +1,4 @@
-"""The .dhs descriptor codec: byte-exact round trips and malformed input."""
+"""The .dhs descriptor and plain PBM codecs: round trips and malformed input."""
 
 import tempfile
 from pathlib import Path
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from delone import cli
 from delone import hierarchy as H
 from delone.hierarchy import AltBottomArrangement, DenseArrangement, HierarchySpec, Level
-from delone.patch import Patch, PatchFormatError, dumps_patch
+from delone.patch import Patch, PatchFormatError, dumps_patch, dumps_pbm, loads_pbm
 
 
 def _joined_dhs(spec: HierarchySpec) -> str:
@@ -266,3 +266,59 @@ def test_mutated_dhs_loads_or_is_a_format_error(data):
         path = Path(d) / "m.dhs"
         path.write_text(text)
         assert cli.main(["stats", "--spec", str(path)]) == want
+
+
+# ----------------------------------------------------------------------
+# plain PBM
+# ----------------------------------------------------------------------
+
+@given(st.integers(1, 12), st.integers(1, 12), st.data())
+def test_pbm_codec_round_trip(h, w, data):
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=h * w, max_size=h * w))
+    p = Patch(np.array(bits, dtype=np.uint8).reshape(h, w))
+    assert loads_pbm(dumps_pbm(p)) == p
+
+
+PBM = "P1\n# two rows\n3 2\n1 0 1\n0 1 1\n"
+
+PBM_MALFORMED = [
+    ("empty", ""),
+    ("magic only", "P1"),
+    ("binary magic", PBM.replace("P1", "P4")),
+    ("no height", "P1\n3\n"),
+    ("non-integer width", PBM.replace("3 2", "x 2")),
+    ("fractional height", PBM.replace("3 2", "3 2.0")),
+    ("zero width", "P1\n0 2\n"),
+    ("negative height", PBM.replace("3 2", "3 -2")),
+    ("bit 2", PBM.replace("0 1 1", "0 2 1")),
+    ("letter bit", PBM.replace("0 1 1", "0 x 1")),
+    ("two-digit bit", PBM.replace("0 1 1", "0 1 11")),
+    ("short raster", PBM.replace("0 1 1", "0 1")),
+    ("long raster", PBM.replace("0 1 1", "0 1 1 0")),
+]
+
+
+def test_valid_pbm_loads():
+    assert loads_pbm(PBM) == Patch(np.array([[0, 1, 1], [1, 0, 1]], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("why,text", PBM_MALFORMED, ids=[m[0] for m in PBM_MALFORMED])
+def test_malformed_pbm_is_a_format_error(why, text):
+    with pytest.raises(PatchFormatError):
+        loads_pbm(text)
+
+
+@pytest.mark.parametrize("cut", range(len(PBM) - 1))
+def test_truncated_pbm_is_a_format_error(cut):
+    with pytest.raises(PatchFormatError):
+        loads_pbm(PBM[:cut])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="P1 0123-x#\n\t", max_size=40), st.booleans())
+def test_garbage_pbm_loads_or_is_a_format_error(text, magic):
+    try:
+        p = loads_pbm("P1\n" + text if magic else text)
+    except PatchFormatError:
+        return
+    assert set(np.unique(p.cells)) <= {0, 1}

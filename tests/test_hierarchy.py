@@ -328,14 +328,21 @@ def test_repetitivity_r8_matches_oracle(ue3):
     assert H.estimate_repetitivity(periodic, 8) == 10
 
 
+# widest K x K block of pattern origins tested (K = side - 2r + 1), at and
+# next to powers of two, where the sliding OR switches its doublings
+POW2_SPANS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17]
+
+
 @st.composite
 def repetitivity_cases(draw):
-    """A square patch (random, constant or a tiled motif with one flipped
-    cell) and a pattern side r in 1..3."""
-    r = draw(st.integers(1, 3))
-    side = draw(st.integers(3 * r, 3 * r + 6))
+    """A square patch (random, constant, or a tiled random motif of period
+    up to 9, perhaps with one flipped cell) and a pattern side r in 1..5:
+    r = 4 is the last side labelled by table, r = 5 the first labelled by
+    ``np.unique``."""
+    r = draw(st.integers(1, 5))
+    side = max(3 * r, draw(st.sampled_from(POW2_SPANS)) + 2 * r - 1)
     if draw(st.booleans()):
-        motif = _fill(draw, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        motif = _bits(draw, draw(st.integers(1, 9)), draw(st.integers(1, 9)))
         cells = np.tile(motif, (side, side))[:side, :side].copy()
         if draw(st.booleans()):
             y, x = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
@@ -345,11 +352,34 @@ def repetitivity_cases(draw):
     return Patch(cells), r
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(repetitivity_cases())
 def test_repetitivity_property(case):
     p, r = case
     assert H.estimate_repetitivity(p, r) == repetitivity_oracle(p.cells, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_blocks_hold_matches_a_direct_scan(data):
+    rows, cols = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 20))
+    mask = _bits(data.draw, rows, cols).astype(bool)
+    K = data.draw(st.sampled_from([k for k in POW2_SPANS if k <= min(rows, cols)]))
+    runs = H._or_runs(mask, K)
+    assert np.array_equal(runs, [mask[i : i + K].any(axis=0) for i in range(rows - K + 1)])
+    want = all(mask[i : i + K, j : j + K].any() for i in range(rows - K + 1) for j in range(cols - K + 1))
+    assert H._blocks_hold(mask, K) == want
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_pattern_labels_are_sorted_code_ranks(r, ue3):
+    window = H.materialize(ue3.spec, 4, 1).cells[:40, :40]
+    noise = np.random.default_rng(r).integers(0, 2, (40, 40), dtype=np.uint8)
+    for cells in (window, noise):
+        win = np.lib.stride_tricks.sliding_window_view(cells, (r, r)).astype(np.int64)
+        codes = (win.reshape(*win.shape[:2], r * r) << np.arange(r * r)).sum(axis=2)
+        want = np.unique(codes, return_inverse=True)[1].reshape(codes.shape)
+        assert np.array_equal(H._pattern_labels(cells, r), want)
 
 
 def test_repetitivity_preconditions():
