@@ -1033,10 +1033,10 @@ def estimate_repetitivity(patch: Patch, r: int) -> int | None:
         raise ValueError(f"patch side {side} below 3r = {3 * r}")
     if r > 8:
         raise ValueError("pattern side above 8 is not supported")
-    labels = _pattern_labels(patch.cells, r)
+    codes = _pattern_codes(patch.cells, r)
     best, top = r, side - r
-    for lab in range(int(labels.max()) + 1):
-        here = labels == lab
+    for code in np.unique(codes):
+        here = codes == code
         if _blocks_hold(here, best - r + 1):
             continue
         if not _blocks_hold(here, top - r + 1):
@@ -1052,27 +1052,18 @@ def estimate_repetitivity(patch: Patch, r: int) -> int | None:
     return best
 
 
-def _pattern_labels(cells: np.ndarray, r: int) -> np.ndarray:
-    """Dense label of the r x r pattern at each origin, in the sorted order
-    of the pattern codes (bit dy*r + dx holds cell (dy, dx)).
-
-    Codes of at most 16 bits are labelled through a table over all 2^(r*r)
-    codes in one pass; longer ones (up to 64 bits) by ``np.unique``.
-    """
+def _pattern_codes(cells: np.ndarray, r: int) -> np.ndarray:
+    """Code of the r x r pattern at each origin: bit dy*r + dx holds cell
+    (dy, dx). Codes fit uint16 for r <= 4 and uint64 up to r = 8."""
     H, W = cells.shape
     outh, outw = H - r + 1, W - r + 1
-    small = r * r <= 16
-    dtype = np.uint16 if small else np.uint64
+    dtype = np.uint16 if r * r <= 16 else np.uint64
     codes = np.zeros((outh, outw), dtype=dtype)
     g = cells.astype(dtype)
     for bit in range(r * r):
         dy, dx = divmod(bit, r)
         codes |= g[dy : dy + outh, dx : dx + outw] << dtype(bit)
-    if not small:
-        return np.unique(codes, return_inverse=True)[1].reshape(codes.shape)
-    present = np.zeros(1 << (r * r), dtype=bool)
-    present[codes] = True
-    return np.take((np.cumsum(present) - 1).astype(np.uint16), codes)
+    return codes
 
 
 def _blocks_hold(mask: np.ndarray, K: int) -> bool:

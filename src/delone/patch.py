@@ -300,8 +300,8 @@ def write_pbm(path, patch: Patch) -> None:
 
 
 def loads_pbm(text: str) -> Patch:
-    """Parse plain PBM ("P1") with whitespace between bits; malformed text
-    raises :class:`PatchFormatError`."""
+    """Parse plain PBM ("P1"); raster bits may be separated by whitespace
+    or run together. Malformed text raises :class:`PatchFormatError`."""
     toks = []
     for ln in text.splitlines():
         ln = ln.split("#", 1)[0]
@@ -314,10 +314,10 @@ def loads_pbm(text: str) -> Patch:
         raise PatchFormatError("PBM header needs an integer width and height") from None
     if w < 1 or h < 1:
         raise PatchFormatError(f"PBM size {w} x {h} is not positive")
-    bits = toks[3:]
+    bits = "".join(toks[3:])
     if len(bits) != w * h:
         raise PatchFormatError(f"PBM raster holds {len(bits)} bits, not {w} x {h}")
     if not set(bits) <= {"0", "1"}:
         raise PatchFormatError("PBM bits must be 0 or 1")
-    arr = np.array(bits) == "1"
+    arr = np.frombuffer(bits.encode(), dtype=np.uint8) == ord("1")
     return Patch(arr.reshape(h, w)[::-1])

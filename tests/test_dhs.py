@@ -292,14 +292,16 @@ PBM_MALFORMED = [
     ("negative height", PBM.replace("3 2", "3 -2")),
     ("bit 2", PBM.replace("0 1 1", "0 2 1")),
     ("letter bit", PBM.replace("0 1 1", "0 x 1")),
-    ("two-digit bit", PBM.replace("0 1 1", "0 1 11")),
     ("short raster", PBM.replace("0 1 1", "0 1")),
     ("long raster", PBM.replace("0 1 1", "0 1 1 0")),
 ]
 
 
 def test_valid_pbm_loads():
-    assert loads_pbm(PBM) == Patch(np.array([[0, 1, 1], [1, 0, 1]], dtype=np.uint8))
+    want = Patch(np.array([[0, 1, 1], [1, 0, 1]], dtype=np.uint8))
+    assert loads_pbm(PBM) == want
+    assert loads_pbm("P1\n3 2\n101\n011\n") == want
+    assert loads_pbm("P1 3 2 10 1011") == want
 
 
 @pytest.mark.parametrize("why,text", PBM_MALFORMED, ids=[m[0] for m in PBM_MALFORMED])

@@ -328,6 +328,15 @@ def test_repetitivity_r8_matches_oracle(ue3):
     assert H.estimate_repetitivity(periodic, 8) == 10
 
 
+
+def test_repetitivity_r5_uses_the_high_code_bits():
+    # r = 5 is the first side coded past 16 bits; two phases of this
+    # 9 x 2 motif differ only in pattern cells at bits 16 and above
+    motif = np.zeros((9, 2), dtype=np.uint8)
+    motif[[4, 8], 0] = 1
+    p = Patch(np.tile(motif, (3, 12))[:24, :24])
+    assert H.estimate_repetitivity(p, 5) == repetitivity_oracle(p.cells, 5) == 13
+
 # widest K x K block of pattern origins tested (K = side - 2r + 1), at and
 # next to powers of two, where the sliding OR switches its doublings
 POW2_SPANS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17]
@@ -337,8 +346,7 @@ POW2_SPANS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17]
 def repetitivity_cases(draw):
     """A square patch (random, constant, or a tiled random motif of period
     up to 9, perhaps with one flipped cell) and a pattern side r in 1..5:
-    r = 4 is the last side labelled by table, r = 5 the first labelled by
-    ``np.unique``."""
+    r = 4 is the last side coded in uint16, r = 5 the first in uint64."""
     r = draw(st.integers(1, 5))
     side = max(3 * r, draw(st.sampled_from(POW2_SPANS)) + 2 * r - 1)
     if draw(st.booleans()):
@@ -369,17 +377,6 @@ def test_blocks_hold_matches_a_direct_scan(data):
     assert np.array_equal(runs, [mask[i : i + K].any(axis=0) for i in range(rows - K + 1)])
     want = all(mask[i : i + K, j : j + K].any() for i in range(rows - K + 1) for j in range(cols - K + 1))
     assert H._blocks_hold(mask, K) == want
-
-
-@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
-def test_pattern_labels_are_sorted_code_ranks(r, ue3):
-    window = H.materialize(ue3.spec, 4, 1).cells[:40, :40]
-    noise = np.random.default_rng(r).integers(0, 2, (40, 40), dtype=np.uint8)
-    for cells in (window, noise):
-        win = np.lib.stride_tricks.sliding_window_view(cells, (r, r)).astype(np.int64)
-        codes = (win.reshape(*win.shape[:2], r * r) << np.arange(r * r)).sum(axis=2)
-        want = np.unique(codes, return_inverse=True)[1].reshape(codes.shape)
-        assert np.array_equal(H._pattern_labels(cells, r), want)
 
 
 def test_repetitivity_preconditions():
