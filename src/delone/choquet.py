@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Literal
 
 import numpy as np
@@ -33,6 +34,7 @@ from .hierarchy import (
     HierarchySpec,
     Level,
     SchemeReport,
+    _imat_mul,
 )
 from .patch import Patch
 
@@ -68,25 +70,38 @@ def p_sequence(dim: int | None, n_max: int, k: int | None = None) -> SizeSequenc
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    kk = 3 if k is None else k
-    p1 = 4 if dim is None else max(4, dim)
-    p = [p1]
-    r = []
+    return _grown_sizes(dim, n_max, None, k)
+
+
+def _grown_sizes(dim: int | None, n_max: int, ratio_cap: int | None,
+                 k: int | None) -> SizeSequences:
+    """p_1 = max(4, d), p_{n+1} = 2 n! p_n^2 (at most ratio_cap p_n when a
+    cap is given) and r_n = n!, for n_max scales."""
+    p = [4 if dim is None else max(4, dim)]
     for n in range(1, n_max):
-        r_n = math.factorial(n)
-        p_next = 2 * r_n * p[-1] ** 2
-        if not r_n * p[-1] < p_next:
-            raise ArithmeticError("stripe ratio rule violated")
-        r.append(r_n)
+        p_next = 2 * math.factorial(n) * p[-1] ** 2
+        if ratio_cap is not None:
+            p_next = min(p_next, p[-1] * ratio_cap)
+        if math.factorial(n) * p[-1] >= p_next:
+            raise SimplexBuildError(
+                f"ratio cap {ratio_cap} too small for the stripe rule at step {n}"
+            )
         p.append(p_next)
-    if n_max >= 1:
-        r.append(math.factorial(n_max))
-    q = [v * v for v in p]
-    l = [p[i + 1] // (2 * p[i]) - 1 for i in range(len(p) - 1)]
-    head = tuple(
-        _headroom_ok(p[i], p[i + 1], r[i], kk) for i in range(len(p) - 1)
+    r = [math.factorial(n) for n in range(1, len(p) + 1)]
+    return _sizes(p, r, 3 if k is None else k)
+
+
+def _sizes(p: list[int], r: list[int], k: int) -> SizeSequences:
+    """The sequences over scales ``p`` and stripe counts ``r`` (one per
+    scale, extras dropped): q_n = p_n^2, l_n = p_{n+1}/(2 p_n) - 1 and the
+    expansion-headroom flag of each step for patch count k."""
+    return SizeSequences(
+        tuple(p),
+        tuple(v * v for v in p),
+        tuple(r[: len(p)]),
+        tuple(b // (2 * a) - 1 for a, b in zip(p, p[1:])),
+        tuple(_headroom_ok(a, b, r_n, k) for a, b, r_n in zip(p, p[1:], r)),
     )
-    return SizeSequences(tuple(p), tuple(q), tuple(r[: len(p)]), tuple(l), head)
 
 
 def _headroom_ok(p_n: int, p_next: int, r_n: int, k: int) -> bool:
@@ -104,24 +119,7 @@ def toy_p_sequence(dim: int | None, n_max: int, ratio_cap: int = 128,
     """
     if ratio_cap < 4 or ratio_cap % 2:
         raise ValueError("ratio cap must be an even integer >= 4")
-    kk = 3 if k is None else k
-    p1 = 4 if dim is None else max(4, dim)
-    p = [p1]
-    r = []
-    for n in range(1, n_max):
-        r_n = math.factorial(n)
-        p_next = min(2 * r_n * p[-1] ** 2, p[-1] * ratio_cap)
-        if r_n * p[-1] >= p_next:
-            raise SimplexBuildError(
-                f"ratio cap {ratio_cap} too small for the stripe rule at step {n}"
-            )
-        r.append(r_n)
-        p.append(p_next)
-    r.append(math.factorial(n_max))
-    q = [v * v for v in p]
-    l = [p[i + 1] // (2 * p[i]) - 1 for i in range(len(p) - 1)]
-    head = tuple(_headroom_ok(p[i], p[i + 1], r[i], kk) for i in range(len(p) - 1))
-    return SizeSequences(tuple(p), tuple(q), tuple(r[: len(p)]), tuple(l), head)
+    return _grown_sizes(dim, n_max, ratio_cap, k)
 
 
 # ----------------------------------------------------------------------
@@ -147,18 +145,16 @@ class ChoquetSeq:
 
     def product(self, n: int) -> IntMatrix:
         """A_1 ... A_n (identity for n = 0)."""
-        k1 = self.k[0]
-        out = [[1 if i == j else 0 for j in range(k1)] for i in range(k1)]
-        for t in range(n):
-            out = _imul(out, self.A[t])
-        return out
+        return _prefix_products(self, n)[-1]
 
 
-def _imul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
+def _prefix_products(seq: ChoquetSeq, n: int) -> list[IntMatrix]:
+    """[A_1 ... A_t for t = 0..n], each product from the one before."""
+    if not 0 <= n <= len(seq.A):
+        raise ValueError(f"no product of {n} matrices: the sequence holds {len(seq.A)}")
+    k1 = seq.k[0]
+    eye = [[int(i == j) for j in range(k1)] for i in range(k1)]
+    return list(accumulate(seq.A[:n], _imat_mul, initial=eye))
 
 
 def make_finite_dim_matrices(
@@ -315,16 +311,7 @@ def make_choquet_seq(
     if mode == "rigorous":
         sizes = p_sequence(dim, max(depth * 3, depth + 2), k=k)
         idx = _feasible_subsequence(sizes, k, depth)
-        sub = SizeSequences(
-            tuple(sizes.p[i] for i in idx),
-            tuple(sizes.q[i] for i in idx),
-            tuple(sizes.r[i] for i in idx),
-            tuple(sizes.p[idx[t + 1]] // (2 * sizes.p[idx[t]]) - 1 for t in range(len(idx) - 1)),
-            tuple(
-                _headroom_ok(sizes.p[idx[t]], sizes.p[idx[t + 1]], sizes.r[idx[t]], k)
-                for t in range(len(idx) - 1)
-            ),
-        )
+        sub = _sizes([sizes.p[i] for i in idx], [sizes.r[i] for i in idx], k)
     elif mode == "toy":
         sub = toy_p_sequence(dim, depth, ratio_cap=ratio_cap, k=k)
     else:
@@ -390,7 +377,7 @@ def find_separating_coordinates(seq: ChoquetSeq, depth: int | None = None) -> Se
     depth = seq.depth if depth is None else depth
     if depth < 2:
         raise ValueError("need at least 2 levels")
-    prods = [seq.product(n) for n in range(depth)]  # prods[n] = A_1..A_n
+    prods = _prefix_products(seq, depth - 1)  # prods[n] = A_1..A_n
     deep = prods[depth - 1]
     k1 = seq.k[0]
     best_i0, best_spread = None, Fraction(0)
@@ -647,10 +634,8 @@ def read_matrices_file(path) -> ChoquetSeq:
     for n, m in enumerate(mats):
         if len(m) != k[n]:
             raise SimplexBuildError(f"matrix {n + 1} row count disagrees with matrix {n}")
-    q = [v * v for v in p]
-    l = [p[i_ + 1] // (2 * p[i_]) - 1 for i_ in range(len(p) - 1)]
-    return ChoquetSeq(dim, tuple(p), tuple(q), tuple(r[: len(p)]), tuple(l),
-                      tuple(k), mats, mode="toy")
+    sz = _sizes(p, r, k[0])
+    return ChoquetSeq(dim, sz.p, sz.q, sz.r, sz.l, tuple(k), mats, mode="toy")
 
 
 def read_simplex_spec(path) -> "int | ChoquetSeq":

@@ -77,10 +77,28 @@ def _apply_param_file(args) -> None:
             setattr(args, attr, conv(kv[key]))
 
 
+# The gen flags each construction reads, besides --construction, --depth,
+# --mode, --params, --out and --ledger; any other one is a usage error.
+_GEN_FLAGS = {
+    "nonrect": ("m", "blocks", "ell", "p_star", "d1p", "d2p", "L_schedule", "n1_steps"),
+    "ue": ("m", "blocks", "ell", "p_star", "L_schedule", "n1_steps"),
+    "choquet": ("extreme_points", "simplex_spec", "stripe_rule", "ratio_cap"),
+}
+
+
 def cmd_gen(args) -> int:
     _apply_param_file(args)
-    if args.mode == "rigorous" and (args.m or args.blocks or args.ell or args.d1p or args.d2p):
-        print("gen: rigorous mode derives m, N, ell and the density targets; "
+    reads = _GEN_FLAGS[args.construction]
+    unread = dict.fromkeys(a for flags in _GEN_FLAGS.values() for a in flags
+                           if a not in reads and getattr(args, a) is not None)
+    if unread:
+        names = ", ".join("--" + a.replace("_", "-") for a in unread)
+        print(f"gen: --construction {args.construction} does not read {names}", file=sys.stderr)
+        return 2
+    if args.mode == "rigorous" and any(
+        getattr(args, a) is not None for a in ("m", "blocks", "ell", "p_star", "d1p", "d2p")
+    ):
+        print("gen: rigorous mode derives m, P*, N, ell and the density targets; "
               "overriding them is not allowed", file=sys.stderr)
         return 2
     depth = args.depth
@@ -107,7 +125,7 @@ def cmd_gen(args) -> int:
             lines.append(f"offset level 1->{t}: {_show(off)}")
     else:
         seq = None
-        e = args.extreme_points
+        e = extreme = 2 if args.extreme_points is None else args.extreme_points
         if args.simplex_spec:
             loaded = choquet.read_simplex_spec(args.simplex_spec)
             if isinstance(loaded, choquet.ChoquetSeq):
@@ -117,12 +135,12 @@ def cmd_gen(args) -> int:
             else:
                 e = loaded
         cb = choquet.build_choquet_spec(
-            e, depth, args.mode, rule=args.stripe_rule,
-            ratio_cap=args.ratio_cap, seq=seq,
+            e, depth, args.mode, rule=args.stripe_rule or "literal",
+            ratio_cap=128 if args.ratio_cap is None else args.ratio_cap, seq=seq,
         )
         spec, steps = cb.spec, []
         rep = choquet.validate_choquet_seq(cb.seq)
-        lines.append(f"extreme points {args.extreme_points}; scales {list(cb.seq.p)}; "
+        lines.append(f"extreme points {extreme}; scales {list(cb.seq.p)}; "
                      f"stripe counts {list(cb.seq.r)}")
         lines.append(
             f"separating row {cb.witness.i0}; spread bounds {cb.witness.dbar} > {cb.witness.dbar_prime}"
@@ -324,10 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--d2p", help="upper density target (rational)")
     g.add_argument("--L-schedule", dest="L_schedule", help="comma list of rationals")
     g.add_argument("--n1-steps", dest="n1_steps", help="comma list of steps run with N=1")
-    g.add_argument("--extreme-points", type=int, default=2)
+    g.add_argument("--extreme-points", type=int, help="default 2")
     g.add_argument("--simplex-spec", help="file with extreme_points <e> or matrices <path>")
-    g.add_argument("--stripe-rule", choices=["literal", "scaled"], default="literal")
-    g.add_argument("--ratio-cap", type=int, default=128)
+    g.add_argument("--stripe-rule", choices=["literal", "scaled"], help="default literal")
+    g.add_argument("--ratio-cap", type=int, help="default 128")
     g.add_argument("--params", help="key=value parameter file")
     g.add_argument("--out", required=True)
     g.add_argument("--ledger")

@@ -495,27 +495,6 @@ def _imat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     ]
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Support square of one hierarchy level."""
-
-    level: int
-    side: int
-    origin: Point
-
-    def offsets(self, spec: HierarchySpec) -> Iterator[Point]:
-        """Origins of the level's cells inside level+1 (the tiling translates)."""
-        lv = spec.levels[self.level - 1]
-        ox, oy = spec.origin(self.level + 1)
-        for row in range(lv.branching):
-            for col in range(lv.branching):
-                yield (ox + col * self.side, oy + row * self.side)
-
-
-def frame(spec: HierarchySpec, level: int) -> Frame:
-    return Frame(level, spec.side(level), spec.origin(level))
-
-
 # ----------------------------------------------------------------------
 # materialization
 # ----------------------------------------------------------------------

@@ -92,13 +92,6 @@ def identity_map(window: Window, domain: Iterable[Point] | None = None) -> Candi
     return CandidateMap(window, {p: p for p in pts})
 
 
-def map_from_patch(patch: Patch, images: Mapping[Point, Point]) -> CandidateMap:
-    """Candidate map whose domain is the occupied cells of ``patch``."""
-    ox, oy = patch.origin
-    win = (ox, oy, ox + patch.width - 1, oy + patch.height - 1)
-    return CandidateMap(win, dict(images))
-
-
 @dataclass(frozen=True)
 class ExtendedMap:
     """Total map on a window with values in (1/2)Z^2, stored doubled."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .hierarchy import AltBottomArrangement, HierarchySpec, Level
 from .maps import CandidateMap
@@ -206,20 +206,12 @@ class BuildParams:
     P_star: int = 1
     N: int = 1
     ell: int = 1
-    d1: Fraction | None = None
-    d2: Fraction | None = None
-    d1p: Fraction | None = None
-    d2p: Fraction | None = None
 
     def __post_init__(self):
         if self.m < 1 or self.m % 2 == 0:
             raise ValueError("m must be an odd positive integer")
         if self.P_star < 1 or self.N < 1 or self.ell < 1:
             raise ValueError("P_star, N, ell must be positive")
-        ds = (self.d1, self.d2, self.d1p, self.d2p)
-        if all(v is not None for v in ds):
-            if not (self.d2 > self.d2p > self.d1p > self.d1):
-                raise ValueError("need d2 > d2' > d1' > d1")
 
 
 def gap_targets(d1: Rat, d2: Rat) -> tuple[Fraction, Fraction]:
@@ -295,7 +287,6 @@ class LSchedule:
     windows small."""
 
     values: tuple[Fraction, ...]
-    unbounded: bool = True
     n1_steps: frozenset[int] = frozenset()
 
     def __post_init__(self):
@@ -362,6 +353,23 @@ def build_delone_spec(
     not).  Steps listed in the schedule's ``n1_steps`` run a single
     iteration with N = 1 and are flagged on their levels.
     """
+    return _build_steps("nonrect", schedule, depth, mode, params, max_levels, gaps)
+
+
+def _build_steps(
+    kind: str,
+    schedule: LSchedule,
+    depth: int,
+    mode: str,
+    params: BuildParams | None,
+    max_levels: int,
+    gaps: tuple[Rat, Rat] | None = None,
+    closing: Callable[[], Level] | None = None,
+) -> NonrectBuild:
+    """The step loop of :func:`build_delone_spec`, shared with the mixed
+    construction: ``closing`` (when given) makes the level appended after
+    each step's alternation levels, and the level budget reserves it.
+    Target brackets are only checked on steps that end in alternation."""
     if depth < 1:
         raise ValueError("depth must be positive")
     if len(schedule.values) < depth:
@@ -371,9 +379,10 @@ def build_delone_spec(
     params = params or BuildParams()
     q1, q2 = starting_patches()
     base = [Patch(q1.corner().cells, (0, 0)), Patch(q2.corner().cells, (0, 0))]
-    spec = HierarchySpec(base, [], kind="nonrect", anchored=True)
+    spec = HierarchySpec(base, [], kind=kind, anchored=True)
     records: list[StepRecord] = []
     budget = max_levels
+    reserved = 0 if closing is None else 1
     for step in range(1, depth + 1):
         L = schedule[step]
         top = spec.num_levels
@@ -399,8 +408,8 @@ def build_delone_spec(
             p_star = bundle.P0
             ell = bundle.ell
             m = n_blocks = None  # re-derived per iteration below
-        stored = min(ell, budget)
-        if stored == 0:
+        stored = min(ell, budget - reserved)
+        if stored <= 0:
             raise ValueError(
                 f"step {step}: level budget exhausted; raise max_levels"
             )
@@ -421,18 +430,20 @@ def build_delone_spec(
                     meta={"step": str(step), "L": str(L)},
                 )
             )
-        budget -= stored
+        if closing is not None:
+            spec.levels.append(closing())
+        budget -= stored + reserved
         bracket_ok = None
         newtop = spec.num_levels
         out_d1 = spec.density(newtop, 1)
         out_d2 = spec.density(newtop, 2)
-        if mode == "rigorous" and not n_is_one:
+        if mode == "rigorous" and not n_is_one and closing is None:
             bracket_ok = bool(out_d1 < d1p and out_d2 > d2p)
         records.append(
             StepRecord(
                 step=step, L=L, d1=d1, d2=d2, d1p=d1p, d2p=d2p,
                 m=m, P_star=p_star, N=n_blocks, ell=ell,
-                levels_added=stored, truncated_iterations=ell - stored,
+                levels_added=stored + reserved, truncated_iterations=ell - stored,
                 bundle=bundle, bracket_ok=bracket_ok,
                 out_d1=out_d1, out_d2=out_d2,
             )

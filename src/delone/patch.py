@@ -278,10 +278,11 @@ def read_points(path) -> list[Point]:
             ln = ln.split("#", 1)[0].strip()
             if not ln:
                 continue
-            xs = ln.split()
-            if len(xs) != 2:
-                raise PatchFormatError(f"bad points line: {ln!r}")
-            pts.append((int(xs[0]), int(xs[1])))
+            try:
+                x, y = map(int, ln.split())
+            except ValueError:
+                raise PatchFormatError(f"bad points line: {ln!r}") from None
+            pts.append((x, y))
     return pts
 
 

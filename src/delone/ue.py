@@ -28,14 +28,9 @@ from .nonrect import (
     LSchedule,
     Rat,
     StepRecord,
+    _build_steps,
     _frac,
-    alternation_level,
     counting_schedule,
-    gap_targets,
-    n_min,
-    rigorous_bundle,
-    starting_patches,
-    _smallest_odd_at_least,
 )
 from .patch import Patch
 
@@ -62,9 +57,6 @@ class MixMatrix:
         h = Fraction(1, 2)
         return [[h + self.delta, h - self.delta], [h - self.delta, h + self.delta]]
 
-    def compose(self, other: "MixMatrix") -> "MixMatrix":
-        return MixMatrix(delta_product(self.delta, other.delta))
-
 
 def step_offset(count_matrix: list[list[int]]) -> Fraction:
     """Offset of a 2x2 integer count matrix; raises if it is not of the
@@ -81,23 +73,12 @@ def step_offset(count_matrix: list[list[int]]) -> Fraction:
     return delta
 
 
-MIX_OFFSET = Fraction(1, 18)
-
-
 def mix_level() -> Level:
     """The 3x3 mixing arrangement: each output keeps the other patch at its
     four corners (5 of one kind, 4 of the other; offset exactly 1/18)."""
     a1 = DenseArrangement(np.array([[2, 1, 2], [1, 1, 1], [2, 1, 2]], dtype=np.int64))
     a2 = DenseArrangement(np.array([[1, 2, 1], [2, 2, 2], [1, 2, 1]], dtype=np.int64))
     return Level([a1, a2], anchor=(1, 1), meta={"kind": "mix"})
-
-
-def apply_mix(spec: HierarchySpec) -> Fraction:
-    """Append one mixing level to a two-patch hierarchy; returns its offset."""
-    if spec.k(spec.num_levels) != 2:
-        raise ValueError("mixing needs exactly two patches per level")
-    spec.levels.append(mix_level())
-    return MIX_OFFSET
 
 
 @dataclass
@@ -162,73 +143,11 @@ def build_ue_spec(
     bistochastic form (the two outputs of each sub-step use the same block
     counts with roles swapped); the build fails loudly if not.
     """
-    if depth < 1:
-        raise ValueError("depth must be positive")
     schedule = counting_schedule(depth) if schedule is None else schedule
-    if len(schedule.values) < depth:
-        raise ValueError("schedule shorter than depth")
-    if mode not in ("toy", "rigorous"):
-        raise ValueError("mode must be 'toy' or 'rigorous'")
-    params = params or BuildParams()
-    q1, q2 = starting_patches()
-    base = [Patch(q1.corner().cells, (0, 0)), Patch(q2.corner().cells, (0, 0))]
-    spec = HierarchySpec(base, [], kind="ue", anchored=True)
-    offsets: list[Fraction] = []
-    records: list[StepRecord] = []
-    budget = max_levels
-
-    def push(level: Level) -> None:
-        nonlocal budget
-        if budget <= 0:
-            raise ValueError("level budget exhausted; raise max_levels")
-        spec.levels.append(level)
-        offsets.append(step_offset(spec.step_count_matrix(spec.num_levels)))
-        budget -= 1
-
-    for step in range(1, depth + 1):
-        L = schedule[step]
-        top = spec.num_levels
-        d1, d2 = spec.density(top, 1), spec.density(top, 2)
-        d1p, d2p = gap_targets(d1, d2)
-        bundle = None
-        n_is_one = step in schedule.n1_steps
-        if n_is_one:
-            m, p_star, n_blocks, ell = 1, 1, 1, 1
-        elif mode == "toy":
-            m, p_star, n_blocks, ell = params.m, params.P_star, params.N, params.ell
-        else:
-            bundle = rigorous_bundle(L, d2p, d1p)
-            p_star = bundle.P0
-            ell = bundle.ell
-            m = n_blocks = None
-        stored = min(ell, max(budget - 1, 0))
-        for it in range(stored):
-            if bundle is not None:
-                cur = spec.num_levels
-                cd1, cd2 = spec.density(cur, 1), spec.density(cur, 2)
-                m_half = spec.side(cur) // 2
-                m_it = _smallest_odd_at_least(Fraction(bundle.M0, 2 * p_star * m_half))
-                n_it = n_min(bundle.N0, cd1, cd2, d1p, d2p)
-            else:
-                m_it, n_it = m, n_blocks
-            if it == 0:
-                m, n_blocks = m_it, n_it
-            push(alternation_level(m_it, p_star, n_it, n_is_one=n_is_one,
-                                   meta={"step": str(step), "L": str(L)}))
-        push(mix_level())
-        newtop = spec.num_levels
-        records.append(
-            StepRecord(
-                step=step, L=L, d1=d1, d2=d2, d1p=d1p, d2p=d2p,
-                m=m, P_star=p_star, N=n_blocks, ell=ell,
-                levels_added=stored + 1, truncated_iterations=ell - stored,
-                bundle=bundle,
-                bracket_ok=None,
-                out_d1=spec.density(newtop, 1),
-                out_d2=spec.density(newtop, 2),
-            )
-        )
-    return UEBuild(spec, offsets, records)
+    build = _build_steps("ue", schedule, depth, mode, params, max_levels, closing=mix_level)
+    spec = build.spec
+    offsets = [step_offset(spec.step_count_matrix(t)) for t in range(2, spec.num_levels + 1)]
+    return UEBuild(spec, offsets, build.steps)
 
 
 # ----------------------------------------------------------------------

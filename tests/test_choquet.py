@@ -88,6 +88,19 @@ def test_products_converge_to_distinct_columns():
     assert all(g > 0 for _, g in spreads)
 
 
+def test_product_against_fraction_oracle():
+    seq = C.make_choquet_seq(2, 4, mode="toy", ratio_cap=16)
+    want = [[F(int(i == j)) for j in range(seq.k[0])] for i in range(seq.k[0])]
+    for n in range(len(seq.A) + 1):
+        assert seq.product(n) == want
+        if n < len(seq.A):
+            a = seq.A[n]
+            want = [[sum((want[i][t] * a[t][j] for t in range(len(a))), F(0))
+                     for j in range(len(a[0]))] for i in range(len(want))]
+    with pytest.raises(ValueError, match="no product of 4 matrices"):
+        seq.product(len(seq.A) + 1)
+
+
 # ----------------------------------------------------------------------
 # initial patches
 # ----------------------------------------------------------------------

@@ -49,6 +49,41 @@ def test_gen_rejects_overrides_in_rigorous_mode(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("construction,flags,names", [
+    ("ue", ("--d1p", "11/16", "--d2p", "15/16"), "--d1p, --d2p"),
+    ("choquet", ("--m", "3", "--blocks", "2", "--ell", "2", "--p-star", "2"),
+     "--m, --blocks, --ell, --p-star"),
+    ("choquet", ("--d1p", "3/4", "--d2p", "7/8", "--L-schedule", "1,2", "--n1-steps", "2"),
+     "--d1p, --d2p, --L-schedule, --n1-steps"),
+    ("nonrect", ("--extreme-points", "2", "--ratio-cap", "8"), "--extreme-points, --ratio-cap"),
+    ("ue", ("--stripe-rule", "scaled", "--simplex-spec", "s.cfg"), "--simplex-spec, --stripe-rule"),
+], ids=["ue-targets", "choquet-block-params", "choquet-schedule", "nonrect-simplex",
+        "ue-simplex"])
+def test_gen_rejects_flags_the_construction_does_not_read(tmp_path, capsys, construction,
+                                                         flags, names):
+    out = tmp_path / "x.dhs"
+    rc = run("gen", "--construction", construction, "--depth", "2", *flags, "--out", str(out))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"gen: --construction {construction} does not read {names}\n")
+    assert not out.exists()
+
+
+def test_gen_flag_check_follows_the_param_file(tmp_path, capsys):
+    pf = tmp_path / "p.cfg"
+    pf.write_text("d1p=11/16\nd2p=15/16\n")
+    rc = run("gen", "--construction", "ue", "--depth", "1", "--params", str(pf),
+             "--out", str(tmp_path / "x.dhs"))
+    assert rc == 2
+    assert "does not read --d1p, --d2p" in capsys.readouterr().err
+
+
+def test_gen_rejects_p_star_in_rigorous_mode(tmp_path):
+    rc = run("gen", "--construction", "ue", "--depth", "1", "--mode", "rigorous",
+             "--p-star", "3", "--out", str(tmp_path / "x.dhs"))
+    assert rc == 2
+
+
 def test_gen_param_file(tmp_path):
     pf = tmp_path / "p.cfg"
     pf.write_text("depth=2\nmode=toy\nm=1\nN=2\nell=1\nN1_steps=2\n")
@@ -206,3 +241,64 @@ def test_suite_all_wiring():
     names = {r.suite for r in rows}
     assert names == {"constants", "core", "isoper", "ue", "scheme",
                      "counting", "rect", "choquet"}
+
+
+_EXTRA = ("--blocks", "2", "--ell", "2", "--n1-steps", "2", "--L-schedule", "1,3/2,2")
+
+# sha256 of the .dhs and of the ledger for each run, or the one-line error
+# of a run that must exit 2.
+GOLDEN_GEN = [
+    (("nonrect", "rigorous", "1"), (),
+     ("4b97de6efbb4c0be62024e19c2d3168aaadc0fc89cfc792e4bba03bef6f40a35",
+      "d86c2b5c8321838f364ce08281c084d1ee413c84d6fdfc4d93683fe7c2785cdc")),
+    (("nonrect", "toy", "3"), (),
+     ("2a132995b791a48764506d87b6e048dd15e159888009fb0b7ece1de486d47198",
+      "d5ead06c11906f9dd0479e841a8b36c5c86812d53d2c7f286078a37067592f38")),
+    (("nonrect", "toy", "3"), _EXTRA,
+     ("a6adbf1e97401a32bd5363d6236b9dc0886ac80223849702a90d0e35e9eabd97",
+      "120affad59c2a8473597f03011e91bdd1dfdbc76b13d1baa1c631cdaec53864c")),
+    (("nonrect", "toy", "1"), ("--d1p", "11/16", "--d2p", "15/16"),
+     ("e56b22a9b93ab8b3ee5ab279d489bc083df836c55c34ad9d33ffe96104ee83df",
+      "105b42b6f06e04e38d745131e929b9ea82648e2b04b4a3a33c2fad7a7f9a982b")),
+    (("ue", "rigorous", "1"), (),
+     ("8ffd79f1f8b881aa037f83fd70f00acd494cefea15a7d4712640337f53cf8b0a",
+      "9761f80621a5fbe60901ac384cf9a63e194f4ec52cb31d93d59225ad86bae0cc")),
+    (("ue", "toy", "3"), (),
+     ("5b93c09fd593454dc49c4a92d946c4b1ab146804e1e655be9d4fba09aa70bb5a",
+      "cf4b904e4c114766b43b0e4dee784cb2ba20cbe9dbef83d4110cbc24ae68e162")),
+    (("ue", "toy", "5"), (),
+     ("1f9f5e9d5985cb9c42090379b380e332a6ca8acbe6c5dfbc3f00654fc581cc3e",
+      "2af3b289214829a9d1123c575ac917ffb56cfb349d3d99fea6d4fb42196a3025")),
+    (("ue", "toy", "3"), _EXTRA,
+     ("a3f9c73d0a8bd30389a610ab8f44dcc701dc18c71414c2ce17f09ef118fcf700",
+      "b8fa6e576cd35bf3cfda6012452ae1ce9380c6fca81fb88ccb75b5e57a14fc01")),
+    (("choquet", "rigorous", "2"), (),
+     ("3b8c6c0873a026f36a8d563ed10e7bf692f20fc44361af1b0d1cbcb92fe54236",
+      "f8e0ca5ac9bfcb36914550cc96cbdc4c9297dff5776937d72fb902a4bac1ba9f")),
+    (("choquet", "toy", "3"), (),
+     ("2984efcae2a33c758e513789d456d6c0080e30b71b53798d59e83107548df60b",
+      "bd80193eb063496863040d491865dd7b6841c4f757d66617be947b0f97870ee1")),
+    (("nonrect", "rigorous", "2"), ("--n1-steps", "2"),
+     "error: step 2: level budget exhausted; raise max_levels"),
+]
+
+
+@pytest.mark.parametrize(
+    "run_id,extra,want", GOLDEN_GEN,
+    ids=[f"{c}-{m}-{d}" + ("-flags" if x else "") for (c, m, d), x, _ in GOLDEN_GEN],
+)
+def test_gen_golden(tmp_path, capsys, run_id, extra, want):
+    import hashlib
+
+    construction, mode, depth = run_id
+    out = tmp_path / "g.dhs"
+    rc = run("gen", "--construction", construction, "--depth", depth,
+             "--mode", mode, *extra, "--out", str(out))
+    if isinstance(want, str):
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == want
+        return
+    assert rc == 0
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (out, tmp_path / "g.ledger.txt"))
+    assert got == want

@@ -406,14 +406,6 @@ def test_dhs_round_trip_dense_and_compact(tmp_path, ue3):
     assert m1 == m2
 
 
-def test_frame_offsets_tile_the_next_level():
-    spec = toy_spec()
-    fr = H.frame(spec, 1)
-    offs = list(fr.offsets(spec))
-    assert len(offs) == 9
-    assert set(offs) == {(4 * a, 4 * b) for a in range(3) for b in range(3)}
-
-
 def test_origin_follows_anchor(ue3):
     spec = ue3.spec
     # mix levels recenter; alternation levels keep the corner

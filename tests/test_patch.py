@@ -101,6 +101,14 @@ def test_points_round_trip(tmp_path):
     assert len(pts) == sparse.popcount()
 
 
+@pytest.mark.parametrize("line", ["1 x", "1", "1 2 3"])
+def test_read_points_rejects_bad_line(tmp_path, line):
+    path = tmp_path / "pts.txt"
+    path.write_text(f"0 0\n{line}\n")
+    with pytest.raises(patch.PatchFormatError, match=repr(line)):
+        patch.read_points(path)
+
+
 def test_pbm_round_trip():
     sparse, _ = starting_patches()
     text = patch.dumps_pbm(sparse)

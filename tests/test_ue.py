@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from delone import hierarchy as H
 from delone import ue
+from delone.nonrect import BuildParams
 from delone.patch import Patch
 from delone.ue import MixMatrix, build_ue_spec, delta_product, mix_level, step_offset
 
@@ -132,6 +133,20 @@ def test_rigorous_ue_records_bundle():
     assert build.spec.levels[-1].meta.get("kind") == "mix"
     for off in build.level_offsets:
         assert 0 <= off <= F(1, 2)
+
+
+def test_level_budget_leaving_only_the_mix_raises():
+    # one level left is the mix level alone: the step must fail, as in nonrect
+    with pytest.raises(ValueError, match="step 1: level budget exhausted"):
+        build_ue_spec(None, 1, mode="rigorous", max_levels=1)
+    # toy ell = 2 stores 3 levels a step: 21 steps fill 63 of 64 levels
+    with pytest.raises(ValueError, match="step 22: level budget exhausted"):
+        build_ue_spec(None, 22, mode="toy", params=BuildParams(ell=2))
+    build = build_ue_spec(None, 1, mode="rigorous", max_levels=2)
+    rec = build.steps[0]
+    assert rec.levels_added == 2 and rec.truncated_iterations == rec.ell - 1
+    assert [lv.meta["kind"] for lv in build.spec.levels] == ["alt", "mix"]
+    assert rec.bracket_ok is None
 
 
 # ----------------------------------------------------------------------
