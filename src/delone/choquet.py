@@ -27,14 +27,13 @@ from typing import Literal
 import numpy as np
 
 from .hierarchy import (
-    DEFAULT_CELL_CAP,
-    CapacityError,
     CheckRow,
     DenseArrangement,
     HierarchySpec,
     Level,
     SchemeReport,
     _imat_mul,
+    check_cells,
 )
 from .patch import Patch
 
@@ -512,11 +511,7 @@ def build_simplex_level(
         raise SimplexBuildError("cannot differentiate that many outputs")
     l_n = seq.l[n - 1]
     side = 2 * (l_n + 1)  # blocks per side
-    if side * side > DEFAULT_CELL_CAP:
-        raise CapacityError(
-            f"step {n} arrangement needs {side * side} grid cells (cap {DEFAULT_CELL_CAP}); "
-            "the scales are rigorous-regime, keep them symbolic"
-        )
+    check_cells(side * side, f"filling the step {n} arrangement's grid cells")
     r_n = seq.r[n - 1]
     if r_n >= side:
         raise SimplexBuildError("stripe taller than the frame")

@@ -109,9 +109,8 @@ def cmd_gen(args) -> int:
             print("gen: d1p and d2p must be given together", file=sys.stderr)
             return 2
         gaps = (Fraction(args.d1p), Fraction(args.d2p))
-    params = nonrect.BuildParams(
-        m=args.m or 1, P_star=args.p_star or 1, N=args.blocks or 1, ell=args.ell or 1
-    )
+    given = {"m": args.m, "P_star": args.p_star, "N": args.blocks, "ell": args.ell}
+    params = nonrect.BuildParams(**{k: v for k, v in given.items() if v is not None})
     lines = [f"construction {args.construction} depth {depth} mode {args.mode}"]
     if args.construction == "nonrect":
         build = nonrect.build_delone_spec(schedule, depth, args.mode, params, gaps=gaps)
@@ -326,6 +325,16 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _target_args(p: argparse.ArgumentParser, patch_help: str) -> None:
+    """The patch that export and repetitivity read: one of --spec or --patch."""
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--spec")
+    src.add_argument("--patch", help=patch_help)
+    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--id", type=int, default=1)
+    p.add_argument("--cell-cap", type=int, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="delone", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -352,13 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=cmd_gen)
 
     e = sub.add_parser("export", help="export a materialized patch")
-    e.add_argument("--spec")
-    e.add_argument("--level", type=int, default=1)
-    e.add_argument("--id", type=int, default=1)
-    e.add_argument("--patch", help="export a .dpf file directly")
+    _target_args(e, "export a .dpf file directly")
     e.add_argument("--closed", action="store_true", help="add the closure row/column")
     e.add_argument("--format", choices=["pbm", "points", "dpf"], required=True)
-    e.add_argument("--cell-cap", type=int, default=None)
     e.add_argument("--out", required=True)
     e.set_defaults(fn=cmd_export)
 
@@ -386,12 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     fq.set_defaults(fn=cmd_freq)
 
     rp = sub.add_parser("repetitivity", help="smallest window holding every small pattern")
-    rp.add_argument("--spec")
-    rp.add_argument("--level", type=int, default=1)
-    rp.add_argument("--id", type=int, default=1)
-    rp.add_argument("--patch")
+    _target_args(rp, "read a .dpf file directly")
     rp.add_argument("--r", type=int, required=True)
-    rp.add_argument("--cell-cap", type=int, default=None)
     rp.set_defaults(fn=cmd_repetitivity)
 
     ct = sub.add_parser("constants", help="exact constant calculators with formula anchors")

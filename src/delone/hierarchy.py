@@ -39,11 +39,27 @@ from .patch import Patch, PatchFormatError, Point, _text_buf, dumps_patch, parse
 BLOCK_ALIGNED = "block_aligned"
 SLIDING = "sliding"
 
-DEFAULT_CELL_CAP = int(os.environ.get("DELONE_CELL_CAP", 2**28))
-
 
 class CapacityError(RuntimeError):
     """Materialization would exceed the configured cell cap."""
+
+
+def cell_cap(cap: int | None = None) -> int:
+    """The cell cap in force: ``cap``, or else ``DELONE_CELL_CAP`` as set
+    now (default 2**28).  One that is not a positive integer is a ValueError."""
+    raw = os.environ.get("DELONE_CELL_CAP", str(2**28)) if cap is None else str(cap)
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        name = "DELONE_CELL_CAP" if cap is None else "the cell cap"
+        raise ValueError(f"{name} must be a positive integer, not {raw!r}")
+    return int(raw)
+
+
+def check_cells(need: int, what: str, cap: int | None = None) -> None:
+    """The one cell-cap check: every path that allocates cells calls it
+    first, and refuses ``need`` cells for ``what`` past ``cell_cap(cap)``."""
+    cap = cell_cap(cap)
+    if need > cap:
+        raise CapacityError(f"{what} requires {need} cells (cap {cap})")
 
 
 class SpecError(ValueError):
@@ -275,8 +291,7 @@ class AltBottomArrangement:
     def to_grid(self) -> np.ndarray:
         s, b = self.super_cells, self.blocks
         n = s * b
-        if n * n > DEFAULT_CELL_CAP:
-            raise CapacityError(f"dense arrangement would need {n * n} cells")
+        # unchecked: its one caller materializes a patch at least this wide, checked first
         grid = np.full((n, n), self.main_id, dtype=np.int32)
         for blk in range(1, b, 2):
             grid[:s, blk * s : (blk + 1) * s] = self.alt_id
@@ -507,15 +522,10 @@ def materialize(
     _memo: dict | None = None,
 ) -> Patch:
     """Bit-exact expansion of the arrangement recursion into a patch."""
-    cap = DEFAULT_CELL_CAP if cap is None else cap
     spec._check_level(level)
     if not (1 <= pid <= spec.k(level)):
         raise SpecError(f"patch id {pid} outside 1..{spec.k(level)}")
-    need = spec.cell_count(level)
-    if need > cap:
-        raise CapacityError(
-            f"materializing level {level} patch {pid} requires {need} cells (cap {cap})"
-        )
+    check_cells(spec.cell_count(level), f"materializing level {level} patch {pid}", cap)
     memo: dict = {} if _memo is None else _memo
     arr = _materialize_cells(spec, level, pid, memo)
     return Patch(arr, spec.origin(level))
@@ -628,6 +638,7 @@ def aligned_block_counts(grid: np.ndarray, spec: HierarchySpec, m: int) -> list[
     H, W = grid.shape
     if H % s or W % s:
         raise SpecError("grid is not block aligned at that level")
+    check_cells(spec.cell_count(m), f"block-aligned count of level {m} patches")
     tiles = grid.reshape(H // s, s, W // s, s).transpose(0, 2, 1, 3)
     out = []
     memo: dict = {}
@@ -658,9 +669,10 @@ def count_occurrences(
     on the seams between children (see the module docstring) and only
     materialize seam strips one needle wide and corner tiles at the lowest
     levels that hold the needle, unless the needle is wider than the
-    children of ``level`` itself, which is then scanned whole; every
-    materialization is checked against ``cap``.  ``_memo`` carries the
-    seam memo between calls that count the same needle under the same cap.
+    children of ``level`` itself, which is then scanned whole.  Every
+    materialization, in either mode, passes ``check_cells`` against
+    ``cap``.  ``_memo`` carries the seam memo between calls that count the
+    same needle under the same cap.
     """
     spec._check_level(level)
     side = spec.side(level)
@@ -669,26 +681,19 @@ def count_occurrences(
             f"needle {needle.width}x{needle.height} larger than level-{level} side {side}"
         )
     if mode == BLOCK_ALIGNED:
-        return _count_block_aligned(spec, needle, level, pid)
+        return _count_block_aligned(spec, needle, level, pid, cap)
     if mode == SLIDING:
-        cap = DEFAULT_CELL_CAP if cap is None else cap
         return _SlidingCount(spec, needle, cap, {} if _memo is None else _memo).patch(level, pid)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _level_with_side(spec: HierarchySpec, side: int) -> int | None:
-    for t in range(1, spec.num_levels + 1):
-        if spec.side(t) == side:
-            return t
-    return None
-
-
-def _count_block_aligned(spec, needle, level, pid) -> int:
+def _count_block_aligned(spec, needle, level, pid, cap) -> int:
     if needle.width != needle.height:
         raise SpecError("block-aligned needles must be square")
-    m = _level_with_side(spec, needle.width)
+    m = next((t for t in range(1, spec.num_levels + 1) if spec.side(t) == needle.width), None)
     if m is None:
         raise SpecError(f"no hierarchy level has side {needle.width}")
+    check_cells(spec.cell_count(m), f"block-aligned count of level {m} patches", cap)
     memo: dict = {}
     matching = [
         i
@@ -699,15 +704,6 @@ def _count_block_aligned(spec, needle, level, pid) -> int:
         return 0
     mat = spec.count_matrix(m, level)
     return sum(mat[i - 1][pid - 1] for i in matching)
-
-
-def _materialize_cells_capped(spec, level, pid, cap) -> np.ndarray:
-    need = spec.cell_count(level)
-    if need > cap:
-        raise CapacityError(
-            f"direct scan of level {level} patch {pid} requires {need} cells (cap {cap})"
-        )
-    return _materialize_cells(spec, level, pid, {})
 
 
 # the tile each patch of a 2x2 junction (bl, br, tl, tr) puts next to the
@@ -734,8 +730,8 @@ class _SlidingCount:
     least the needle's, so a placement crosses at most one seam each way.
     """
 
-    def __init__(self, spec: HierarchySpec, needle: Patch, cap: int, memo: dict):
-        self.spec, self.needle, self.cap, self.memo = spec, needle, cap, memo
+    def __init__(self, spec: HierarchySpec, needle: Patch, cap: int | None, memo: dict):
+        self.spec, self.needle, self.cap, self.memo = spec, needle, cell_cap(cap), memo
         self.w, self.h = needle.width, needle.height
         table = spec._frame_table()
         self.sides = [row[0] for row in table]
@@ -757,7 +753,8 @@ class _SlidingCount:
         if t == 1:
             res = scan_count(spec.base[pid - 1].cells, self.needle)
         elif not self._fits_children(t):
-            res = scan_count(_materialize_cells_capped(spec, t, pid, self.cap), self.needle)
+            check_cells(spec.cell_count(t), f"direct scan of level {t} patch {pid}", self.cap)
+            res = scan_count(_materialize_cells(spec, t, pid, {}), self.needle)
         else:
             arr = spec.levels[t - 2].arrangements[pid - 1]
             step = self.child_counts[t - 1][pid - 1]
@@ -790,7 +787,7 @@ class _SlidingCount:
                            for ((x, y), (x2, y2)), n in seam.steps().items())
         else:
             s = self.sides[t - 1]
-            self._check_cap(2 * (w - 1) * s, f"vertical seam strip at level {t}")
+            check_cells(2 * (w - 1) * s, f"vertical seam strip at level {t}", self.cap)
             band = np.hstack([
                 materialize_region(self.spec, t, a, s - (w - 1), 0, w - 1, s),
                 materialize_region(self.spec, t, b, 0, 0, w - 1, s),
@@ -816,7 +813,7 @@ class _SlidingCount:
                            for ((p, q), (p2, q2)), n in seam.steps().items())
         else:
             s = self.sides[t - 1]
-            self._check_cap(2 * (h - 1) * s, f"horizontal seam strip at level {t}")
+            check_cells(2 * (h - 1) * s, f"horizontal seam strip at level {t}", self.cap)
             band = np.vstack([
                 materialize_region(self.spec, t, a, 0, s - (h - 1), s, h - 1),
                 materialize_region(self.spec, t, b, 0, 0, s, h - 1),
@@ -864,10 +861,6 @@ class _SlidingCount:
             x0, y0 = (s - cw if corner[1] == "r" else 0), (s - ch if corner[0] == "t" else 0)
             self.memo[key] = materialize_region(self.spec, self.tile_level, pid, x0, y0, cw, ch)
         return self.memo[key]
-
-    def _check_cap(self, need: int, what: str) -> None:
-        if need > self.cap:
-            raise CapacityError(f"{what} requires {need} cells (cap {self.cap})")
 
 
 def block_frequency_matrix(spec: HierarchySpec, m: int, n: int) -> list[list[Fraction]]:

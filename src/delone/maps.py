@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .hierarchy import check_cells
 from .patch import Patch, PatchFormatError, Point
 
 Window = tuple[int, int, int, int]  # x0, y0, x1, y1 inclusive
@@ -315,6 +316,7 @@ def delone_params_of(patch: Patch) -> DeloneParams:
     pts = np.argwhere(patch.cells).astype(np.int64)  # (y, x)
     if len(pts) == 0:
         raise ValueError("patch is empty")
+    check_cells((2 * patch.height - 1) * (2 * patch.width - 1) * len(pts), "covering-radius table")
     sep_sq = Fraction(1)
     if len(pts) > 1:
         d = pts[:, None, :] - pts[None, :, :]
@@ -349,6 +351,8 @@ def parse_map(text: str, window: Window | None = None) -> CandidateMap:
             u, v = (int(t) for t in dst.split())
         except ValueError as exc:
             raise PatchFormatError(f"bad map line: {ln!r}") from exc
+        if (x, y) in imgs:
+            raise PatchFormatError(f"repeated source point in map line: {ln!r}")
         imgs[(x, y)] = (u, v)
     if not imgs:
         raise PatchFormatError("empty map file")

@@ -566,7 +566,9 @@ def _near_segment_mask(px, py, ax, ay, bx, by, tsq) -> np.ndarray:
     ub = px - bx
     vb = py - by
     endb = ub * ub + vb * vb <= tsq
-    mid = ww * dd - wd * wd <= tsq * dd
+    # (w x d)^2 = ww dd - wd^2 (Lagrange) stays below 2^63 under the caller's guard
+    cross = wx * dy - wy * dx
+    mid = cross * cross <= tsq * dd
     return np.where(before, ww <= tsq, np.where(after, endb, mid))
 
 

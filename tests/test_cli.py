@@ -84,6 +84,17 @@ def test_gen_rejects_p_star_in_rigorous_mode(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flags,err", [(("--m", "0", "--blocks", "0"), "m must be"),
+                                       (("--blocks", "0"), "N, ell must be positive"),
+                                       (("--ell", "0"), "N, ell must be positive")])
+def test_gen_zero_valued_flags_are_usage_errors(tmp_path, capsys, flags, err):
+    out = tmp_path / "z.dhs"
+    rc = run("gen", "--construction", "nonrect", "--depth", "1", *flags, "--out", str(out))
+    assert rc == 2
+    assert err in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_param_file(tmp_path):
     pf = tmp_path / "p.cfg"
     pf.write_text("depth=2\nmode=toy\nm=1\nN=2\nell=1\nN1_steps=2\n")
@@ -130,6 +141,30 @@ def test_export_cap_exit_code(tmp_path):
              "--format", "points", "--cell-cap", "1000000",
              "--out", str(tmp_path / "nope.txt"))
     assert rc == 3
+
+
+@pytest.mark.parametrize("cmd,extra", [("export", ("--format", "pbm", "--out", "x.pbm")),
+                                       ("repetitivity", ("--r", "1"))])
+@pytest.mark.parametrize("inputs", [(), ("--spec", "s.dhs", "--patch", "p.dpf")],
+                         ids=["neither", "both"])
+def test_spec_and_patch_are_one_required_choice(capsys, cmd, extra, inputs):
+    with pytest.raises(SystemExit) as exc:
+        run(cmd, *inputs, *extra)
+    assert exc.value.code == 2
+    assert "--spec" in capsys.readouterr().err
+
+
+def test_bad_cell_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "s.dhs"
+    run("gen", "--construction", "nonrect", "--depth", "1", "--out", str(out))
+    export = ("export", "--spec", str(out), "--level", "2", "--format", "pbm",
+              "--out", str(tmp_path / "x.pbm"))
+    assert run(*export, "--cell-cap", "-5") == 2
+    assert capsys.readouterr().err == "error: the cell cap must be a positive integer, not '-5'\n"
+    monkeypatch.setenv("DELONE_CELL_CAP", "abc")
+    assert run(*export) == 2
+    assert "DELONE_CELL_CAP must be a positive integer" in capsys.readouterr().err
+    assert run("constants", "--L", "1", "--eps", "1") == 0  # allocates no cells
 
 
 def test_count_and_freq(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from delone import cli
 from delone import hierarchy as H
-from delone import nonrect, ue
+from delone import choquet, maps, nonrect, ue
 from delone.hierarchy import (
     BLOCK_ALIGNED,
     SLIDING,
@@ -104,6 +104,80 @@ def test_materialize_cap_error_names_cells():
     spec = toy_spec(ell=6)
     with pytest.raises(CapacityError, match="8503056 cells"):
         H.materialize(spec, 7, 1, cap=10**6)
+
+
+# ----------------------------------------------------------------------
+# the cell cap: one check on every path that allocates cells
+# ----------------------------------------------------------------------
+
+CAP_PATHS = ["materialize", "direct scan", "seam strip", "block-aligned count", "cli export"]
+
+
+@pytest.mark.parametrize("path", CAP_PATHS)
+def test_cell_cap_on_every_path(path, tmp_path, capsys, monkeypatch):
+    """With the default lowered, a per-call cap at the need passes, one
+    below it is refused with the need named (exit 3 from the CLI), and no
+    per-call cap means the lowered default."""
+    spec = toy_spec(ell=2)  # sides 4, 12, 36
+    top = H.materialize(spec, 3, 1).cells
+    H.write_spec(tmp_path / "t.dhs", spec)
+    monkeypatch.setenv("DELONE_CELL_CAP", "1")
+
+    def export(cap):
+        flag = [] if cap is None else ["--cell-cap", str(cap)]
+        rc = cli.main(["export", "--spec", str(tmp_path / "t.dhs"), "--level", "3",
+                       "--format", "dpf", *flag, "--out", str(tmp_path / "o")])
+        if rc == 3:
+            raise CapacityError(capsys.readouterr().err)
+        assert rc == 0
+
+    need, run = {
+        "materialize": (36 * 36, lambda cap: H.materialize(spec, 3, 1, cap=cap)),
+        # a 5x5 needle does not fit the 4x4 children: level 2 is scanned whole
+        "direct scan": (12 * 12, lambda cap: H.count_occurrences(
+            spec, Patch(top[:5, :5]), 2, 1, SLIDING, cap=cap)),
+        # an 8x8 needle at level 3: level-2 scans of 144 cells, then seam
+        # strips of 2 * 7 * 12 cells
+        "seam strip": (2 * 7 * 12, lambda cap: H.count_occurrences(
+            spec, Patch(top[:8, :8]), 3, 1, SLIDING, cap=cap)),
+        "block-aligned count": (12 * 12, lambda cap: H.count_occurrences(
+            spec, Patch(top[:12, :12]), 3, 1, BLOCK_ALIGNED, cap=cap)),
+        "cli export": (36 * 36, export),
+    }[path]
+    run(need)
+    with pytest.raises(CapacityError, match=rf"requires {need} cells \(cap {need - 1}\)"):
+        run(need - 1)
+    with pytest.raises(CapacityError, match=r"cells \(cap 1\)"):
+        run(None)
+
+
+def test_default_cap_is_read_at_call_time(monkeypatch):
+    """Paths with no cap argument read DELONE_CELL_CAP when they run."""
+    spec = toy_spec(ell=2)
+    grid = H.materialize(spec, 2, 1).cells
+    base = spec.base[0]
+    paths = [
+        (16, lambda: H.aligned_block_counts(grid, spec, 1)),
+        (144, lambda: H.materialize(spec, 2, 1)),
+        ((2 * base.height - 1) * (2 * base.width - 1) * base.popcount(),
+         lambda: maps.delone_params_of(base)),
+        (64, lambda: choquet.build_choquet_spec(2, 2, mode="toy", ratio_cap=8)),  # 8x8 grids
+    ]
+    for need, run in paths:
+        monkeypatch.setenv("DELONE_CELL_CAP", str(need))
+        run()
+        monkeypatch.setenv("DELONE_CELL_CAP", str(need - 1))
+        with pytest.raises(CapacityError, match=f"requires {need} cells"):
+            run()
+
+
+@pytest.mark.parametrize("env,cap", [("abc", None), ("0", None), ("-3", None), ("", None),
+                                     ("1.5", None), (None, 0), (None, -5)])
+def test_cell_cap_must_be_a_positive_integer(monkeypatch, env, cap):
+    if env is not None:
+        monkeypatch.setenv("DELONE_CELL_CAP", env)
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        H.materialize(toy_spec(), 1, 1, cap=cap)
 
 
 def test_materialize_region_matches_slices():

@@ -5,6 +5,7 @@ import pytest
 from delone import maps
 from tests_oracles import extension_certificate_oracle
 from delone.maps import CandidateMap, MapInvariantError
+from delone.patch import PatchFormatError
 from delone.sampling import random_bilip_map
 
 
@@ -159,3 +160,8 @@ def test_map_file_round_trip(tmp_path):
     maps.write_map(path, f)
     g = maps.read_map(path, window=(0, 0, 4, 1))
     assert g.images == f.images
+
+
+def test_map_file_rejects_a_repeated_source_point():
+    with pytest.raises(PatchFormatError, match="repeated source point in map line: '0 0 -> 5 5'"):
+        maps.parse_map("0 0 -> 0 0\n1 0 -> 1 0\n0 0 -> 5 5\n")

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from delone import maps, rectlab as R
@@ -310,6 +311,27 @@ def test_lattice_count_out_and_back_segment():
     cnt = R.count_lattice_near_curve(seg, 1)
     assert cnt == 29
     assert cnt <= 400
+
+
+def test_near_segment_mask_exact_across_the_guarded_box():
+    """A diagonal of the full |coord| <= 20000 box, where ww * dd alone would
+    pass 2^63, against Python ints; the cross product squared stays below."""
+    a, b, tsq = (-20000, -20000), (20000, 20000), 200 * 200
+    rng = np.random.default_rng(3)
+    t = rng.integers(-20000, 20001, 3000)
+    k = rng.integers(-300, 301, 3000)  # points near the diagonal, both sides of T
+    xs = np.concatenate([rng.integers(-20000, 20001, 3000), np.clip(t + k, -20000, 20000),
+                         [-20000, -20000, 20000, 20000, -19900, 19950]])
+    ys = np.concatenate([rng.integers(-20000, 20001, 3000), np.clip(t - k, -20000, 20000),
+                         [-20000, 20000, -20000, 20000, -20000, 20000]])
+    got = R._near_segment_mask(xs, ys, *a, *b, tsq)
+    pts = list(zip(xs.tolist(), ys.tolist()))
+    want = [R._pt_seg_dist_sq_le(p, a, b, tsq) for p in pts]
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want)
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    assert max(((x - a[0]) * dy - (y - a[1]) * dx) ** 2 for x, y in pts) < 2**63
+    assert tsq * (dx * dx + dy * dy) < 2**63
 
 
 def test_lattice_count_range_errors():
