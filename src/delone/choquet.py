@@ -598,10 +598,10 @@ def read_matrices_file(path) -> ChoquetSeq:
             r = [int(t) for t in parts[1:]]
             i += 1
         elif parts[0] == "dim":
-            dim = int(parts[1])
+            (dim,) = _header_sizes(lines[i], 1)
             i += 1
         elif parts[0] == "matrix":
-            rows, cols = int(parts[1]), int(parts[2])
+            rows, cols = _header_sizes(lines[i], 2)
             body = lines[i + 1 : i + 1 + rows]
             if len(body) != rows:
                 raise SimplexBuildError("truncated matrix block")
@@ -631,6 +631,14 @@ def read_matrices_file(path) -> ChoquetSeq:
             raise SimplexBuildError(f"matrix {n + 1} row count disagrees with matrix {n}")
     sz = _sizes(p, r, k[0])
     return ChoquetSeq(dim, sz.p, sz.q, sz.r, sz.l, tuple(k), mats, mode="toy")
+
+
+def _header_sizes(line: str, n: int) -> list[int]:
+    """The n positive integers after the keyword of a ``dim`` or ``matrix`` line."""
+    fields = line.split()[1:]
+    if len(fields) != n or not all(f.isdecimal() and int(f) > 0 for f in fields):
+        raise SimplexBuildError(f"need {n} positive integer(s) after the keyword: {line!r}")
+    return [int(f) for f in fields]
 
 
 def read_simplex_spec(path) -> "int | ChoquetSeq":

@@ -545,11 +545,12 @@ def _materialize_cells(spec, level, pid, memo) -> np.ndarray:
         ]
         stack = np.stack(children)
         grid = lv.arrangements[pid - 1].to_grid()
-        tiles = stack[grid - 1]  # (rows, cols, s, s)
-        rows, cols, s, _ = tiles.shape
-        out = np.ascontiguousarray(
-            tiles.transpose(0, 2, 1, 3).reshape(rows * s, cols * s)
-        )
+        (rows, cols), s = grid.shape, stack.shape[1]
+        out = np.empty((rows * s, cols * s), dtype=np.uint8)
+        # one row of tiles at a time, so the output is the only full-size array
+        view = out.reshape(rows, s, cols, s)
+        for r in range(rows):
+            view[r] = stack[grid[r] - 1].transpose(1, 0, 2)
     memo[key] = out
     return out
 
@@ -666,13 +667,15 @@ def count_occurrences(
     ``block_aligned`` counts needle-sized blocks of the hierarchy grid (the
     needle must match a whole level); ``sliding`` counts every translate
     fully inside the support, straddles included.  Sliding counts recurse
-    on the seams between children (see the module docstring) and only
-    materialize seam strips one needle wide and corner tiles at the lowest
-    levels that hold the needle, unless the needle is wider than the
-    children of ``level`` itself, which is then scanned whole.  Every
-    materialization, in either mode, passes ``check_cells`` against
-    ``cap``.  ``_memo`` carries the seam memo between calls that count the
-    same needle under the same cap.
+    on the seams and junctions between children (see the module docstring
+    and ``_SlidingCount``) and only materialize seam strips one needle wide
+    at the levels whose children no longer hold the needle, and the four
+    (w-1) x (h-1) tiles of a junction at the levels whose children no
+    longer hold such a tile.  A needle wider than the children of ``level``
+    itself is scanned whole.  Every materialization, in either mode, passes
+    ``check_cells`` against ``cap``.  ``_memo`` carries the memo (keys
+    ``n``, ``V``, ``H`` and ``C``) between calls that count the same
+    needle under the same cap.
     """
     spec._check_level(level)
     side = spec.side(level)
@@ -706,9 +709,14 @@ def _count_block_aligned(spec, needle, level, pid, cap) -> int:
     return sum(mat[i - 1][pid - 1] for i in matching)
 
 
-# the tile each patch of a 2x2 junction (bl, br, tl, tr) puts next to the
-# junction: (its corner, row and column of the tile in the junction block)
-_JUNCTION = (("tr", 0, 0), ("tl", 0, 1), ("br", 1, 0), ("bl", 1, 1))
+# per seam kind, the edges it joins (a's, then b's) and the order that lays
+# two consecutive steps ((u, v), (u2, v2)) along the paired edge out as the
+# 2x2 junction (bl, br, tl, tr) between them: "V" has a left of b and steps
+# bottom to top, "H" has a below b and steps left to right
+_SEAMS = {
+    "V": ("right", "left", operator.itemgetter(0, 1, 2, 3)),
+    "H": ("top", "bottom", operator.itemgetter(0, 2, 1, 3)),
+}
 
 
 class _SlidingCount:
@@ -721,29 +729,28 @@ class _SlidingCount:
       left of b (origins on the seam's rows, not crossing top or bottom);
     * ``("H", t, a, b)``: placements crossing only the horizontal seam of
       a below b;
-    * ``("C", bl, br, tl, tr)``: placements crossing both seams of a 2x2
-      junction, keyed by the patches holding the four tiles around it;
-    * ``("K", t, pid, corner)``: the patch holding a (w-1) x (h-1) corner
-      tile of a level-t patch, and ``("T", pid, corner)`` that tile.
+    * ``("C", t, bl, br, tl, tr)``: placements crossing both seams of the
+      2x2 junction of those four patches.
 
-    Seams and junctions are only evaluated at levels whose side is at
-    least the needle's, so a placement crosses at most one seam each way.
+    All three recursions have one shape: look the key up, recurse into the
+    children while they hold the needle (its (w-1) x (h-1) corner tiles for
+    junctions), otherwise scan one materialized block.  Seams and junctions
+    are only evaluated at levels whose side is at least the needle's, so a
+    placement crosses at most one seam each way.
     """
 
     def __init__(self, spec: HierarchySpec, needle: Patch, cap: int | None, memo: dict):
         self.spec, self.needle, self.cap, self.memo = spec, needle, cell_cap(cap), memo
         self.w, self.h = needle.width, needle.height
+        # the needle as each seam sees it: "H" runs as "V" on transposed cells
+        self.needles = {"V": needle, "H": Patch(needle.cells.T)}
         table = spec._frame_table()
         self.sides = [row[0] for row in table]
         self.child_counts = [row[3] for row in table]
-        # lowest level whose patches hold a corner tile of the needle
-        self.tile_level = next(
-            (t for t, s in enumerate(self.sides, start=1) if s >= max(self.w, self.h) - 1), 1
-        )
 
-    def _fits_children(self, t: int) -> bool:
-        """The needle fits inside every child of a level-t patch."""
-        return t > 1 and self.sides[t - 2] >= max(self.w, self.h)
+    def _fits_children(self, t: int, n: int) -> bool:
+        """An n x n block fits inside every child of a level-t patch."""
+        return t > 1 and self.sides[t - 2] >= n
 
     def patch(self, t: int, pid: int) -> int:
         key = ("n", t, pid)
@@ -752,7 +759,7 @@ class _SlidingCount:
         spec, w, h = self.spec, self.w, self.h
         if t == 1:
             res = scan_count(spec.base[pid - 1].cells, self.needle)
-        elif not self._fits_children(t):
+        elif not self._fits_children(t, max(w, h)):
             check_cells(spec.cell_count(t), f"direct scan of level {t} patch {pid}", self.cap)
             res = scan_count(_materialize_cells(spec, t, pid, {}), self.needle)
         else:
@@ -760,107 +767,73 @@ class _SlidingCount:
             step = self.child_counts[t - 1][pid - 1]
             res = sum(n * self.patch(t - 1, i) for i, n in enumerate(step, start=1) if n)
             if w >= 2:
-                res += sum(n * self.vseam(t - 1, a, b) for (a, b), n in arr.hpair_counts().items())
+                res += sum(n * self.seam("V", t - 1, a, b) for (a, b), n in arr.hpair_counts().items())
             if h >= 2:
-                res += sum(n * self.hseam(t - 1, a, b) for (a, b), n in arr.vpair_counts().items())
+                res += sum(n * self.seam("H", t - 1, a, b) for (a, b), n in arr.vpair_counts().items())
             if w >= 2 and h >= 2:
                 res += sum(n * self.corner(t - 1, q) for q, n in arr.quad_counts().items())
         self.memo[key] = res
         return res
 
-    def vseam(self, t: int, a: int, b: int) -> int:
-        """Placements crossing the vertical seam between level-t patches a|b.
+    def seam(self, kind: str, t: int, a: int, b: int) -> int:
+        """Placements crossing the seam between level-t patches a and b
+        (``kind`` "V": a left of b; "H": a below b).
 
-        The seam is the stack of the row seams between a's right-edge
-        children and b's left-edge children, joined at 2x2 junctions.
+        The seam is the line of seams between a's and b's edge children,
+        joined at 2x2 junctions.  "H" runs as "V" on transposed cells, so
+        w and h below are the needle's width and height as the seam sees it.
         """
-        key = ("V", t, a, b)
+        key = (kind, t, a, b)
         if key in self.memo:
             return self.memo[key]
-        w, h = self.w, self.h
-        if self._fits_children(t):
+        w, h = (self.w, self.h) if kind == "V" else (self.h, self.w)
+        if self._fits_children(t, max(w, h)):
+            near, far, junction = _SEAMS[kind]
             arrs = self.spec.levels[t - 2].arrangements
-            seam = arrs[a - 1].edge("right").pair(arrs[b - 1].edge("left"))
-            res = sum(n * self.vseam(t - 1, x, y) for (x, y), n in seam.tally().items())
+            seam = arrs[a - 1].edge(near).pair(arrs[b - 1].edge(far))
+            res = sum(n * self.seam(kind, t - 1, x, y) for (x, y), n in seam.tally().items())
             if h >= 2:
-                res += sum(n * self.corner(t - 1, (x, y, x2, y2))
-                           for ((x, y), (x2, y2)), n in seam.steps().items())
+                res += sum(n * self.corner(t - 1, junction(p + q)) for (p, q), n in seam.steps().items())
         else:
             s = self.sides[t - 1]
-            check_cells(2 * (w - 1) * s, f"vertical seam strip at level {t}", self.cap)
-            band = np.hstack([
-                materialize_region(self.spec, t, a, s - (w - 1), 0, w - 1, s),
-                materialize_region(self.spec, t, b, 0, 0, w - 1, s),
-            ])
-            res = scan_count(band, self.needle, x_lo=0, x_hi=w - 2, y_lo=0, y_hi=s - h)
-        self.memo[key] = res
-        return res
-
-    def hseam(self, t: int, a: int, b: int) -> int:
-        """Placements crossing the horizontal seam between level-t patch a
-        below patch b: the row of column seams between a's top-edge and b's
-        bottom-edge children, joined at 2x2 junctions."""
-        key = ("H", t, a, b)
-        if key in self.memo:
-            return self.memo[key]
-        w, h = self.w, self.h
-        if self._fits_children(t):
-            arrs = self.spec.levels[t - 2].arrangements
-            seam = arrs[a - 1].edge("top").pair(arrs[b - 1].edge("bottom"))
-            res = sum(n * self.hseam(t - 1, p, q) for (p, q), n in seam.tally().items())
-            if w >= 2:
-                res += sum(n * self.corner(t - 1, (p, p2, q, q2))
-                           for ((p, q), (p2, q2)), n in seam.steps().items())
-        else:
-            s = self.sides[t - 1]
-            check_cells(2 * (h - 1) * s, f"horizontal seam strip at level {t}", self.cap)
-            band = np.vstack([
-                materialize_region(self.spec, t, a, 0, s - (h - 1), s, h - 1),
-                materialize_region(self.spec, t, b, 0, 0, s, h - 1),
-            ])
-            res = scan_count(band, self.needle, x_lo=0, x_hi=s - w, y_lo=0, y_hi=h - 2)
+            name = "vertical" if kind == "V" else "horizontal"
+            check_cells(2 * (w - 1) * s, f"{name} seam strip at level {t}", self.cap)
+            strips = [
+                materialize_region(self.spec, t, pid, x0, 0, w - 1, s) if kind == "V"
+                else materialize_region(self.spec, t, pid, 0, x0, s, w - 1).T
+                for pid, x0 in ((a, s - (w - 1)), (b, 0))
+            ]
+            res = scan_count(np.hstack(strips), self.needles[kind], x_hi=w - 2, y_hi=s - h)
         self.memo[key] = res
         return res
 
     def corner(self, t: int, quad: tuple[int, int, int, int]) -> int:
-        """Placements crossing both seams at a 2x2 junction (bl, br, tl, tr)
+        """Placements crossing both seams at the 2x2 junction (bl, br, tl, tr)
         of level-t patches.  Only the four (w-1) x (h-1) tiles around the
-        junction matter, so the memo key is the patches those tiles come
-        from at the lowest level that holds them."""
-        owners = tuple(self.tile_owner(t, pid, c) for pid, (c, _, _) in zip(quad, _JUNCTION))
-        key = ("C", *owners)
+        junction matter: while the children hold such a tile this is the
+        junction of the four children that touch it, else the four tiles are
+        cut and scanned once."""
+        key = ("C", t, *quad)
         if key in self.memo:
             return self.memo[key]
         cw, ch = self.w - 1, self.h - 1
-        blk = np.empty((2 * ch, 2 * cw), dtype=np.uint8)
-        for pid, (c, row, col) in zip(owners, _JUNCTION):
-            blk[row * ch : (row + 1) * ch, col * cw : (col + 1) * cw] = self.tile(pid, c)
-        res = scan_count(blk, self.needle, x_lo=0, x_hi=self.w - 2, y_lo=0, y_hi=self.h - 2)
+        if self._fits_children(t, max(cw, ch)):
+            arrs = self.spec.levels[t - 2].arrangements
+            bl, br, tl, tr = [arrs[pid - 1] for pid in quad]
+            last = bl.rows - 1  # the top row and the right column: frames are square
+            res = self.corner(t - 1, (
+                bl.id_at(last, last), br.id_at(0, last), tl.id_at(last, 0), tr.id_at(0, 0)
+            ))
+        else:
+            s = self.sides[t - 1]
+            blk = np.empty((2 * ch, 2 * cw), dtype=np.uint8)
+            for i, pid in enumerate(quad):
+                row, col = divmod(i, 2)
+                blk[row * ch : (row + 1) * ch, col * cw : (col + 1) * cw] = materialize_region(
+                    self.spec, t, pid, (s - cw, 0)[col], (s - ch, 0)[row], cw, ch)
+            res = scan_count(blk, self.needle, x_hi=cw - 1, y_hi=ch - 1)
         self.memo[key] = res
         return res
-
-    def tile_owner(self, t: int, pid: int, corner: str) -> int:
-        """The patch at ``tile_level`` holding the (w-1) x (h-1) cells at
-        corner "bl", "br", "tl" or "tr" of level-t patch ``pid``."""
-        if t == self.tile_level:
-            return pid
-        key = ("K", t, pid, corner)
-        if key not in self.memo:
-            arr = self.spec.levels[t - 2].arrangements[pid - 1]
-            last = arr.rows - 1
-            child = arr.id_at(last if corner[1] == "r" else 0, last if corner[0] == "t" else 0)
-            self.memo[key] = self.tile_owner(t - 1, child, corner)
-        return self.memo[key]
-
-    def tile(self, pid: int, corner: str) -> np.ndarray:
-        """The (w-1) x (h-1) corner tile of patch ``pid`` at ``tile_level``."""
-        key = ("T", pid, corner)
-        if key not in self.memo:
-            cw, ch = self.w - 1, self.h - 1
-            s = self.sides[self.tile_level - 1]
-            x0, y0 = (s - cw if corner[1] == "r" else 0), (s - ch if corner[0] == "t" else 0)
-            self.memo[key] = materialize_region(self.spec, self.tile_level, pid, x0, y0, cw, ch)
-        return self.memo[key]
 
 
 def block_frequency_matrix(spec: HierarchySpec, m: int, n: int) -> list[list[Fraction]]:

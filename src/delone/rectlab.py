@@ -516,40 +516,31 @@ def count_lattice_near_curve(curve: Curve, T) -> int:
     dens = [v.denominator for p in curve.vertices for v in p] + [T.denominator]
     scale = int(np.lcm.reduce(np.array(dens, dtype=object)))
     verts = [(int(p[0] * scale), int(p[1] * scale)) for p in curve.vertices]
-    t_scaled = T * scale
-    tsq = int(t_scaled * t_scaled) if (t_scaled * t_scaled).denominator == 1 else None
+    t_scaled = int(T * scale)  # scale clears T's denominator
     xs = [p[0] for p in curve.vertices]
     ys = [p[1] for p in curve.vertices]
     gx0, gx1 = math.ceil(min(xs) - T), math.floor(max(xs) + T)
     gy0, gy1 = math.ceil(min(ys) - T), math.floor(max(ys) + T)
-    px, py = np.meshgrid(
-        np.arange(gx0, gx1 + 1, dtype=np.int64), np.arange(gy0, gy1 + 1, dtype=np.int64)
-    )
-    px = px.ravel() * scale
-    py = py.ravel() * scale
     maxmag = max(
-        max(abs(v[0]) for v in verts + [(px.min(), 0), (px.max(), 0)]),
-        max(abs(v[1]) for v in verts + [(py.min(), 0), (py.max(), 0)]),
-        int(t_scaled) + 1,
+        *(abs(c) for v in verts for c in v),
+        *(abs(g) * scale for g in (gx0, gx1, gy0, gy1)),
+        t_scaled + 1,
     )
-    if tsq is not None and maxmag <= 20000:
-        mask = np.zeros(px.shape, dtype=bool)
-        n = len(verts)
-        for t in range(n):
-            ax, ay = verts[t]
-            bx, by = verts[(t + 1) % n]
-            mask |= _near_segment_mask(px, py, ax, ay, bx, by, tsq)
-        return int(mask.sum())
-    # exact fallback on rationals (small inputs only)
-    cnt = 0
-    tsq_f = T * T
-    vs = curve.vertices
-    for x in range(gx0, gx1 + 1):
-        for y in range(gy0, gy1 + 1):
-            p = (Fraction(x), Fraction(y))
-            if any(_pt_seg_dist_sq_le(p, vs[t], vs[(t + 1) % len(vs)], tsq_f) for t in range(len(vs))):
-                cnt += 1
-    return cnt
+    # int64 keeps every product of _near_segment_mask below 2^63 inside the
+    # guard; past it the same pass runs on Python ints
+    dtype = np.int64 if maxmag <= 20000 else object
+    px, py = np.meshgrid(
+        np.array(range(gx0, gx1 + 1), dtype=dtype) * scale,
+        np.array(range(gy0, gy1 + 1), dtype=dtype) * scale,
+    )
+    px, py = px.ravel(), py.ravel()
+    mask = np.zeros(px.shape, dtype=bool)
+    n = len(verts)
+    for t in range(n):
+        ax, ay = verts[t]
+        bx, by = verts[(t + 1) % n]
+        mask |= _near_segment_mask(px, py, ax, ay, bx, by, t_scaled * t_scaled)
+    return int(mask.sum())
 
 
 def _near_segment_mask(px, py, ax, ay, bx, by, tsq) -> np.ndarray:

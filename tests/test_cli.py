@@ -256,6 +256,17 @@ def test_gen_choquet_user_matrices(tmp_path):
     assert spec.step_count_matrix(2)[1] == [30, 30, 12]
 
 
+@pytest.mark.parametrize("header", ["matrix 3", "matrix 0 3", "dim"])
+def test_gen_choquet_malformed_matrices_header(tmp_path, capsys, header):
+    (tmp_path / "mats.txt").write_text(f"p 4 32\nr 1\n{header}\n1 1 1\n30 30 12\n33 33 51\n")
+    (tmp_path / "simplex.cfg").write_text("matrices mats.txt\n")
+    rc = run("gen", "--construction", "choquet", "--depth", "2",
+             "--simplex-spec", str(tmp_path / "simplex.cfg"), "--out", str(tmp_path / "x.dhs"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(header) in err
+
+
 def test_repetitivity_patch_input(tmp_path, capsys):
     dpf = tmp_path / "w.dpf"
     import numpy as np

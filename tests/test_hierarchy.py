@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -104,6 +105,20 @@ def test_materialize_cap_error_names_cells():
     spec = toy_spec(ell=6)
     with pytest.raises(CapacityError, match="8503056 cells"):
         H.materialize(spec, 7, 1, cap=10**6)
+
+
+def test_materialize_peak_is_one_byte_a_cell(choq_big):
+    """The output is the only full-size array: rows of tiles are written
+    into it in place, not gathered and then transposed into a copy."""
+    spec = choq_big.spec
+    tracemalloc.start()
+    try:
+        cells = H.materialize(spec, 3, 1).cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells.size == spec.cell_count(3) == 4096**2
+    assert peak < 1.1 * cells.size
 
 
 # ----------------------------------------------------------------------
@@ -696,6 +711,31 @@ def test_rigorous_two_by_two_counts_cover_the_top_level(kind):
                for bits in itertools.product((0, 1), repeat=4)]
     total = sum(H.count_occurrences(spec, nd, top, 1, SLIDING) for nd in needles)
     assert total == (side - 1) ** 2
+
+
+def _all_needles(w, h):
+    return [Patch(np.array(bits, dtype=np.uint8).reshape(h, w))
+            for bits in itertools.product((0, 1), repeat=w * h)]
+
+
+@pytest.mark.parametrize("kind", sorted(RIGOROUS))
+def test_rigorous_rectangular_counts_cover_the_top_level(kind):
+    """1x2 and 2x1 needles cross one seam orientation each, so their sums
+    tell the vertical and horizontal seams apart; 2x3 needles on ue cross
+    junctions with unequal corner tiles.  The memo only holds n/V/H/C keys."""
+    spec = RIGOROUS[kind]()
+    top = spec.num_levels
+    side = spec.side(top)
+    shapes = [(1, 2), (2, 1)] + ([(2, 3)] if kind == "ue" else [])
+    kinds = set()
+    for w, h in shapes:
+        total = 0
+        for nd in _all_needles(w, h):
+            memo: dict = {}
+            total += H.count_occurrences(spec, nd, top, 1, SLIDING, _memo=memo)
+            kinds |= {key[0] for key in memo}
+        assert total == (side - w + 1) * (side - h + 1), (w, h)
+    assert kinds == ({"n", "V", "H", "C"} if kind == "ue" else {"n", "V", "H"})
 
 
 def test_cli_count_on_rigorous_descriptor(tmp_path, capsys):

@@ -334,6 +334,15 @@ def test_near_segment_mask_exact_across_the_guarded_box():
     assert tsq * (dx * dx + dy * dy) < 2**63
 
 
+def test_lattice_count_is_translation_invariant_past_the_int64_guard():
+    """Translated by (10^6, 10^6), the scaled coordinates pass the 20000
+    guard of the int64 pass, so the count runs on Python ints."""
+    pts = [(0, 0), (F(40, 3), 0), (15, 10), (6, F(35, 2)), (-3, 8)]
+    near = R.count_lattice_near_curve(R.curve_from_points(pts), 3)
+    far = R.curve_from_points([(x + 10**6, y + 10**6) for x, y in pts])
+    assert R.count_lattice_near_curve(far, 3) == near == 347
+
+
 def test_lattice_count_range_errors():
     sq = R.curve_from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
     with pytest.raises(ValueError, match="length/4"):
@@ -344,7 +353,8 @@ def test_lattice_count_range_errors():
 
 
 def test_lattice_count_matches_rational_fallback():
-    # force the exact-rational path with a third-integer vertex
+    # a third-integer vertex: coordinates are scaled by 3 (in int64, inside
+    # the guard) and checked against the rational oracle
     tri = R.curve_from_points([(0, 0), (F(10, 3), 0), (0, 3)])
     fast = R.count_lattice_near_curve(tri, 1)
     brute = 0
