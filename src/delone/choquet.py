@@ -592,10 +592,10 @@ def read_matrices_file(path) -> ChoquetSeq:
     while i < len(lines):
         parts = lines[i].split()
         if parts[0] == "p":
-            p = [int(t) for t in parts[1:]]
+            p = _line_ints(lines[i], parts[1:])
             i += 1
         elif parts[0] == "r":
-            r = [int(t) for t in parts[1:]]
+            r = _line_ints(lines[i], parts[1:])
             i += 1
         elif parts[0] == "dim":
             (dim,) = _header_sizes(lines[i], 1)
@@ -605,7 +605,7 @@ def read_matrices_file(path) -> ChoquetSeq:
             body = lines[i + 1 : i + 1 + rows]
             if len(body) != rows:
                 raise SimplexBuildError("truncated matrix block")
-            mat = [[int(t) for t in ln.split()] for ln in body]
+            mat = [_line_ints(ln, ln.split()) for ln in body]
             if any(len(row) != cols for row in mat):
                 raise SimplexBuildError("matrix row width mismatch")
             if any(v < 1 for row in mat for v in row):
@@ -633,6 +633,13 @@ def read_matrices_file(path) -> ChoquetSeq:
     return ChoquetSeq(dim, sz.p, sz.q, sz.r, sz.l, tuple(k), mats, mode="toy")
 
 
+def _line_ints(line: str, fields: list[str]) -> list[int]:
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise SimplexBuildError(f"non-integer field in line {line!r}") from None
+
+
 def _header_sizes(line: str, n: int) -> list[int]:
     """The n positive integers after the keyword of a ``dim`` or ``matrix`` line."""
     fields = line.split()[1:]
@@ -650,13 +657,13 @@ def read_simplex_spec(path) -> "int | ChoquetSeq":
             ln = ln.split("#", 1)[0].strip()
             if not ln:
                 continue
-            key, val = ln.split(None, 1)
-            if key == "extreme_points":
+            key, val = (ln.split(None, 1) + [""])[:2]
+            if key == "extreme_points" and val.isdecimal():
                 return int(val)
-            if key == "matrices":
+            if key == "matrices" and val:
                 mp = val if os.path.isabs(val) else os.path.join(os.path.dirname(path), val)
                 return read_matrices_file(mp)
-            raise SimplexBuildError(f"unexpected line {ln!r}")
+            raise SimplexBuildError(f"expected 'extreme_points <e>' or 'matrices <path>', got {ln!r}")
     raise SimplexBuildError("empty simplex spec file")
 
 

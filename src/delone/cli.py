@@ -243,7 +243,7 @@ def cmd_freq(args) -> int:
 
 def cmd_repetitivity(args) -> int:
     p = _load_target(args)
-    r = hierarchy.estimate_repetitivity(p, args.r)
+    r = hierarchy.estimate_repetitivity(p, args.r, cap=args.cell_cap)
     if r is None:
         print("window too small")
         return 1
@@ -289,10 +289,11 @@ def cmd_bilip(args) -> int:
     for v in viol[:20]:
         print(f"violation\tk={v.k}\ti={v.i}\tj={v.j}\tat={v.point}\tkind={v.kind}")
     if args.tau is not None:
-        res = rectlab.find_regular_square(f, grid, args.tau)
+        fh = maps.hat_extend(f)
+        res = rectlab.find_regular_square(fh, grid, args.tau)
         print(f"regular_square\t{res.k_star if res.k_star is not None else 'none'}")
         if res.k_star is not None:
-            dev = rectlab.coarse_derivative_deviation(f, grid, res.k_star)
+            dev = rectlab.coarse_derivative_deviation(fh, grid, res.k_star)
             print(f"deviation_sq\t{dev.max_sq}\t~{dev.max:.6f}")
     if args.expand is not None:
         d, dp = (Fraction(t) for t in args.expand.split(","))

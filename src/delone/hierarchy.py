@@ -170,14 +170,18 @@ def _zip_runs(r1: Runs, r2: Runs) -> Runs:
 
 @dataclass(frozen=True)
 class DenseArrangement:
-    """Explicit grid of child ids; row 0 is the bottom row."""
+    """Explicit grid of child ids; row 0 is the bottom row.  The grid is
+    kept in the smallest dtype that holds its id range."""
 
     grid: np.ndarray
 
     def __post_init__(self):
-        g = np.ascontiguousarray(np.asarray(self.grid))
+        g = np.asarray(self.grid)
         if g.ndim != 2 or g.size == 0:
             raise SpecError("arrangement grid must be a nonempty matrix")
+        if g.dtype.itemsize > 1:  # one byte is already the smallest
+            g = g.astype(np.result_type(np.min_scalar_type(g.min()), np.min_scalar_type(g.max())))
+        g = np.ascontiguousarray(g)
         g.flags.writeable = False
         object.__setattr__(self, "grid", g)
 
@@ -956,7 +960,7 @@ def validate_scheme(spec: HierarchySpec) -> SchemeReport:
 # repetitivity estimation
 # ----------------------------------------------------------------------
 
-def estimate_repetitivity(patch: Patch, r: int) -> int | None:
+def estimate_repetitivity(patch: Patch, r: int, cap: int | None = None) -> int | None:
     """Smallest window side R so that every R x R sub-window of ``patch``
     contains every r x r pattern occurring anywhere in the patch.
 
@@ -970,6 +974,10 @@ def estimate_repetitivity(patch: Patch, r: int) -> int | None:
     and counts nothing. Each pattern's own smallest R is searched by
     bisection above the largest R found so far: a window that holds the
     pattern at side R still holds it at every larger side.
+
+    The code arrays are charged to the cell cap at one cell a byte: three
+    window-sized code arrays cover the codes with the plane that builds
+    them, then the copy ``np.unique`` sorts and the window test's masks.
     """
     side = patch.side
     if r < 1:
@@ -978,6 +986,9 @@ def estimate_repetitivity(patch: Patch, r: int) -> int | None:
         raise ValueError(f"patch side {side} below 3r = {3 * r}")
     if r > 8:
         raise ValueError("pattern side above 8 is not supported")
+    itemsize = np.dtype(_code_dtype(r)).itemsize
+    check_cells(3 * itemsize * side * side,
+                f"{3 * itemsize}-byte pattern codes of side {r} on a {side}x{side} window", cap)
     codes = _pattern_codes(patch.cells, r)
     best, top = r, side - r
     for code in np.unique(codes):
@@ -999,16 +1010,22 @@ def estimate_repetitivity(patch: Patch, r: int) -> int | None:
 
 def _pattern_codes(cells: np.ndarray, r: int) -> np.ndarray:
     """Code of the r x r pattern at each origin: bit dy*r + dx holds cell
-    (dy, dx). Codes fit uint16 for r <= 4 and uint64 up to r = 8."""
+    (dy, dx), in the dtype of :func:`_code_dtype`."""
     H, W = cells.shape
     outh, outw = H - r + 1, W - r + 1
-    dtype = np.uint16 if r * r <= 16 else np.uint64
+    dtype = _code_dtype(r)
     codes = np.zeros((outh, outw), dtype=dtype)
-    g = cells.astype(dtype)
+    shifted = np.empty_like(codes)
     for bit in range(r * r):
         dy, dx = divmod(bit, r)
-        codes |= g[dy : dy + outh, dx : dx + outw] << dtype(bit)
+        np.left_shift(cells[dy : dy + outh, dx : dx + outw], dtype(bit), out=shifted, dtype=dtype)
+        codes |= shifted
     return codes
+
+
+def _code_dtype(r: int) -> type:
+    """Codes of r x r patterns fit uint16 for r <= 4 and uint64 up to r = 8."""
+    return np.uint16 if r * r <= 16 else np.uint64
 
 
 def _blocks_hold(mask: np.ndarray, K: int) -> bool:
@@ -1207,7 +1224,8 @@ def _parse_ids(body: list[str], rows: int, cols: int) -> np.ndarray:
     Either way the separators must be spaces with a newline at every
     ``cols``-th one, and ids may not be empty.  The general path alone
     would parse both, but on a 1024 x 1024 body (the choquet levels) the
-    strided one-digit path is about 8x faster and builds no index arrays.
+    strided one-digit path is about 8x faster and builds no index arrays;
+    it yields uint8 ids, the general path int64 ones.
     """
     buf = np.frombuffer("\n".join([*body, ""]).encode(), dtype=np.uint8)
     n = rows * cols
@@ -1219,7 +1237,7 @@ def _parse_ids(body: list[str], rows: int, cols: int) -> np.ndarray:
     if buf.size == 2 * n:
         ids = digit[0::2]
         if ids.max() <= 9 and (buf[1::2] == want).all():
-            return np.ascontiguousarray(ids.reshape(rows, cols)[::-1], dtype=np.int64)
+            return np.ascontiguousarray(ids.reshape(rows, cols)[::-1])
     seps = np.flatnonzero(digit > 9)
     lengths = np.diff(seps, prepend=-1) - 1
     if seps.size != n or not np.array_equal(buf[seps], want) or lengths.min() < 1:

@@ -360,7 +360,10 @@ def parse_map(text: str, window: Window | None = None) -> CandidateMap:
         xs = [p[0] for p in imgs]
         ys = [p[1] for p in imgs]
         window = (min(xs), min(ys), max(xs), max(ys))
-    return CandidateMap(window, imgs)
+    try:
+        return CandidateMap(window, imgs)
+    except MapInvariantError as exc:
+        raise PatchFormatError(f"bad map: {exc}") from None
 
 
 def write_map(path, f: CandidateMap) -> None:

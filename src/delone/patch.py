@@ -236,7 +236,10 @@ def parse_patch_lines(lines: list[str], start: int = 0) -> tuple[Patch, int]:
     for r in rows:
         if len(r.strip()) != w or set(r.strip()) - {"0", "1"}:
             raise PatchFormatError(f"bad patch row: {r!r}")
-    patch = from_rows((r.strip() for r in rows), (ox, oy), flag)
+    try:
+        patch = from_rows((r.strip() for r in rows), (ox, oy), flag)
+    except ValueError as exc:  # the Patch invariants, e.g. an empty full_boundary cell
+        raise PatchFormatError(f"bad patch: {exc}") from None
     return patch, start + 1 + h
 
 

@@ -25,6 +25,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .maps import CandidateMap, DistortionReport, ExtendedMap, all_pairs, distortion, hat_extend
+from .maps import _twice_value, identity_map
 from .patch import Point
 
 RatPoint = tuple[Fraction, Fraction]
@@ -77,11 +78,7 @@ def probe_points(grid: GridSpec, k: int) -> list[Point]:
 
 
 def identity_on(grid: GridSpec) -> CandidateMap:
-    x0, y0, x1, y1 = grid.window
-    return CandidateMap(
-        grid.window,
-        {(x, y): (x, y) for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)},
-    )
+    return identity_map(grid.window)
 
 
 # ----------------------------------------------------------------------
@@ -100,16 +97,29 @@ class StretchViolation:
     bound_sq: Fraction
 
 
-def _baseline(f: CandidateMap, grid: GridSpec) -> Point:
-    v = f.baseline_vector()
-    if v == (0, 0):
+def _baseline(f) -> Point:
+    """f(2MN, 0) - f(0, 0) at the window's bottom corners, for a candidate
+    map or its extension; the end points must be distinct lattice points."""
+    x0, y0, x1, _ = f.window
+    au, av = _twice_value(f, (x0, y0))
+    bu, bv = _twice_value(f, (x1, y0))
+    if (au, av) == (bu, bv):
         raise ValueError("degenerate baseline vector: f(2MN,0) = f(0,0)")
-    return v
+    if (bu - au) % 2 or (bv - av) % 2:
+        raise ValueError("baseline endpoints must be lattice points")
+    return ((bu - au) // 2, (bv - av) // 2)
+
+
+def _stretch_bound_sq(f: CandidateMap, grid: GridSpec, lam: Fraction) -> Fraction:
+    """((1 + lam) ||v|| / 2MN)^2 for the baseline vector v of ``f``."""
+    v = _baseline(f)
+    return (1 + Fraction(lam)) ** 2 * (v[0] ** 2 + v[1] ** 2) / (2 * grid.M * grid.N) ** 2
 
 
 def _step_pairs(f: CandidateMap, grid: GridSpec):
-    """Yield (k, i, j, x, target, kind, den) for every evaluable probe step.
+    """Yield (k, i, j, x, target, kind, step_sq) for every evaluable probe step.
 
+    ``step_sq`` is the squared expansion |f(target) - f(x)|^2 / den^2, where
     ``den`` is the step length M/P for direct targets and 1 + M/P for
     targets shifted one cell right (used when the direct target misses the
     domain; the shifted one then has even x and is present whenever it
@@ -126,11 +136,13 @@ def _step_pairs(f: CandidateMap, grid: GridSpec):
                 if not grid.in_window(t):
                     continue
                 if t in f.images:
-                    yield k, i, j, x, t, "direct", pitch
+                    kind, den = "direct", pitch
                 else:
-                    ts = (t[0] + 1, t[1])
-                    if grid.in_window(ts) and ts in f.images:
-                        yield k, i, j, x, ts, "shifted", 1 + pitch
+                    t, kind, den = (t[0] + 1, t[1]), "shifted", 1 + pitch
+                    if not (grid.in_window(t) and t in f.images):
+                        continue
+                (fu, fv), (gu, gv) = f.images[x], f.images[t]
+                yield k, i, j, x, t, kind, Fraction((fu - gu) ** 2 + (fv - gv) ** 2, den**2)
 
 
 def check_no_stretch(f: CandidateMap, grid: GridSpec, lam: Fraction) -> list[StretchViolation]:
@@ -139,21 +151,12 @@ def check_no_stretch(f: CandidateMap, grid: GridSpec, lam: Fraction) -> list[Str
     Empty result = the no-stretch hypothesis holds for every evaluable
     probe step (direct or shifted right by one).
     """
-    v = _baseline(f, grid)
-    vsq = v[0] ** 2 + v[1] ** 2
-    two_mn = 2 * grid.M * grid.N
-    lam = Fraction(lam)
-    bound_factor = (1 + lam) ** 2 * vsq  # times (den / 2MN)^2 per step
-    out = []
-    for k, i, j, x, t, kind, den in _step_pairs(f, grid):
-        fu, fv = f.images[x]
-        gu, gv = f.images[t]
-        dsq = (fu - gu) ** 2 + (fv - gv) ** 2
-        step_sq = Fraction(dsq, den**2)
-        bound_sq = bound_factor / two_mn**2
-        if step_sq > bound_sq:
-            out.append(StretchViolation(k, i, j, x, t, kind, step_sq, bound_sq))
-    return out
+    bound_sq = _stretch_bound_sq(f, grid, lam)
+    return [
+        StretchViolation(*step, bound_sq)
+        for step in _step_pairs(f, grid)
+        if step[-1] > bound_sq
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -172,15 +175,14 @@ def _ext(f) -> ExtendedMap:
     return f if isinstance(f, ExtendedMap) else hat_extend(f)
 
 
-def _ext_baseline(fh: ExtendedMap) -> Point:
-    x0, y0, x1, _ = fh.window
-    au, av = fh.twice((x0, y0))
-    bu, bv = fh.twice((x1, y0))
-    if (au, av) == (bu, bv):
-        raise ValueError("degenerate baseline vector")
-    if (bu - au) % 2 or (bv - av) % 2:
-        raise ValueError("baseline endpoints must be lattice points")
-    return ((bu - au) // 2, (bv - av) // 2)
+def _increments(fh: ExtendedMap, grid: GridSpec, k: int):
+    """Yield (i, j, du, dv) over the probes x of square k, where
+    (du, dv) = 2 (f^(x + M e1) - f^(x))."""
+    for j in range(grid.P + 1):
+        for i in range(grid.P + 1):
+            x = grid.probe(k, i, j)
+            (au, av), (bu, bv) = fh.twice((x[0] + grid.M, x[1])), fh.twice(x)
+            yield i, j, au - bu, av - bv
 
 
 def find_regular_square(f, grid: GridSpec, tau: Fraction) -> RegularSquareResult:
@@ -191,22 +193,12 @@ def find_regular_square(f, grid: GridSpec, tau: Fraction) -> RegularSquareResult
     the constant floors; absent that, the result simply reports k_star None.
     """
     fh = _ext(f)
-    v = _ext_baseline(fh)
-    vsq = v[0] ** 2 + v[1] ** 2
-    tau = Fraction(tau)
-    threshold = (1 - tau) * Fraction(vsq, 2 * grid.M * grid.N)
+    v = _baseline(fh)
+    threshold = (1 - Fraction(tau)) * Fraction(v[0] ** 2 + v[1] ** 2, 2 * grid.M * grid.N)
     minima: dict[int, Fraction] = {}
     k_star = None
     for k in range(1, 2 * grid.N):
-        mn = None
-        for j in range(grid.P + 1):
-            for i in range(grid.P + 1):
-                x = grid.probe(k, i, j)
-                xp = (x[0] + grid.M, x[1])
-                du = fh.twice(xp)[0] - fh.twice(x)[0]
-                dv = fh.twice(xp)[1] - fh.twice(x)[1]
-                proj = Fraction(du * v[0] + dv * v[1], 2 * grid.M)
-                mn = proj if mn is None else min(mn, proj)
+        mn = min(Fraction(du * v[0] + dv * v[1], 2 * grid.M) for _, _, du, dv in _increments(fh, grid, k))
         minima[k] = mn
         if k_star is None and mn >= threshold:
             k_star = k
@@ -232,20 +224,12 @@ def coarse_derivative_deviation(f, grid: GridSpec, k_star: int) -> DeviationRepo
     if not 1 <= k_star <= 2 * grid.N - 1:
         raise ValueError("k_star must leave room for the next square")
     fh = _ext(f)
-    v = _ext_baseline(fh)
+    v = _baseline(fh)
     best = None
-    arg = (0, 0)
-    for j in range(grid.P + 1):
-        for i in range(grid.P + 1):
-            x = grid.probe(k_star, i, j)
-            xp = (x[0] + grid.M, x[1])
-            du2 = fh.twice(xp)[0] - fh.twice(x)[0]
-            dv2 = fh.twice(xp)[1] - fh.twice(x)[1]
-            nu = grid.N * du2 - v[0]
-            nv = grid.N * dv2 - v[1]
-            val = Fraction(nu**2 + nv**2, (2 * grid.M * grid.N) ** 2)
-            if best is None or val > best:
-                best, arg = val, (i, j)
+    for i, j, du, dv in _increments(fh, grid, k_star):
+        val = Fraction((grid.N * du - v[0]) ** 2 + (grid.N * dv - v[1]) ** 2, (2 * grid.M * grid.N) ** 2)
+        if best is None or val > best:
+            best, arg = val, (i, j)
     return DeviationReport(best, arg)
 
 
@@ -292,9 +276,8 @@ def expanding_pair_search(
     corner counts straddle [d' M^2, d M^2].  A None witness falsifies the
     surrounding argument: some asserted hypothesis cannot hold for this f.
     """
-    lam, d, dp = Fraction(lam), Fraction(d), Fraction(d_prime)
-    v = _baseline(f, grid)
-    vsq = v[0] ** 2 + v[1] ** 2
+    d, dp = Fraction(d), Fraction(d_prime)
+    bound_sq = _stretch_bound_sq(f, grid, lam)
     msq = grid.M**2
     pair = None
     if verify_densities:
@@ -313,13 +296,8 @@ def expanding_pair_search(
             )
     elif k is not None:
         pair = (k, k + 1)
-    two_mn = 2 * grid.M * grid.N
-    bound_factor = (1 + lam) ** 2 * vsq
-    for kk, i, j, x, t, kind, den in _step_pairs(f, grid):
-        fu, fv = f.images[x]
-        gu, gv = f.images[t]
-        dsq = (fu - gu) ** 2 + (fv - gv) ** 2
-        if Fraction(dsq, den**2) >= bound_factor / two_mn**2:
+    for _, _, _, x, _, kind, step_sq in _step_pairs(f, grid):
+        if step_sq >= bound_sq:
             return ExpandingSearchResult(x, kind, pair, "witness found")
     return ExpandingSearchResult(
         None,
@@ -345,10 +323,20 @@ class Curve:
     def length(self) -> float:
         return sum(math.sqrt(float(s)) for s in self.seg_len_sq)
 
-    def segments(self):
-        n = len(self.vertices)
-        for t in range(n):
-            yield self.vertices[t], self.vertices[(t + 1) % n]
+
+def _curve(vs: Sequence[RatPoint], deleted_loops: Sequence[float] = ()) -> Curve:
+    """The closed polyline through ``vs`` in order, closing edge included."""
+    ends = [*vs[1:], vs[0]]
+    seg_sq = tuple((b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2 for a, b in zip(vs, ends))
+    return Curve(tuple(vs), seg_sq, tuple(deleted_loops))
+
+
+def _dedup(vs: Sequence[RatPoint]) -> list[RatPoint]:
+    """``vs`` without consecutive repeats, also across the closing edge."""
+    out = [p for t, p in enumerate(vs) if t == 0 or p != vs[t - 1]]
+    while len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    return out
 
 
 def _cross(o: RatPoint, a: RatPoint, b: RatPoint) -> Fraction:
@@ -386,15 +374,6 @@ def _seg_intersection(a, b, c, d) -> RatPoint | None:
     return None
 
 
-def _poly_len(vs: Sequence[RatPoint], closed: bool = True) -> float:
-    n = len(vs)
-    rng = range(n) if closed else range(n - 1)
-    return sum(
-        math.sqrt(float((vs[(t + 1) % n][0] - vs[t][0]) ** 2 + (vs[(t + 1) % n][1] - vs[t][1]) ** 2))
-        for t in rng
-    )
-
-
 def _first_self_intersection(vs: Sequence[RatPoint]):
     n = len(vs)
     for i in range(n):
@@ -426,14 +405,7 @@ def boundary_curve(f, grid: GridSpec, k: int, L: Fraction | None = None) -> Curv
     final curve must clear the positivity floor 4 (sqrt(2)-1) (6L)^3.
     """
     fh = _ext(f)
-    vs: list[RatPoint] = []
-    for pt in boundary_probe_cycle(grid, k):
-        u, v = fh.twice(pt)
-        q = (Fraction(u, 2), Fraction(v, 2))
-        if not vs or vs[-1] != q:
-            vs.append(q)
-    while len(vs) > 1 and vs[0] == vs[-1]:
-        vs.pop()
+    vs = _dedup([fh(pt) for pt in boundary_probe_cycle(grid, k)])
     deleted: list[float] = []
     guard = (len(vs) + 4) ** 2
     while True:
@@ -444,25 +416,14 @@ def boundary_curve(f, grid: GridSpec, k: int, L: Fraction | None = None) -> Curv
             raise RuntimeError("loop deletion failed to converge")
         guard -= 1
         i, j, x = hit
-        loop_a = [x] + list(vs[i + 1 : j + 1])
-        loop_b = [x] + list(vs[j + 1 :]) + list(vs[: i + 1])
-        len_a = _poly_len(loop_a)
-        len_b = _poly_len(loop_b)
-        keep, drop_len = (loop_b, len_a) if len_a <= len_b else (loop_a, len_b)
-        deleted.append(drop_len)
-        vs = [p for t, p in enumerate(keep) if t == 0 or p != keep[t - 1]]
-        while len(vs) > 1 and vs[0] == vs[-1]:
-            vs.pop()
+        loop_a = _curve([x, *vs[i + 1 : j + 1]])
+        loop_b = _curve([x, *vs[j + 1 :], *vs[: i + 1]])
+        keep, drop = (loop_b, loop_a) if loop_a.length <= loop_b.length else (loop_a, loop_b)
+        deleted.append(drop.length)
+        vs = _dedup(keep.vertices)
         if len(vs) < 3:
             raise ValueError("curve degenerated while deleting loops")
-    seg_sq = tuple(
-        Fraction(
-            (vs[(t + 1) % len(vs)][0] - vs[t][0]) ** 2
-            + (vs[(t + 1) % len(vs)][1] - vs[t][1]) ** 2
-        )
-        for t in range(len(vs))
-    )
-    curve = Curve(tuple(vs), seg_sq, tuple(deleted))
+    curve = _curve(vs, deleted)
     if L is not None:
         lhat = 6 * Fraction(L)
         cap = 2 * float(lhat) ** 3 * grid.M / grid.P
@@ -478,23 +439,10 @@ def boundary_curve(f, grid: GridSpec, k: int, L: Fraction | None = None) -> Curv
 
 def curve_from_points(points: Sequence[RatPoint | Point]) -> Curve:
     """Closed curve through the given vertices (consecutive duplicates dropped)."""
-    vs = []
-    for p in points:
-        q = (Fraction(p[0]), Fraction(p[1]))
-        if not vs or vs[-1] != q:
-            vs.append(q)
-    while len(vs) > 1 and vs[0] == vs[-1]:
-        vs.pop()
+    vs = _dedup([(Fraction(x), Fraction(y)) for x, y in points])
     if len(vs) < 2:
         raise ValueError("need at least two distinct vertices")
-    seg_sq = tuple(
-        Fraction(
-            (vs[(t + 1) % len(vs)][0] - vs[t][0]) ** 2
-            + (vs[(t + 1) % len(vs)][1] - vs[t][1]) ** 2
-        )
-        for t in range(len(vs))
-    )
-    return Curve(tuple(vs), seg_sq, ())
+    return _curve(vs)
 
 
 # ----------------------------------------------------------------------

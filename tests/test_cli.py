@@ -267,6 +267,41 @@ def test_gen_choquet_malformed_matrices_header(tmp_path, capsys, header):
     assert err.count("\n") == 1 and repr(header) in err
 
 
+@pytest.mark.parametrize("line", ["extreme_points", "matrices", "foo", "extreme_points x"])
+def test_gen_choquet_malformed_simplex_spec(tmp_path, capsys, line):
+    (tmp_path / "simplex.cfg").write_text(f"{line}\n")
+    rc = run("gen", "--construction", "choquet", "--depth", "2",
+             "--simplex-spec", str(tmp_path / "simplex.cfg"), "--out", str(tmp_path / "x.dhs"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(line) in err
+
+
+@pytest.mark.parametrize("bad,line", [("p 4 32", "p 4 x"), ("r 1", "r one"),
+                                      ("30 30 12", "30 3x 12")])
+def test_gen_choquet_non_integer_matrices_field(tmp_path, capsys, bad, line):
+    text = "p 4 32\nr 1\nmatrix 3 3\n1 1 1\n30 30 12\n33 33 51\n".replace(bad, line)
+    (tmp_path / "mats.txt").write_text(text)
+    (tmp_path / "simplex.cfg").write_text("matrices mats.txt\n")
+    rc = run("gen", "--construction", "choquet", "--depth", "2",
+             "--simplex-spec", str(tmp_path / "simplex.cfg"), "--out", str(tmp_path / "x.dhs"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(line) in err
+
+
+def test_needle_with_an_empty_full_boundary_cell_exits_2(tmp_path, capsys):
+    spec = tmp_path / "n.dhs"
+    run("gen", "--construction", "nonrect", "--depth", "1", "--out", str(spec))
+    (tmp_path / "bad.dpf").write_text("PATCH 2 2 0 0 full_boundary\n11\n10\n")
+    capsys.readouterr()
+    rc = run("count", "--spec", str(spec), "--needle", str(tmp_path / "bad.dpf"),
+             "--level", "1", "--id", "1")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "full_boundary" in err
+
+
 def test_repetitivity_patch_input(tmp_path, capsys):
     dpf = tmp_path / "w.dpf"
     import numpy as np
@@ -348,3 +383,94 @@ def test_gen_golden(tmp_path, capsys, run_id, extra, want):
     got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in (out, tmp_path / "g.ledger.txt"))
     assert got == want
+
+
+_BILIP_ARGS = {
+    "stretched": ("--lambda", "1/10", "--tau", "1/10", "--expand", "1/2,1"),
+    "unstretched": ("--lambda", "1", "--tau", "1/100", "--expand", "1/2,1"),
+    "no-gap": ("--lambda", "1/10", "--tau", "1/10", "--expand", "3/4,1/2"),
+}
+
+# sha256 of bilip stdout for sampling.random_bilip_map(random.Random(seed))
+# on the grid's window, under each argument set: violations with a witness,
+# no violation with regular squares found or not, and a missing density gap
+GOLDEN_BILIP = {
+    "stretched": {
+        (1, (8, 2, 2)): "334e4d09440b5edf3cf313ad655909483484c22af77fb3b21ecae48999ce06bc",
+        (1, (32, 4, 8)): "03bf67c2d8d9c0f0f360229ef75893ddb69b94530966c9bcc7765e839f7a1d7e",
+        (2, (8, 2, 2)): "8e02886500d97916e84828956ea13dfc2547ad58e7100cac3aabd0086ae612ed",
+        (2, (32, 4, 8)): "573838c20b133f1fab55c29a88083fdfb28ec8ae1078b64c8f23b9dd59bfd4c0",
+        (3, (8, 2, 2)): "1d0bc76c237e1bf663cead7ec76371052ccdf2526530931c44bd7eabb3f9108f",
+        (3, (32, 4, 8)): "986a3b74ce360c231638551800c1c6b7e8fe5df59ad7f11b5c2e1e413ae7fe2f",
+    },
+    "unstretched": {
+        (1, (8, 2, 2)): "9458e64d348acfb5ef2dd82953580930b60d4ddd508225c8737bb8adaabc1167",
+        (1, (32, 4, 8)): "f883bd1cdbba75e8e82ff917c4ae187ad4a157585366f071234fa83e8c4a05f0",
+        (2, (8, 2, 2)): "0e6f75f9470dbcfae6d662be8155bb5cfb7f425e1288ec1841e0a99484753e65",
+        (2, (32, 4, 8)): "c637d7e4e6eb613fbfd4ebe5c5fabf8051ff18acf308af3a7fc623086b5f4f92",
+        (3, (8, 2, 2)): "c637d7e4e6eb613fbfd4ebe5c5fabf8051ff18acf308af3a7fc623086b5f4f92",
+        (3, (32, 4, 8)): "3174e42404f1b6ba7b38df86e1f3c992b6ce5a7f1fedecbcc00cc835a8c93206",
+    },
+    "no-gap": {
+        (1, (8, 2, 2)): "474a81a322b3f4c48ed3f342c61e80bab689fce72e533ff79dc2fdd104ebc06e",
+        (1, (32, 4, 8)): "3e15dfae5e8144892fd6d52d5a62d15b4aa764e05ed2e343ba05891f1d2a6529",
+        (2, (8, 2, 2)): "e79f988cd2feccafac544a26afefb0556819e3722eaa74a2644e920b88cab09f",
+        (2, (32, 4, 8)): "ef133fa483b26df5c22b9fff7285ff76dc230781287d207b57d04f345a2fc79e",
+        (3, (8, 2, 2)): "f14edb1981ed10f99933bed622f12fedc80161e8392886581eace0f8a071b613",
+        (3, (32, 4, 8)): "c9e40de5f4d7da5033e39e9acaf74dafa482e7a3ddf5d12317fba3d9724918b1",
+    },
+}
+
+
+def _bilip_map(tmp_path, seed, grid):
+    import random
+
+    from delone import maps, sampling
+
+    m, n, _ = grid
+    path = tmp_path / f"m{seed}.map"
+    maps.write_map(path, sampling.random_bilip_map(random.Random(seed), 2 * m * n + 1, m + 1))
+    return str(path)
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_BILIP))
+def test_bilip_golden(tmp_path, capsys, args):
+    import hashlib
+
+    got = {}
+    for seed, grid in GOLDEN_BILIP[args]:
+        path = _bilip_map(tmp_path, seed, grid)
+        assert run("bilip", "--map", path, "--grid", *map(str, grid), *_BILIP_ARGS[args]) == 0
+        got[seed, grid] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == GOLDEN_BILIP[args]
+
+
+def test_bilip_extends_the_map_once(tmp_path, capsys, monkeypatch):
+    from delone import maps, rectlab
+
+    calls = []
+    real = maps.hat_extend
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(maps, "hat_extend", counted)
+    monkeypatch.setattr(rectlab, "hat_extend", counted)
+    path = _bilip_map(tmp_path, 1, (8, 2, 2))
+    assert run("bilip", "--map", path, "--grid", "8", "2", "2", *_BILIP_ARGS["stretched"]) == 0
+    assert "deviation_sq" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_bilip_identity_sits_on_the_stretch_bound(tmp_path, capsys):
+    """With lambda 0 every identity step equals the bound: no violation
+    (the check is strict) and the first step is the expanding witness
+    (the search is not)."""
+    from delone import maps, rectlab
+
+    path = tmp_path / "id.map"
+    maps.write_map(path, rectlab.identity_on(rectlab.GridSpec(4, 2, 2)))
+    assert run("bilip", "--map", str(path), "--grid", "4", "2", "2", "--lambda", "0",
+               "--expand", "1/2,1") == 0
+    assert capsys.readouterr().out == "violations\t0\nexpanding_witness\t(0, 0)\twitness found\n"

@@ -10,7 +10,16 @@ from hypothesis import given, settings, strategies as st
 from delone import cli
 from delone import hierarchy as H
 from delone.hierarchy import AltBottomArrangement, DenseArrangement, HierarchySpec, Level
-from delone.patch import Patch, PatchFormatError, dumps_patch, dumps_pbm, loads_pbm
+from delone.maps import parse_map
+from delone.patch import (
+    Patch,
+    PatchFormatError,
+    dumps_patch,
+    dumps_pbm,
+    loads_patch,
+    loads_pbm,
+    read_points,
+)
 
 
 def _joined_dhs(spec: HierarchySpec) -> str:
@@ -114,6 +123,21 @@ def test_dhs_writer_covers_both_id_paths():
         assert text.endswith("arrangement 2 2\n" + " ".join(map(str, ids[1])) + "\n"
                              + " ".join(map(str, ids[0])) + "\n")
         assert H.loads_spec(text).levels[0].arrangements[0].grid.tolist() == ids
+
+
+def test_dense_grids_keep_the_smallest_id_dtype(tmp_path):
+    """Both id paths of the loader give uint8 grids when the ids fit, and a
+    dense grid keeps the smallest dtype that holds its id range."""
+    out = tmp_path / "c.dhs"
+    assert cli.main(["gen", "--construction", "choquet", "--depth", "2", "--mode", "rigorous",
+                     "--out", str(out)]) == 0
+    spec = H.loads_spec(out.read_text())
+    assert {arr.grid.dtype for lv in spec.levels for arr in lv.arrangements} == {np.dtype(np.uint8)}
+    base = [Patch(np.ones((1, 1), dtype=np.uint8))] * 12
+    text = H.dumps_spec(HierarchySpec(base, [Level([DenseArrangement(np.array([[10, 1], [12, 3]]))])]))
+    assert H.loads_spec(text).levels[0].arrangements[0].grid.dtype == np.uint8
+    for ids, dtype in (([[1, 255]], np.uint8), ([[1, 256]], np.uint16), ([[1, 2**40]], np.uint64)):
+        assert DenseArrangement(np.array(ids, dtype=np.int64)).grid.dtype == dtype
 
 
 # ----------------------------------------------------------------------
@@ -324,3 +348,69 @@ def test_garbage_pbm_loads_or_is_a_format_error(text, magic):
     except PatchFormatError:
         return
     assert set(np.unique(p.cells)) <= {0, 1}
+
+
+# ----------------------------------------------------------------------
+# .dpf patches, points files and map files
+# ----------------------------------------------------------------------
+
+_FIELD = st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["x", "1.5", "99999999999999999999"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_garbage_patch_loads_or_is_a_format_error(data):
+    """Random .dpf headers, with and without the full_boundary flag, over
+    0/1 bodies either load or raise PatchFormatError."""
+    w, h = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    fields = [str(w), str(h), "0", "0"]
+    if data.draw(st.booleans()):
+        fields[data.draw(st.integers(0, 3))] = data.draw(_FIELD)
+    flag = data.draw(st.sampled_from(["", " full_boundary", " full", " full_boundary x"]))
+    ones = data.draw(st.booleans())  # an all-ones body satisfies the flag
+    lo, hi = (max(0, w - 1), w + 1) if data.draw(st.booleans()) else (w, w)  # ragged rows or not
+    rows = [
+        "1" * w if ones else data.draw(st.text("01", min_size=lo, max_size=hi))
+        for _ in range(data.draw(st.sampled_from([h, h - 1, h + 1])))
+    ]
+    text = f"PATCH {' '.join(fields)}{flag}\n" + "".join(r + "\n" for r in rows)
+    try:
+        p = loads_patch(text)
+    except PatchFormatError:
+        return
+    assert (p.width, p.height) == (int(fields[0]), int(fields[1]))
+    assert p.full_boundary == bool(flag) and (not flag or p.boundary_full())
+
+
+def test_patch_with_an_empty_boundary_cell_is_a_format_error():
+    with pytest.raises(PatchFormatError, match="full_boundary"):
+        loads_patch("PATCH 2 2 0 0 full_boundary\n11\n10\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123 -x#\n\t", max_size=40))
+def test_garbage_points_load_or_are_a_format_error(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "p.txt"
+        path.write_text(text)
+        try:
+            pts = read_points(path)
+        except PatchFormatError:
+            return
+    assert all(len(p) == 2 and all(isinstance(c, int) for c in p) for p in pts)
+
+
+_MAP_LINE = st.one_of(
+    st.tuples(*[st.integers(0, 3)] * 4).map(lambda t: f"{t[0]} {t[1]} -> {t[2]} {t[3]}"),
+    st.text(alphabet="012 ->x#", max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_MAP_LINE, max_size=8))
+def test_garbage_map_loads_or_is_a_format_error(lines):
+    try:
+        f = parse_map("\n".join(lines))
+    except PatchFormatError:
+        return
+    assert f.images and len(set(f.images.values())) == len(f.images)

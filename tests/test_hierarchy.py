@@ -121,11 +121,32 @@ def test_materialize_peak_is_one_byte_a_cell(choq_big):
     assert peak < 1.1 * cells.size
 
 
+@pytest.mark.parametrize("r", [2, 6])
+def test_repetitivity_peak_is_under_its_charge(ue3, r):
+    """The cap charges 3 * itemsize bytes a window cell (uint16 codes for
+    r <= 4, uint64 above), and the traced peak stays under that charge."""
+    window = H.materialize(ue3.spec, 6, 1)
+    charge = 3 * np.dtype(H._code_dtype(r)).itemsize * window.side**2
+    with pytest.raises(CapacityError, match=f"requires {charge} cells"):
+        H.estimate_repetitivity(window, r, cap=charge - 1)
+    # numpy imports numpy.ma (about 1 MB) on its first np.unique call
+    H.estimate_repetitivity(window.subpatch(0, 0, 3 * r, 3 * r), r)
+    tracemalloc.start()
+    try:
+        H.estimate_repetitivity(window, r, cap=charge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert window.side == 972
+    assert peak < charge
+
+
 # ----------------------------------------------------------------------
 # the cell cap: one check on every path that allocates cells
 # ----------------------------------------------------------------------
 
-CAP_PATHS = ["materialize", "direct scan", "seam strip", "block-aligned count", "cli export"]
+CAP_PATHS = ["materialize", "direct scan", "seam strip", "block-aligned count", "cli export",
+             "repetitivity", "cli repetitivity"]
 
 
 @pytest.mark.parametrize("path", CAP_PATHS)
@@ -138,13 +159,14 @@ def test_cell_cap_on_every_path(path, tmp_path, capsys, monkeypatch):
     H.write_spec(tmp_path / "t.dhs", spec)
     monkeypatch.setenv("DELONE_CELL_CAP", "1")
 
-    def export(cap):
-        flag = [] if cap is None else ["--cell-cap", str(cap)]
-        rc = cli.main(["export", "--spec", str(tmp_path / "t.dhs"), "--level", "3",
-                       "--format", "dpf", *flag, "--out", str(tmp_path / "o")])
-        if rc == 3:
-            raise CapacityError(capsys.readouterr().err)
-        assert rc == 0
+    def command(*argv):
+        def call(cap):
+            flag = [] if cap is None else ["--cell-cap", str(cap)]
+            rc = cli.main([*argv, "--spec", str(tmp_path / "t.dhs"), "--level", "3", *flag])
+            if rc == 3:
+                raise CapacityError(capsys.readouterr().err)
+            assert rc == 0
+        return call
 
     need, run = {
         "materialize": (36 * 36, lambda cap: H.materialize(spec, 3, 1, cap=cap)),
@@ -157,7 +179,11 @@ def test_cell_cap_on_every_path(path, tmp_path, capsys, monkeypatch):
             spec, Patch(top[:8, :8]), 3, 1, SLIDING, cap=cap)),
         "block-aligned count": (12 * 12, lambda cap: H.count_occurrences(
             spec, Patch(top[:12, :12]), 3, 1, BLOCK_ALIGNED, cap=cap)),
-        "cli export": (36 * 36, export),
+        "cli export": (36 * 36, command("export", "--format", "dpf", "--out", str(tmp_path / "o"))),
+        # 2-byte codes: three of them a window cell
+        "repetitivity": (6 * 36 * 36, lambda cap: H.estimate_repetitivity(Patch(top), 2, cap=cap)),
+        # the window passes its own check, then its codes are refused
+        "cli repetitivity": (6 * 36 * 36, command("repetitivity", "--r", "2")),
     }[path]
     run(need)
     with pytest.raises(CapacityError, match=rf"requires {need} cells \(cap {need - 1}\)"):
