@@ -19,6 +19,7 @@ inverse limit is not machine-checkable and is reported as such.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -35,7 +36,7 @@ from .hierarchy import (
     _imat_mul,
     check_cells,
 )
-from .patch import Patch
+from .patch import Patch, PatchFormatError, _data_lines, _fields
 
 IntMatrix = list[list[int]]  # rows x cols, entry [i][j]
 
@@ -575,15 +576,19 @@ def read_matrices_file(path) -> ChoquetSeq:
 
     Format: a ``p`` line with the scale sequence, an ``r`` line with the
     stripe counts (one per step), then one ``matrix <rows> <cols>`` block
-    per step.  Matrix n must be k_n x k_{n+1}; validation is reported by
-    :func:`validate_choquet_seq`, not silently assumed.
+    per step, every number a positive integer.  Matrix n must be
+    k_n x k_{n+1}; validation is reported by :func:`validate_choquet_seq`,
+    not silently assumed.
     """
-    lines = []
     with open(path) as fh:
-        for ln in fh:
-            ln = ln.split("#", 1)[0].strip()
-            if ln:
-                lines.append(ln)
+        lines = _data_lines(fh.read())
+    try:
+        return _parse_matrices(lines)
+    except PatchFormatError as exc:  # a line that is not its layout
+        raise SimplexBuildError(str(exc)) from None
+
+
+def _parse_matrices(lines: list[str]) -> ChoquetSeq:
     p: list[int] | None = None
     r: list[int] | None = None
     mats: list[IntMatrix] = []
@@ -592,24 +597,22 @@ def read_matrices_file(path) -> ChoquetSeq:
     while i < len(lines):
         parts = lines[i].split()
         if parts[0] == "p":
-            p = _line_ints(lines[i], parts[1:])
+            p = _positive_fields(lines[i], "p" + " #" * (len(parts) - 1))
             i += 1
         elif parts[0] == "r":
-            r = _line_ints(lines[i], parts[1:])
+            r = _positive_fields(lines[i], "r" + " #" * (len(parts) - 1))
             i += 1
         elif parts[0] == "dim":
-            (dim,) = _header_sizes(lines[i], 1)
+            (dim,) = _positive_fields(lines[i], "dim #")
             i += 1
         elif parts[0] == "matrix":
-            rows, cols = _header_sizes(lines[i], 2)
+            rows, cols = _positive_fields(lines[i], "matrix # #")
             body = lines[i + 1 : i + 1 + rows]
             if len(body) != rows:
                 raise SimplexBuildError("truncated matrix block")
-            mat = [_line_ints(ln, ln.split()) for ln in body]
+            mat = [_positive_fields(ln, " #" * len(ln.split())) for ln in body]
             if any(len(row) != cols for row in mat):
                 raise SimplexBuildError("matrix row width mismatch")
-            if any(v < 1 for row in mat for v in row):
-                raise SimplexBuildError("matrix entries must be positive integers")
             mats.append(mat)
             i += 1 + rows
         else:
@@ -633,38 +636,26 @@ def read_matrices_file(path) -> ChoquetSeq:
     return ChoquetSeq(dim, sz.p, sz.q, sz.r, sz.l, tuple(k), mats, mode="toy")
 
 
-def _line_ints(line: str, fields: list[str]) -> list[int]:
-    try:
-        return [int(f) for f in fields]
-    except ValueError:
-        raise SimplexBuildError(f"non-integer field in line {line!r}") from None
-
-
-def _header_sizes(line: str, n: int) -> list[int]:
-    """The n positive integers after the keyword of a ``dim`` or ``matrix`` line."""
-    fields = line.split()[1:]
-    if len(fields) != n or not all(f.isdecimal() and int(f) > 0 for f in fields):
-        raise SimplexBuildError(f"need {n} positive integer(s) after the keyword: {line!r}")
-    return [int(f) for f in fields]
+def _positive_fields(line: str, layout: str) -> list[int]:
+    """:func:`_fields` of a matrices-file line, each one a positive integer."""
+    vals = _fields(line, layout)
+    if min(vals, default=1) < 1:
+        raise SimplexBuildError(f"fields must be positive integers: {line!r}")
+    return vals
 
 
 def read_simplex_spec(path) -> "int | ChoquetSeq":
     """`extreme_points <e>` or `matrices <path>` (relative to the spec file)."""
-    import os
-
     with open(path) as fh:
-        for ln in fh:
-            ln = ln.split("#", 1)[0].strip()
-            if not ln:
-                continue
-            key, val = (ln.split(None, 1) + [""])[:2]
-            if key == "extreme_points" and val.isdecimal():
-                return int(val)
-            if key == "matrices" and val:
-                mp = val if os.path.isabs(val) else os.path.join(os.path.dirname(path), val)
-                return read_matrices_file(mp)
-            raise SimplexBuildError(f"expected 'extreme_points <e>' or 'matrices <path>', got {ln!r}")
-    raise SimplexBuildError("empty simplex spec file")
+        lines = _data_lines(fh.read())
+    if not lines:
+        raise SimplexBuildError("empty simplex spec file")
+    key, val = (lines[0].split(None, 1) + [""])[:2]
+    if key == "extreme_points" and val.isdecimal():
+        return int(val)
+    if key == "matrices" and val:
+        return read_matrices_file(os.path.join(os.path.dirname(path), val))
+    raise SimplexBuildError(f"expected 'extreme_points <e>' or 'matrices <path>', got {lines[0]!r}")
 
 
 @dataclass

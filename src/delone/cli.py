@@ -33,20 +33,6 @@ def _show(x: Fraction, limit: int = 48) -> str:
     return f"~{float(x):.12g} ({len(str(x.numerator))}/{len(str(x.denominator))} digits)"
 
 
-def _read_params(path: str) -> dict[str, str]:
-    out = {}
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.split("#", 1)[0].strip()
-            if not ln:
-                continue
-            if "=" not in ln:
-                raise ValueError(f"bad parameter line: {ln!r}")
-            k, v = ln.split("=", 1)
-            out[k.strip()] = v.strip()
-    return out
-
-
 def _schedule_from(args, depth: int) -> nonrect.LSchedule:
     n1 = frozenset(int(t) for t in args.n1_steps.split(",") if t) if args.n1_steps else frozenset()
     if args.L_schedule:
@@ -56,25 +42,34 @@ def _schedule_from(args, depth: int) -> nonrect.LSchedule:
     return nonrect.LSchedule(vals, n1_steps=n1)
 
 
+# The --params keys: the gen flag each one sets, and whether its value is an integer.
+_PARAMS = {
+    "L_schedule": ("L_schedule", False),
+    "depth": ("depth", True),
+    "mode": ("mode", False),
+    "m": ("m", True),
+    "N": ("blocks", True),
+    "ell": ("ell", True),
+    "P_star": ("p_star", True),
+    "d1p": ("d1p", False),
+    "d2p": ("d2p", False),
+    "N1_steps": ("n1_steps", False),
+}
+
+
 def _apply_param_file(args) -> None:
+    """Set gen flags from ``key=value`` lines; an unknown key or a
+    non-integer value where one is due is a one-line error naming it."""
     if not args.params:
         return
-    kv = _read_params(args.params)
-    mapping = {
-        "L_schedule": ("L_schedule", str),
-        "depth": ("depth", int),
-        "mode": ("mode", str),
-        "m": ("m", int),
-        "N": ("blocks", int),
-        "ell": ("ell", int),
-        "P_star": ("p_star", int),
-        "d1p": ("d1p", str),
-        "d2p": ("d2p", str),
-        "N1_steps": ("n1_steps", str),
-    }
-    for key, (attr, conv) in mapping.items():
-        if key in kv:
-            setattr(args, attr, conv(kv[key]))
+    with open(args.params) as fh:
+        lines = patch._data_lines(fh.read())
+    for ln in lines:
+        key, eq, val = (t.strip() for t in ln.partition("="))
+        if not eq or key not in _PARAMS:
+            raise ValueError(f"--params reads {', '.join(_PARAMS)} as key=value, got {ln!r}")
+        attr, is_int = _PARAMS[key]
+        setattr(args, attr, patch._fields(ln, f"{key} = #")[0] if is_int else val)
 
 
 # The gen flags each construction reads, besides --construction, --depth,

@@ -22,10 +22,8 @@ too large to store explicitly in rigorous parameter regimes.
 
 from __future__ import annotations
 
-import functools
 import operator
 import os
-import re
 from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass, field
@@ -34,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .patch import Patch, PatchFormatError, Point, _text_buf, dumps_patch, parse_patch_lines
+from .patch import Patch, PatchFormatError, Point, _fields, _text_buf, dumps_patch, parse_patch_lines
 
 BLOCK_ALIGNED = "block_aligned"
 SLIDING = "sliding"
@@ -179,9 +177,10 @@ class DenseArrangement:
         g = np.asarray(self.grid)
         if g.ndim != 2 or g.size == 0:
             raise SpecError("arrangement grid must be a nonempty matrix")
-        if g.dtype.itemsize > 1:  # one byte is already the smallest
-            g = g.astype(np.result_type(np.min_scalar_type(g.min()), np.min_scalar_type(g.max())))
-        g = np.ascontiguousarray(g)
+        dtype = g.dtype
+        if dtype.itemsize > 1:  # one byte is already the smallest
+            dtype = np.result_type(np.min_scalar_type(g.min()), np.min_scalar_type(g.max()))
+        g = np.array(g, dtype=dtype, order="C")  # a private copy, so the caller's array stays writable
         g.flags.writeable = False
         object.__setattr__(self, "grid", g)
 
@@ -1114,24 +1113,6 @@ def loads_spec(text: str) -> HierarchySpec:
         raise
     except ValueError as exc:  # SpecError and the patch checks
         raise PatchFormatError(str(exc)) from None
-
-
-def _fields(line: str, layout: str) -> list[int]:
-    """The integers of a header line laid out as ``layout``: keywords, and
-    ``#`` for each integer field, separated by whitespace."""
-    m = _layout_re(layout).fullmatch(line)
-    if m is not None:
-        try:
-            return [int(g) for g in m.groups()]
-        except ValueError:
-            pass
-    raise PatchFormatError(f"expected {layout!r}, got {line!r}")
-
-
-@functools.lru_cache(maxsize=None)
-def _layout_re(layout: str) -> re.Pattern:
-    words = (r"(\S+)" if w == "#" else re.escape(w) for w in layout.split())
-    return re.compile(r"\s*" + r"\s+".join(words) + r"\s*")
 
 
 def _parse_spec(lines: list[str]) -> HierarchySpec:

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .hierarchy import check_cells
-from .patch import Patch, PatchFormatError, Point
+from .patch import Patch, PatchFormatError, Point, _data_lines, _fields
 
 Window = tuple[int, int, int, int]  # x0, y0, x1, y1 inclusive
 
@@ -160,10 +160,6 @@ class DistortionReport:
     @property
     def min_expansion(self) -> float:
         return float(self.min_expansion_sq) ** 0.5
-
-    @property
-    def bilip_constant(self) -> float:
-        return float(self.bilip_sq) ** 0.5
 
 
 def _twice_value(f, p: Point) -> Point:
@@ -341,16 +337,8 @@ def dumps_map(f: CandidateMap) -> str:
 
 def parse_map(text: str, window: Window | None = None) -> CandidateMap:
     imgs: dict[Point, Point] = {}
-    for ln in text.splitlines():
-        ln = ln.split("#", 1)[0].strip()
-        if not ln:
-            continue
-        try:
-            src, dst = ln.split("->")
-            x, y = (int(t) for t in src.split())
-            u, v = (int(t) for t in dst.split())
-        except ValueError as exc:
-            raise PatchFormatError(f"bad map line: {ln!r}") from exc
+    for ln in _data_lines(text):
+        x, y, u, v = _fields(ln, "# # -> # #")
         if (x, y) in imgs:
             raise PatchFormatError(f"repeated source point in map line: {ln!r}")
         imgs[(x, y)] = (u, v)

@@ -9,6 +9,8 @@ and densities are ``fractions.Fraction``.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -20,6 +22,37 @@ Point = tuple[int, int]
 
 class PatchFormatError(ValueError):
     """Raised on malformed patch/points/map files."""
+
+
+def _data_lines(text: str) -> list[str]:
+    """The lines of ``text`` with ``#`` comments and surrounding blanks cut;
+    lines left empty are dropped."""
+    return [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
+
+
+def _fields(line: str, layout: str) -> list[int]:
+    """The integers of a line laid out as ``layout``: keywords, and ``#``
+    for each integer field, separated by whitespace.  Next to punctuation
+    such as ``->`` or ``=`` the whitespace may be left out."""
+    m = _layout_re(layout).fullmatch(line)
+    if m is not None:
+        try:
+            return [int(g) for g in m.groups()]
+        except ValueError:
+            pass
+    raise PatchFormatError(f"expected {layout!r}, got {line!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _layout_re(layout: str) -> re.Pattern:
+    words = layout.split()
+    pat = r"\s*"
+    for i, w in enumerate(words):
+        if i:
+            pair = (words[i - 1], w)
+            pat += r"\s+" if all(v == "#" or v.isidentifier() for v in pair) else r"\s*"
+        pat += r"(\S+)" if w == "#" else re.escape(w)
+    return re.compile(pat + r"\s*")
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,27 +242,12 @@ def dumps_patch(patch: Patch) -> str:
     return _dpf_head(patch) + _text_rows(patch.cells, sep=False)
 
 
-def _parse_patch_header(line: str):
-    parts = line.split()
-    if not parts or parts[0] != "PATCH":
-        raise PatchFormatError(f"expected PATCH header, got: {line!r}")
-    if len(parts) not in (5, 6):
-        raise PatchFormatError(f"bad PATCH header: {line!r}")
-    try:
-        w, h, ox, oy = (int(p) for p in parts[1:5])
-    except ValueError:
-        raise PatchFormatError(f"bad PATCH header: {line!r}") from None
-    flag = len(parts) == 6
-    if flag and parts[5] != "full_boundary":
-        raise PatchFormatError(f"unknown flag {parts[5]!r}")
-    return w, h, ox, oy, flag
-
-
 def parse_patch_lines(lines: list[str], start: int = 0) -> tuple[Patch, int]:
     """Parse one PATCH block from ``lines[start:]``; returns (patch, next index)."""
     if start >= len(lines):
         raise PatchFormatError("missing PATCH block")
-    w, h, ox, oy, flag = _parse_patch_header(lines[start])
+    flag = lines[start].split()[-1:] == ["full_boundary"]
+    w, h, ox, oy = _fields(lines[start], "PATCH # # # # full_boundary" if flag else "PATCH # # # #")
     rows = lines[start + 1 : start + 1 + h]
     if len(rows) != h:
         raise PatchFormatError("truncated patch body")
@@ -275,18 +293,8 @@ def write_points(path, points: Iterable[Point], comment: str | None = None) -> N
 
 
 def read_points(path) -> list[Point]:
-    pts = []
     with open(path) as fh:
-        for ln in fh:
-            ln = ln.split("#", 1)[0].strip()
-            if not ln:
-                continue
-            try:
-                x, y = map(int, ln.split())
-            except ValueError:
-                raise PatchFormatError(f"bad points line: {ln!r}") from None
-            pts.append((x, y))
-    return pts
+        return [tuple(_fields(ln, "# #")) for ln in _data_lines(fh.read())]
 
 
 def _pbm_head(patch: Patch) -> str:
@@ -306,16 +314,8 @@ def write_pbm(path, patch: Patch) -> None:
 def loads_pbm(text: str) -> Patch:
     """Parse plain PBM ("P1"); raster bits may be separated by whitespace
     or run together. Malformed text raises :class:`PatchFormatError`."""
-    toks = []
-    for ln in text.splitlines():
-        ln = ln.split("#", 1)[0]
-        toks.extend(ln.split())
-    if not toks or toks[0] != "P1":
-        raise PatchFormatError("not a plain PBM file")
-    try:
-        w, h = int(toks[1]), int(toks[2])
-    except (IndexError, ValueError):
-        raise PatchFormatError("PBM header needs an integer width and height") from None
+    toks = " ".join(_data_lines(text)).split()
+    w, h = _fields(" ".join(toks[:3]), "P1 # #")
     if w < 1 or h < 1:
         raise PatchFormatError(f"PBM size {w} x {h} is not positive")
     bits = "".join(toks[3:])

@@ -249,6 +249,16 @@ def corner_count(f: CandidateMap, grid: GridSpec, k: int) -> int:
     )
 
 
+def _corner_counts(f: CandidateMap, grid: GridSpec) -> dict[int, int]:
+    """:func:`corner_count` of every square k = 1..2N, in one pass over the domain."""
+    counts = dict.fromkeys(range(1, 2 * grid.N + 1), 0)
+    for x, y in f.images:
+        k = x // grid.M + 1
+        if 0 <= y < grid.M and k in counts:
+            counts[k] += 1
+    return counts
+
+
 class SquareDensityError(ValueError):
     """The claimed corner-density gap does not hold for any square pair."""
 
@@ -281,7 +291,7 @@ def expanding_pair_search(
     msq = grid.M**2
     pair = None
     if verify_densities:
-        counts = {kk: corner_count(f, grid, kk) for kk in range(1, 2 * grid.N + 1)}
+        counts = _corner_counts(f, grid)
         lo_k = k if k is not None else 1
         hi_k = k if k is not None else 2 * grid.N - 1
         for kk in range(lo_k, hi_k + 1):
@@ -509,21 +519,6 @@ def _near_segment_mask(px, py, ax, ay, bx, by, tsq) -> np.ndarray:
     cross = wx * dy - wy * dx
     mid = cross * cross <= tsq * dd
     return np.where(before, ww <= tsq, np.where(after, endb, mid))
-
-
-def _pt_seg_dist_sq_le(p: RatPoint, a: RatPoint, b: RatPoint, tsq: Fraction) -> bool:
-    wx, wy = p[0] - a[0], p[1] - a[1]
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    dd = dx * dx + dy * dy
-    if dd == 0:
-        return wx * wx + wy * wy <= tsq
-    wd = wx * dx + wy * dy
-    if wd <= 0:
-        return wx * wx + wy * wy <= tsq
-    if wd >= dd:
-        ux, uy = p[0] - b[0], p[1] - b[1]
-        return ux * ux + uy * uy <= tsq
-    return (wx * wx + wy * wy) * dd - wd * wd <= tsq * dd
 
 
 # ----------------------------------------------------------------------

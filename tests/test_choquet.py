@@ -5,7 +5,7 @@ import pytest
 
 from delone import choquet as C
 from delone import hierarchy as H
-from delone.patch import has_even_column_property
+from delone.patch import PatchFormatError, has_even_column_property
 
 
 # ----------------------------------------------------------------------
@@ -361,3 +361,13 @@ def test_build_depth_exceeding_sequence_rejected(tmp_path):
     seq = C.read_matrices_file(mats)
     with pytest.raises(ValueError, match="holds 2 levels"):
         C.build_choquet_spec(2, 3, mode="toy", seq=seq)
+
+
+def test_a_malformed_matrices_header_is_a_simplex_build_error(tmp_path):
+    """The shared line parser raises PatchFormatError; the matrices reader
+    keeps its own error class for library callers."""
+    mats = tmp_path / "m.txt"
+    mats.write_text("p 4 32\nr 1\nmatrix 3\n1 1 1\n30 30 12\n33 33 51\n")
+    with pytest.raises(C.SimplexBuildError, match="'matrix 3'") as exc:
+        C.read_matrices_file(mats)
+    assert not isinstance(exc.value, PatchFormatError)

@@ -290,6 +290,43 @@ def test_gen_choquet_non_integer_matrices_field(tmp_path, capsys, bad, line):
     assert err.count("\n") == 1 and repr(line) in err
 
 
+@pytest.mark.parametrize("good,line", [("p 4 32", "p 0 32"), ("p 4 32", "p 4 -8"), ("r 1", "r 0")])
+def test_gen_choquet_non_positive_scale_exits_2(tmp_path, capsys, good, line):
+    text = "p 4 32\nr 1\nmatrix 3 3\n1 1 1\n30 30 12\n33 33 51\n".replace(good, line)
+    (tmp_path / "mats.txt").write_text(text)
+    (tmp_path / "simplex.cfg").write_text("matrices mats.txt\n")
+    rc = run("gen", "--construction", "choquet", "--depth", "2",
+             "--simplex-spec", str(tmp_path / "simplex.cfg"), "--out", str(tmp_path / "x.dhs"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(line) in err
+
+
+@pytest.mark.parametrize("construction,line", [("nonrect", "blocks=3"), ("choquet", "ratio_cap=64"),
+                                               ("nonrect", "=3"), ("nonrect", "N 3")])
+def test_gen_rejects_a_param_key_it_does_not_read(tmp_path, capsys, construction, line):
+    pf = tmp_path / "p.cfg"
+    pf.write_text(f"mode=toy\n{line}\n")
+    out = tmp_path / "x.dhs"
+    rc = run("gen", "--construction", construction, "--depth", "2", "--params", str(pf),
+             "--out", str(out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(line) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["depth=abc", "N = 1.5", "ell="])
+def test_gen_param_file_names_a_non_integer_value(tmp_path, capsys, line):
+    pf = tmp_path / "p.cfg"
+    pf.write_text(f"mode=toy\n{line}\n")
+    rc = run("gen", "--construction", "nonrect", "--depth", "1", "--params", str(pf),
+             "--out", str(tmp_path / "x.dhs"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(line) in err
+
+
 def test_needle_with_an_empty_full_boundary_cell_exits_2(tmp_path, capsys):
     spec = tmp_path / "n.dhs"
     run("gen", "--construction", "nonrect", "--depth", "1", "--out", str(spec))

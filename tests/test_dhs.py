@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from delone import cli
 from delone import hierarchy as H
+from delone.choquet import read_matrices_file, read_simplex_spec
 from delone.hierarchy import AltBottomArrangement, DenseArrangement, HierarchySpec, Level
 from delone.maps import parse_map
 from delone.patch import (
@@ -138,6 +139,14 @@ def test_dense_grids_keep_the_smallest_id_dtype(tmp_path):
     assert H.loads_spec(text).levels[0].arrangements[0].grid.dtype == np.uint8
     for ids, dtype in (([[1, 255]], np.uint8), ([[1, 256]], np.uint16), ([[1, 2**40]], np.uint64)):
         assert DenseArrangement(np.array(ids, dtype=np.int64)).grid.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_dense_arrangement_leaves_the_callers_array_writable(dtype):
+    a = np.array([[1, 2]], dtype=dtype)
+    arr = DenseArrangement(a)
+    a[0, 0] = 3
+    assert arr.grid.tolist() == [[1, 2]] and not arr.grid.flags.writeable
 
 
 # ----------------------------------------------------------------------
@@ -414,3 +423,74 @@ def test_garbage_map_loads_or_is_a_format_error(lines):
     except PatchFormatError:
         return
     assert f.images and len(set(f.images.values())) == len(f.images)
+
+
+# ----------------------------------------------------------------------
+# inputs that load, in every text format
+# ----------------------------------------------------------------------
+
+MATS = "p 4 32\nr 1\nmatrix 3 3\n1 1 1\n30 30 12\n33 33 51\n"
+SEQ = ((4, 32), (3, 3), [[[1, 1, 1], [30, 30, 12], [33, 33, 51]]])
+IDENTITY = {(0, 0): (0, 0), (1, 0): (1, 0), (2, 0): (2, 0)}
+
+
+def _from_file(reader):
+    def load(tmp_path, text):
+        path = tmp_path / "in.txt"
+        path.write_text(text.format(dir=tmp_path))
+        return reader(path)
+    return load
+
+
+def _seq(seq):
+    return seq if isinstance(seq, int) else (seq.p, seq.k, seq.A)
+
+
+def _simplex(path):
+    (path.parent / "mats.txt").write_text(MATS)
+    return _seq(read_simplex_spec(path))
+
+
+def _gen_levels(path):
+    out = path.parent / "n.dhs"
+    argv = ["gen", "--construction", "nonrect", "--depth", "1", "--params", str(path), "--out", str(out)]
+    assert cli.main(argv) == 0
+    spec = H.read_spec(out)
+    return spec.num_levels, spec.levels[0].arrangements[0].rows
+
+
+def _dpf(tmp_path, text):
+    p = loads_patch(text)
+    return str(p), p.origin, p.full_boundary
+
+
+LOADS = [
+    ("map arrow between blanks", lambda _, t: parse_map(t).images,
+     "0 0 -> 0 0\n1 0 -> 1 0\n2 0 -> 2 0\n", IDENTITY),
+    ("map arrow without blanks", lambda _, t: parse_map(t).images,
+     "0 0->0 0\n1 0->1 0\n2 0->2 0\n", IDENTITY),
+    ("map arrow after a blank", lambda _, t: parse_map(t).images,
+     "0 0 ->0 0\n1 0 ->1 0\n2 0-> 2 0\n", IDENTITY),
+    ("map tabs and trailing comments", lambda _, t: parse_map(t).images,
+     "# identity\n0\t0 -> 0 0  # origin\n\n1 0 -> 1 0\n2 0 -> 2 0 #\n", IDENTITY),
+    ("points tab separated", _from_file(read_points), "1\t2\n-3 4\n", [(1, 2), (-3, 4)]),
+    ("points trailing comments", _from_file(read_points), "# demo\n1 2  # first\n\n  -3   4\n",
+     [(1, 2), (-3, 4)]),
+    ("dpf", _dpf, "PATCH 2 1 3 -4\n10\n", ("10", (3, -4), False)),
+    ("dpf full_boundary", _dpf, "PATCH 2 2 0 0 full_boundary\n11\n11\n", ("11\n11", (0, 0), True)),
+    ("dpf blank lines and extra blanks", _dpf, "\n PATCH  2 1 3 -4 \n\n10\n", ("10", (3, -4), False)),
+    ("pbm bits run together", lambda _, t: str(loads_pbm(t)), "P1\n3 2\n101\n011\n", "101\n011"),
+    ("pbm comments", lambda _, t: str(loads_pbm(t)), "P1 # magic\n3 2 # size\n1 0 1\n0 1 1\n", "101\n011"),
+    ("simplex spec extreme points", _from_file(_simplex), "extreme_points 3  # e\n", 3),
+    ("simplex spec relative matrices path", _from_file(_simplex), "# user\nmatrices mats.txt\n", SEQ),
+    ("simplex spec absolute matrices path", _from_file(_simplex), "matrices {dir}/mats.txt\n", SEQ),
+    ("matrices comments and tabs", _from_file(lambda path: _seq(read_matrices_file(path))),
+     "# scales\np 4\t32  # p\nr 1\n\nmatrix 3 3 # A\n1 1 1\n30 30 12\n33 33 51\n", SEQ),
+    ("gen params blanks and comments", _from_file(_gen_levels),
+     "# a small build\ndepth = 2  # levels\nmode=toy\nN = 3\nm=1\nell = 1\n", (3, 7)),
+]
+
+
+@pytest.mark.parametrize("load,text,want", [c[1:] for c in LOADS], ids=[c[0] for c in LOADS])
+def test_inputs_that_load_keep_loading(tmp_path, load, text, want):
+    assert load(tmp_path, text) == want

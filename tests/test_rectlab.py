@@ -9,6 +9,7 @@ from delone import maps, rectlab as R
 from delone.maps import CandidateMap
 from delone.rectlab import GridSpec
 from delone.sampling import random_closed_polyline
+from tests_oracles import pt_seg_dist_sq_le
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +258,18 @@ def test_expanding_search_accepts_true_density_gap():
     assert res.squares == (2, 3)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_corner_counts_in_one_pass_match_each_square_scan(seed):
+    """The domain reaches past the 2N squares on every side, so the one-pass
+    buckets must drop what lies left, right and above of the corners."""
+    grid = GridSpec(M=3, N=2, P=3)
+    rng = random.Random(seed)
+    window = (-4, -2, 2 * grid.M * grid.N + 5, grid.M + 2)
+    keep = {p for p in maps.window_points(window) if p[0] % 2 == 0 or rng.random() < 0.5}
+    f = CandidateMap(window, {p: p for p in keep})
+    assert R._corner_counts(f, grid) == {k: R.corner_count(f, grid, k) for k in range(1, 2 * grid.N + 1)}
+
+
 # ----------------------------------------------------------------------
 # boundary curves and lattice counting
 # ----------------------------------------------------------------------
@@ -326,7 +339,7 @@ def test_near_segment_mask_exact_across_the_guarded_box():
                          [-20000, 20000, -20000, 20000, -20000, 20000]])
     got = R._near_segment_mask(xs, ys, *a, *b, tsq)
     pts = list(zip(xs.tolist(), ys.tolist()))
-    want = [R._pt_seg_dist_sq_le(p, a, b, tsq) for p in pts]
+    want = [pt_seg_dist_sq_le(p, a, b, tsq) for p in pts]
     assert got.tolist() == want
     assert 0 < sum(want) < len(want)
     dx, dy = b[0] - a[0], b[1] - a[1]
@@ -363,7 +376,7 @@ def test_lattice_count_matches_rational_fallback():
             p = (F(x), F(y))
             vs = tri.vertices
             if any(
-                R._pt_seg_dist_sq_le(p, vs[t], vs[(t + 1) % 3], F(1))
+                pt_seg_dist_sq_le(p, vs[t], vs[(t + 1) % 3], F(1))
                 for t in range(3)
             ):
                 brute += 1

@@ -122,3 +122,20 @@ def repetitivity_oracle(cells: np.ndarray, r: int):
         if good:
             return big
     return None
+
+
+def pt_seg_dist_sq_le(p, a, b, tsq):
+    """dist(p, segment ab)^2 <= tsq, by the three cases of the closest point,
+    on Python numbers (ints or Fractions)."""
+    wx, wy = p[0] - a[0], p[1] - a[1]
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    dd = dx * dx + dy * dy
+    if dd == 0:
+        return wx * wx + wy * wy <= tsq
+    wd = wx * dx + wy * dy
+    if wd <= 0:
+        return wx * wx + wy * wy <= tsq
+    if wd >= dd:
+        ux, uy = p[0] - b[0], p[1] - b[1]
+        return ux * ux + uy * uy <= tsq
+    return (wx * wx + wy * wy) * dd - wd * wd <= tsq * dd
