@@ -9,6 +9,7 @@ into any pass/fail decision.  Exit codes: 0 pass, 1 check failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -25,6 +26,29 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    """A comma list of integers; empty items are skipped."""
+    try:
+        return tuple(int(t) for t in text.split(",") if t)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from exc
+
+
+def _fracs(text: str) -> tuple[Fraction, ...]:
+    """A comma list of rationals; the empty string is the empty list."""
+    try:
+        return tuple(Fraction(t) for t in text.split(",")) if text else ()
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a comma list of rationals: {text!r}") from exc
+
+
+def _frac_pair(text: str) -> tuple[Fraction, Fraction]:
+    pair = _fracs(text)
+    if len(pair) != 2:
+        raise argparse.ArgumentTypeError(f"not two rationals d,d': {text!r}")
+    return pair
+
+
 def _show(x: Fraction, limit: int = 48) -> str:
     """Exact rational when short, decimal approximation otherwise."""
     s = str(x)
@@ -34,32 +58,28 @@ def _show(x: Fraction, limit: int = 48) -> str:
 
 
 def _schedule_from(args, depth: int) -> nonrect.LSchedule:
-    n1 = frozenset(int(t) for t in args.n1_steps.split(",") if t) if args.n1_steps else frozenset()
-    if args.L_schedule:
-        vals = tuple(Fraction(t) for t in args.L_schedule.split(","))
-    else:
-        vals = tuple(Fraction(n) for n in range(1, depth + 1))
-    return nonrect.LSchedule(vals, n1_steps=n1)
+    vals = args.L_schedule or tuple(Fraction(n) for n in range(1, depth + 1))
+    return nonrect.LSchedule(vals, n1_steps=frozenset(args.n1_steps or ()))
 
 
-# The --params keys: the gen flag each one sets, and whether its value is an integer.
+# The --params keys: the gen flag each one sets, and the converter of that flag.
 _PARAMS = {
-    "L_schedule": ("L_schedule", False),
-    "depth": ("depth", True),
-    "mode": ("mode", False),
-    "m": ("m", True),
-    "N": ("blocks", True),
-    "ell": ("ell", True),
-    "P_star": ("p_star", True),
-    "d1p": ("d1p", False),
-    "d2p": ("d2p", False),
-    "N1_steps": ("n1_steps", False),
+    "L_schedule": ("L_schedule", _fracs),
+    "depth": ("depth", int),
+    "mode": ("mode", str),
+    "m": ("m", int),
+    "N": ("blocks", int),
+    "ell": ("ell", int),
+    "P_star": ("p_star", int),
+    "d1p": ("d1p", _frac),
+    "d2p": ("d2p", _frac),
+    "N1_steps": ("n1_steps", _ints),
 }
 
 
 def _apply_param_file(args) -> None:
-    """Set gen flags from ``key=value`` lines; an unknown key or a
-    non-integer value where one is due is a one-line error naming it."""
+    """Set gen flags from ``key=value`` lines; an unknown key or a value
+    its flag would not take is a one-line error quoting the line."""
     if not args.params:
         return
     with open(args.params) as fh:
@@ -68,8 +88,11 @@ def _apply_param_file(args) -> None:
         key, eq, val = (t.strip() for t in ln.partition("="))
         if not eq or key not in _PARAMS:
             raise ValueError(f"--params reads {', '.join(_PARAMS)} as key=value, got {ln!r}")
-        attr, is_int = _PARAMS[key]
-        setattr(args, attr, patch._fields(ln, f"{key} = #")[0] if is_int else val)
+        attr, convert = _PARAMS[key]
+        try:
+            setattr(args, attr, convert(val))
+        except (argparse.ArgumentTypeError, ValueError):
+            raise ValueError(f"--params: bad {key} value in {ln!r}") from None
 
 
 # The gen flags each construction reads, besides --construction, --depth,
@@ -99,11 +122,11 @@ def cmd_gen(args) -> int:
     depth = args.depth
     schedule = _schedule_from(args, depth)
     gaps = None
-    if args.d1p or args.d2p:
-        if not (args.d1p and args.d2p):
+    if args.d1p is not None or args.d2p is not None:
+        if args.d1p is None or args.d2p is None:
             print("gen: d1p and d2p must be given together", file=sys.stderr)
             return 2
-        gaps = (Fraction(args.d1p), Fraction(args.d2p))
+        gaps = (args.d1p, args.d2p)
     given = {"m": args.m, "P_star": args.p_star, "N": args.blocks, "ell": args.ell}
     params = nonrect.BuildParams(**{k: v for k, v in given.items() if v is not None})
     lines = [f"construction {args.construction} depth {depth} mode {args.mode}"]
@@ -291,9 +314,8 @@ def cmd_bilip(args) -> int:
             dev = rectlab.coarse_derivative_deviation(fh, grid, res.k_star)
             print(f"deviation_sq\t{dev.max_sq}\t~{dev.max:.6f}")
     if args.expand is not None:
-        d, dp = (Fraction(t) for t in args.expand.split(","))
         try:
-            res = rectlab.expanding_pair_search(f, grid, args.lam, d, dp)
+            res = rectlab.expanding_pair_search(f, grid, args.lam, *args.expand)
             print(f"expanding_witness\t{res.witness}\t{res.note}")
         except rectlab.SquareDensityError as exc:
             print(f"expanding_witness\tnone\t{exc}")
@@ -331,7 +353,10 @@ def _target_args(p: argparse.ArgumentParser, patch_help: str) -> None:
     p.add_argument("--cell-cap", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``delone`` parser, built on first use and shared by every
+    :func:`main` call; parsing never changes it."""
     ap = argparse.ArgumentParser(prog="delone", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -343,10 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--blocks", type=int, help="alternation count N")
     g.add_argument("--ell", type=int)
     g.add_argument("--p-star", dest="p_star", type=int)
-    g.add_argument("--d1p", help="lower density target (rational)")
-    g.add_argument("--d2p", help="upper density target (rational)")
-    g.add_argument("--L-schedule", dest="L_schedule", help="comma list of rationals")
-    g.add_argument("--n1-steps", dest="n1_steps", help="comma list of steps run with N=1")
+    g.add_argument("--d1p", type=_frac, help="lower density target (rational)")
+    g.add_argument("--d2p", type=_frac, help="upper density target (rational)")
+    g.add_argument("--L-schedule", dest="L_schedule", type=_fracs, help="comma list of rationals")
+    g.add_argument("--n1-steps", dest="n1_steps", type=_ints,
+                   help="comma list of steps run with N=1")
     g.add_argument("--extreme-points", type=int, help="default 2")
     g.add_argument("--simplex-spec", help="file with extreme_points <e> or matrices <path>")
     g.add_argument("--stripe-rule", choices=["literal", "scaled"], help="default literal")
@@ -404,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--grid", nargs=3, type=int, metavar=("M", "N", "P"), required=True)
     b.add_argument("--lambda", dest="lam", type=_frac, required=True)
     b.add_argument("--tau", type=_frac)
-    b.add_argument("--expand", help="d,d' densities for the expanding-pair search")
+    b.add_argument("--expand", type=_frac_pair,
+                   help="d,d' densities for the expanding-pair search")
     b.set_defaults(fn=cmd_bilip)
 
     v = sub.add_parser("verify", help="run a named exact-check suite (TSV)")

@@ -316,15 +316,16 @@ def test_gen_rejects_a_param_key_it_does_not_read(tmp_path, capsys, construction
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["depth=abc", "N = 1.5", "ell="])
+@pytest.mark.parametrize("line", ["depth=abc", "N = 1.5", "ell=", "N1_steps = q"])
 def test_gen_param_file_names_a_non_integer_value(tmp_path, capsys, line):
     pf = tmp_path / "p.cfg"
     pf.write_text(f"mode=toy\n{line}\n")
     rc = run("gen", "--construction", "nonrect", "--depth", "1", "--params", str(pf),
              "--out", str(tmp_path / "x.dhs"))
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and repr(line) in err
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.count("\n") == 1 and repr(line) in got.err
 
 
 def test_needle_with_an_empty_full_boundary_cell_exits_2(tmp_path, capsys):
@@ -511,3 +512,80 @@ def test_bilip_identity_sits_on_the_stretch_bound(tmp_path, capsys):
     assert run("bilip", "--map", str(path), "--grid", "4", "2", "2", "--lambda", "0",
                "--expand", "1/2,1") == 0
     assert capsys.readouterr().out == "violations\t0\nexpanding_witness\t(0, 0)\twitness found\n"
+
+
+@pytest.mark.parametrize("cmd,flags,named", [
+    ("bilip", ("--expand", "3/4"), "--expand"),
+    ("bilip", ("--expand", "a,b"), "--expand"),
+    ("gen", ("--n1-steps", "x"), "--n1-steps"),
+    ("gen", ("--L-schedule", "1,y"), "--L-schedule"),
+    ("gen", ("--d2p", "zz"), "--d2p"),
+], ids=["expand-one", "expand-words", "n1-steps", "L-schedule", "d2p"])
+def test_a_bad_flag_value_exits_2_naming_it_before_any_output(tmp_path, capsys, cmd, flags,
+                                                              named):
+    """argparse prints its usage, then one error line naming the flag."""
+    out = tmp_path / "x.dhs"
+    if cmd == "bilip":
+        argv = ("bilip", "--map", _bilip_map(tmp_path, 1, (8, 2, 2)), "--grid", "8", "2", "2",
+                "--lambda", "1/10", *flags)
+    else:
+        argv = ("gen", "--construction", "nonrect", "--depth", "1", *flags, "--out", str(out))
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    errors = [ln for ln in got.err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and named in errors[0]
+    assert not out.exists()
+
+
+def _fresh(*argv):
+    """Run argv on a newly built parser, as a one-shot process would."""
+    args = cli.build_parser.__wrapped__().parse_args(list(argv))
+    return args.fn(args)
+
+
+def test_build_parser_returns_one_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_param_file_run_leaves_nothing_for_the_next_gen(tmp_path):
+    out, ledger = tmp_path / "g.dhs", tmp_path / "g.ledger.txt"
+    plain = ("gen", "--construction", "nonrect", "--depth", "1", "--out", str(out))
+    assert _fresh(*plain) == 0
+    alone = out.read_bytes(), ledger.read_bytes()
+    pf = tmp_path / "p.cfg"
+    pf.write_text("depth=2\nN=2\nN1_steps=2\nL_schedule=1,3/2\nd1p=3/4\nd2p=7/8\n")
+    assert run(*plain[:-2], "--params", str(pf), *plain[-2:]) == 0
+    assert (out.read_bytes(), ledger.read_bytes()) != alone
+    assert run(*plain) == 0
+    assert (out.read_bytes(), ledger.read_bytes()) == alone
+
+
+def test_a_usage_error_leaves_the_parser_ready_for_a_count(tmp_path, capsys):
+    spec, needle = tmp_path / "n.dhs", tmp_path / "n1.dpf"
+    assert run("gen", "--construction", "nonrect", "--depth", "1", "--out", str(spec)) == 0
+    assert run("export", "--spec", str(spec), "--level", "1", "--id", "1", "--format", "dpf",
+               "--out", str(needle)) == 0
+    with pytest.raises(SystemExit) as exc:
+        run("count", "--spec", str(spec), "--needle", str(needle), "--level", "x", "--id", "1")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = ("count", "--spec", str(spec), "--needle", str(needle), "--level", "2", "--id", "1")
+    assert run(*argv) == 0
+    reused = capsys.readouterr().out
+    assert _fresh(*argv) == 0
+    assert capsys.readouterr().out == reused
+
+
+def test_help_matches_a_freshly_built_parser(capsys):
+    import argparse
+
+    def helps(ap):
+        sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        return [ap.format_help(), *(p.format_help() for p in sub.choices.values())]
+
+    assert run("constants", "--L", "1", "--eps", "1/2", "--P", "1") == 0
+    capsys.readouterr()
+    assert helps(cli.build_parser()) == helps(cli.build_parser.__wrapped__())
