@@ -26,6 +26,17 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _frac_in(lo: Fraction, hi: Fraction | None = None):
+    """A converter to a rational x with lo <= x (< hi, when given)."""
+    def convert(text: str) -> Fraction:
+        x = _frac(text)
+        if x < lo or (hi is not None and x >= hi):
+            span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+            raise argparse.ArgumentTypeError(f"not a rational {span}: {text!r}")
+        return x
+    return convert
+
+
 def _ints(text: str) -> tuple[int, ...]:
     """A comma list of integers; empty items are skipped."""
     try:
@@ -428,8 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bilip", help="probe-grid analysis of a candidate map")
     b.add_argument("--map", required=True)
     b.add_argument("--grid", nargs=3, type=int, metavar=("M", "N", "P"), required=True)
-    b.add_argument("--lambda", dest="lam", type=_frac, required=True)
-    b.add_argument("--tau", type=_frac)
+    b.add_argument("--lambda", dest="lam", type=_frac_in(Fraction(0)), required=True,
+                   help="stretch slack, a rational >= 0")
+    b.add_argument("--tau", type=_frac_in(Fraction(0), Fraction(1)), help="a rational in [0, 1)")
     b.add_argument("--expand", type=_frac_pair,
                    help="d,d' densities for the expanding-pair search")
     b.set_defaults(fn=cmd_bilip)

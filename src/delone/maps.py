@@ -6,14 +6,19 @@ point with even first coordinate, which guarantees that the extension
 :func:`hat_extend` is defined on the whole window: a missing point takes
 the value of its right neighbour shifted left by half a step.
 
-Expansion ratios ||f(x)-f(y)|| / ||x-y|| are kept exact by comparing
-squared quantities; extended values live in (1/2)Z^2 and are stored as
-integer pairs scaled by two.
+Maps live in arrays over their window, indexed ``[y - y0, x - x0]``: a
+domain mask and an (H, W, 2) image array.  Extended values live in
+(1/2)Z^2 and are stored as integer pairs scaled by two.  Expansion ratios
+||f(x)-f(y)|| / ||x-y|| are kept exact by comparing squared quantities in
+integer arithmetic: int64 where :func:`_exact` shows that no value can
+overflow, Python ints (``dtype=object``) otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -35,46 +40,141 @@ def window_points(window: Window) -> list[Point]:
     return [(x, y) for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)]
 
 
-@dataclass(frozen=True)
+def _exact(bound: int, *arrays: np.ndarray) -> list[np.ndarray]:
+    """``arrays`` as they are when all are int64 and ``bound`` caps every
+    value the caller forms from them below 2^62; as object arrays of Python
+    ints otherwise.  The one place the int64/Python-int choice is made."""
+    if bound < 2**62 and all(a.dtype == np.int64 for a in arrays):
+        return list(arrays)
+    return [a.astype(object) for a in arrays]
+
+
+def _peak(a: np.ndarray) -> int:
+    """The largest |value| in ``a`` as a Python int (0 when ``a`` is empty)."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _int_pairs(values) -> np.ndarray:
+    """Integer pairs (a sequence or an array) as an (n, 2) array: int64 while
+    a difference of two doubled values stays below 2^62, else Python ints."""
+    try:
+        if not isinstance(values, np.ndarray):
+            values = np.fromiter(itertools.chain.from_iterable(values), dtype=np.int64)
+        a = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        a = np.array(values, dtype=object)
+    a = a.reshape(-1, 2)
+    return _exact(4 * _peak(a), a)[0]
+
+
+def _repeats(pairs: np.ndarray) -> bool:
+    """Whether two rows of the (n, 2) integer array ``pairs`` are equal."""
+    if len(pairs) and pairs.dtype == np.int64:
+        a, b = (c - c.min() for c in pairs.T)
+        w = int(b.max()) + 1
+        if int(a.max()) * w < 2**62:
+            key = np.sort(a * w + b)  # one sort of a radix key
+            return bool((key[1:] == key[:-1]).any())
+    return len(set(map(tuple, pairs.tolist()))) < len(pairs)
+
+
+def _cell(window: Window, p: Point) -> tuple[int, int]:
+    """The array index of ``p`` in ``window``; KeyError outside it."""
+    x0, y0, x1, y1 = window
+    if not (x0 <= p[0] <= x1 and y0 <= p[1] <= y1):
+        raise KeyError(p)
+    return p[1] - y0, p[0] - x0
+
+
+def _cells(window: Window, xs: np.ndarray, ys: np.ndarray):
+    """(inside, iy, ix): which points (xs, ys) lie in ``window``, and their
+    array indices (0 for those outside)."""
+    x0, y0, x1, y1 = window
+    inside = (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
+    return inside, np.where(inside, ys - y0, 0), np.where(inside, xs - x0, 0)
+
+
 class CandidateMap:
-    """Injective map from a window subset (with all even columns) into Z^2."""
+    """Injective map from a window subset (with all even columns) into Z^2.
 
-    window: Window
-    images: Mapping[Point, Point]
+    ``mask[y - y0, x - x0]`` marks the domain and ``image[y - y0, x - x0]``
+    holds f(x, y), zero off the domain; both are read-only.  Built from a
+    mapping ``{point: image}``, or by :func:`parse_map` from a whole text.
+    """
 
-    def __post_init__(self):
-        x0, y0, x1, y1 = self.window
+    def __init__(self, window: Window, images: Mapping[Point, Point]):
+        images = dict(images)
+        self._store(window, _int_pairs(list(images)), _int_pairs(list(images.values())))
+        self.__dict__["images"] = images  # fills the cached property below
+
+    @classmethod
+    def _from_pairs(cls, window: Window, src: np.ndarray, img: np.ndarray) -> "CandidateMap":
+        f = cls.__new__(cls)
+        f._store(window, src, img)
+        return f
+
+    def _store(self, window: Window, src: np.ndarray, img: np.ndarray) -> None:
+        """Check the invariants on distinct source points ``src`` with images
+        ``img`` ((n, 2) arrays, in order), then lay both out over the window."""
+        x0, y0, x1, y1 = window
         if x0 > x1 or y0 > y1:
             raise MapInvariantError("empty window")
-        imgs = dict(self.images)
-        for (x, y) in imgs:
-            if not (x0 <= x <= x1 and y0 <= y <= y1):
-                raise MapInvariantError(f"domain point {(x, y)} outside window")
-        if len(set(imgs.values())) != len(imgs):
+        sx, sy = src.T
+        outside = (sx < x0) | (sx > x1) | (sy < y0) | (sy > y1)
+        if outside.any():
+            x, y = src[np.argmax(outside)].tolist()
+            raise MapInvariantError(f"domain point {(x, y)} outside window")
+        if _repeats(img):
             raise MapInvariantError("map is not injective")
-        for y in range(y0, y1 + 1):
-            for x in range(x0 if x0 % 2 == 0 else x0 + 1, x1 + 1, 2):
-                if (x, y) not in imgs:
-                    raise MapInvariantError(
-                        f"window point {(x, y)} has even x but is not in the domain"
-                    )
-        object.__setattr__(self, "images", imgs)
+        if np.count_nonzero(sx % 2 == 0) < (y1 - y0 + 1) * (x1 // 2 - (x0 - 1) // 2):
+            have = set(zip(sx.tolist(), sy.tolist()))
+            evens = ((x, y) for y in range(y0, y1 + 1) for x in range(x0 + x0 % 2, x1 + 1, 2))
+            miss = next(p for p in evens if p not in have)
+            raise MapInvariantError(f"window point {miss} has even x but is not in the domain")
+        shape = (y1 - y0 + 1, x1 - x0 + 1)
+        check_cells(shape[0] * shape[1], "map window")
+        iy, ix = (sy - y0).astype(np.int64), (sx - x0).astype(np.int64)
+        self.window = window
+        self.mask = np.zeros(shape, dtype=bool)
+        self.mask[iy, ix] = True
+        self.image = np.zeros((*shape, 2), dtype=img.dtype)
+        self.image[iy, ix] = img
+        self.mask.flags.writeable = self.image.flags.writeable = False
+
+    @functools.cached_property
+    def images(self) -> dict[Point, Point]:
+        """The map as a dict ``{point: image}`` of Python ints."""
+        x0, y0 = self.window[:2]
+        iy, ix = np.nonzero(self.mask)
+        vals = self.image[iy, ix].tolist()
+        return {(x + x0, y + y0): tuple(v) for x, y, v in zip(ix.tolist(), iy.tolist(), vals)}
 
     @property
     def domain(self) -> set[Point]:
         return set(self.images)
 
     def __call__(self, p: Point) -> Point:
-        return self.images[p]
+        c = _cell(self.window, p)
+        if not self.mask[c]:
+            raise KeyError(p)
+        return tuple(self.image[c].tolist())
 
     def __contains__(self, p: Point) -> bool:
-        return p in self.images
+        try:
+            return bool(self.mask[_cell(self.window, p)])
+        except KeyError:
+            return False
+
+    def _at(self, xs: np.ndarray, ys: np.ndarray):
+        """(in the domain, image) at the points (xs, ys), integer arrays; the
+        image is meaningless where the first is False."""
+        inside, iy, ix = _cells(self.window, xs, ys)
+        return inside & self.mask[iy, ix], self.image[iy, ix]
 
     def baseline_vector(self) -> Point:
         """f(2MN, 0) - f(0, 0) for a window [0, 2MN] x [0, M]."""
         x0, y0, x1, _ = self.window
-        a = self.images[(x0, y0)]
-        b = self.images[(x1, y0)]
+        a, b = self((x0, y0)), self((x1, y0))
         return (b[0] - a[0], b[1] - a[1])
 
     def translated(self, dd: Point, di: Point) -> "CandidateMap":
@@ -93,22 +193,33 @@ def identity_map(window: Window, domain: Iterable[Point] | None = None) -> Candi
     return CandidateMap(window, {p: p for p in pts})
 
 
-@dataclass(frozen=True)
 class ExtendedMap:
-    """Total map on a window with values in (1/2)Z^2, stored doubled."""
+    """Total map on a window with values in (1/2)Z^2, stored doubled:
+    ``doubled[y - y0, x - x0]`` = 2 f^(x, y).  Built from that array, or
+    from a mapping ``{point: 2 f^(point)}`` over the whole window."""
 
-    window: Window
-    twice_images: Mapping[Point, Point]  # value = 2 * f_hat(point)
+    def __init__(self, window: Window, twice_images: Mapping[Point, Point] | np.ndarray):
+        if not isinstance(twice_images, np.ndarray):
+            x0, y0, x1, y1 = window
+            pairs = _int_pairs([twice_images[p] for p in window_points(window)])
+            twice_images = pairs.reshape(y1 - y0 + 1, x1 - x0 + 1, 2)
+        self.window, self.doubled = window, twice_images
 
     def twice(self, p: Point) -> Point:
-        return self.twice_images[p]
+        return tuple(self.doubled[_cell(self.window, p)].tolist())
 
     def __call__(self, p: Point) -> tuple[Fraction, Fraction]:
-        u, v = self.twice_images[p]
+        u, v = self.twice(p)
         return (Fraction(u, 2), Fraction(v, 2))
 
-    def points(self) -> list[Point]:
-        return window_points(self.window)
+    def _at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """2 f^ at the points (xs, ys), integer arrays; KeyError when one
+        lies outside the window."""
+        inside, iy, ix = _cells(self.window, xs, ys)
+        if not inside.all():
+            t = np.argmin(inside)
+            raise KeyError((int(xs.flat[t]), int(ys.flat[t])))
+        return self.doubled[iy, ix]
 
 
 def hat_extend(f: CandidateMap) -> ExtendedMap:
@@ -117,22 +228,21 @@ def hat_extend(f: CandidateMap) -> ExtendedMap:
     On the domain the extension agrees with ``f``; elsewhere it takes the
     value at the right neighbour minus (1/2, 0).  The right neighbour must
     belong to the domain (it does whenever the missing point has odd x and
-    its neighbour is still inside the window).
+    its neighbour is still inside the window).  One shift of the doubled
+    image array, exact because :func:`_int_pairs` left room for doubling.
     """
-    out: dict[Point, Point] = {}
-    for p in window_points(f.window):
-        if p in f.images:
-            u, v = f.images[p]
-            out[p] = (2 * u, 2 * v)
-        else:
-            q = (p[0] + 1, p[1])
-            if q not in f.images:
-                raise MapInvariantError(
-                    f"cannot extend at {p}: right neighbour {q} not in the domain"
-                )
-            u, v = f.images[q]
-            out[p] = (2 * u - 1, 2 * v)
-    return ExtendedMap(f.window, out)
+    right = np.zeros_like(f.mask)
+    right[:, :-1] = f.mask[:, 1:]
+    stuck = ~f.mask & ~right
+    if stuck.any():
+        y, x = np.argwhere(stuck)[0].tolist()
+        p = (x + f.window[0], y + f.window[1])
+        raise MapInvariantError(f"cannot extend at {p}: right neighbour {(p[0] + 1, p[1])} not in the domain")
+    twice = 2 * f.image
+    shifted = np.zeros_like(twice)
+    shifted[:, :-1] = twice[:, 1:]
+    shifted[..., 0] -= 1
+    return ExtendedMap(f.window, np.where(f.mask[..., None], twice, shifted))
 
 
 # ----------------------------------------------------------------------
@@ -165,10 +275,7 @@ class DistortionReport:
 def _twice_value(f, p: Point) -> Point:
     if isinstance(f, ExtendedMap):
         return f.twice(p)
-    if isinstance(f, CandidateMap):
-        u, v = f.images[p]
-        return (2 * u, 2 * v)
-    u, v = f[p]
+    u, v = f(p) if isinstance(f, CandidateMap) else f[p]
     return (2 * u, 2 * v)
 
 
@@ -181,6 +288,8 @@ def distortion(f, pairs: Sequence[tuple[Point, Point]]) -> DistortionReport:
     """
     if not pairs:
         raise ValueError("empty pair list")
+    if isinstance(f, CandidateMap):
+        f = f.images  # one dict for many lookups
     best_max = None
     best_min = None
     wmax = wmin = None
@@ -206,73 +315,73 @@ def all_pairs(points: Sequence[Point]) -> list[tuple[Point, Point]]:
 
 
 def _argmax_ratio(num: np.ndarray, den: np.ndarray) -> int:
-    """Index of the exact maximum of num[i]/den[i].
+    """Flat index of the exact maximum of num/den, taken entrywise.
 
     Inputs are int64 arrays whose cross products num[i] * den[j] stay
     below 2^62, or object arrays of Python ints.
     """
-    idx = int(np.argmax(num / den))
+    num, den = num.ravel(), den.ravel()
+    # the first guess: a float ratio, or on Python ints, whose ratios may
+    # pass the float range, the integer floor of 2^64 times the ratio
+    idx = int(np.argmax((num << 64) // den if num.dtype == object else num / den))
     while True:
-        bad = np.nonzero(num * den[idx] > num[idx] * den)[0]
+        bad = np.flatnonzero(num * den[idx] > num[idx] * den)
         if bad.size == 0:
             return idx
         idx = int(bad[0])
 
 
-def exhaustive_distortion_sq(points: Sequence[Point], twice_values: Sequence[Point]):
+def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The n x n table of squared distances between the points (x, y)."""
+    dx, dy = x[:, None] - x, y[:, None] - y
+    return dx * dx + dy * dy
+
+
+def exhaustive_distortion_sq(points, twice_values):
     """(max_expansion_sq, min_expansion_sq) over ALL pairs, exact.
 
-    Vectorized over the full pair set; inputs are lattice points and
-    doubled image values, so every comparison is integer arithmetic.
-    The pass runs in int64 only when every product it forms stays below
-    2^62, and on Python ints (``dtype=object``) otherwise.
+    ``points`` are lattice points and ``twice_values`` their doubled
+    images, as sequences of pairs or (n, 2) arrays, so every comparison is
+    integer arithmetic.  The pass builds n x n tables of squared distances
+    one coordinate at a time (no row gathers), charged to the cell cap.
+    It runs in int64 only when every product it forms stays below 2^62,
+    and on Python ints otherwise.
     """
-    n = len(points)
+    pts, img = _int_pairs(points), _int_pairs(twice_values)
+    n = len(pts)
     if n < 2:
         raise ValueError("need at least two points")
-    pts, img = _exact_arrays(points, twice_values)
-    iu, ju = np.triu_indices(n, k=1)
-    dsrc = ((pts[iu] - pts[ju]) ** 2).sum(axis=1)
-    dimg4 = ((img[iu] - img[ju]) ** 2).sum(axis=1)
-    hi = _argmax_ratio(dimg4, 4 * dsrc)
-    lo = _argmax_ratio(4 * dsrc, np.maximum(dimg4, 1))
-    if dimg4[lo] == 0:
-        a, b = int(iu[lo]), int(ju[lo])
-        raise ValueError(f"map collapses the pair ({points[a]}, {points[b]})")
-    return (
-        Fraction(int(dimg4[hi]), 4 * int(dsrc[hi])),
-        Fraction(int(dimg4[lo]), 4 * int(dsrc[lo])),
-    )
-
-
-def _exact_arrays(points: Sequence[Point], twice_values: Sequence[Point]) -> list[np.ndarray]:
-    """(n, 2) arrays of the points and the doubled images: int64 when the
-    distortion pass cannot overflow, object arrays of Python ints otherwise."""
-    try:
-        arrs = [np.asarray(v, dtype=np.int64) for v in (points, twice_values)]
-    except OverflowError:
-        arrs = None
-    if arrs is not None:
-        sp, si = (max(1, *(int(c.max()) - int(c.min()) for c in a.T)) for a in arrs)
-        # squared distances are at most 2 span^2, and _argmax_ratio
-        # multiplies an image distance by four times a source distance
-        if 16 * sp**2 * si**2 < 2**62:
-            return arrs
-    return [np.array([(int(x), int(y)) for x, y in v], dtype=object) for v in (points, twice_values)]
+    check_cells(n * n, "pair table")
+    sp, si = (max(1, *(int(c.max()) - int(c.min()) for c in a.T)) for a in (pts, img))
+    # squared distances are at most 2 span^2, and _argmax_ratio
+    # multiplies an image distance by four times a source distance
+    px, py, iu, iv = _exact(16 * sp**2 * si**2, *pts.T, *img.T)
+    four, dimg = 4 * _sq_dists(px, py), _sq_dists(iu, iv)
+    # the diagonal pairs a point with itself: set to 0/1, it wins neither pass
+    np.fill_diagonal(dimg, 1)
+    if not dimg.all():
+        a, b = divmod(int(np.argmin(dimg)), n)
+        raise ValueError(f"map collapses the pair ({tuple(pts[a].tolist())}, {tuple(pts[b].tolist())})")
+    lo = _argmax_ratio(four, dimg)
+    np.fill_diagonal(dimg, 0)
+    np.fill_diagonal(four, 1)
+    hi = _argmax_ratio(dimg, four)
+    return tuple(Fraction(int(dimg.flat[t]), int(four.flat[t])) for t in (hi, lo))
 
 
 def extension_certificate(f: CandidateMap):
     """Exact distortion of f over domain pairs and of its extension over window pairs.
 
     Returns (Lsq, Lhat_sq, ok) where ok asserts Lhat_sq <= 36 * Lsq: an
-    L-bi-Lipschitz map always extends to a 6L-bi-Lipschitz one.
+    L-bi-Lipschitz map always extends to a 6L-bi-Lipschitz one.  Points
+    enter as array indices: distortion ignores translations of the domain.
     """
-    dom = sorted(f.domain)
-    lmax, lmin = exhaustive_distortion_sq(dom, [(2 * u, 2 * v) for (u, v) in (f.images[p] for p in dom)])
+    iy, ix = np.nonzero(f.mask)
+    lmax, lmin = exhaustive_distortion_sq(np.stack([ix, iy], axis=1), 2 * f.image[iy, ix])
     lsq = max(lmax, 1 / lmin)
     ext = hat_extend(f)
-    pts = ext.points()
-    hmax, hmin = exhaustive_distortion_sq(pts, [ext.twice(p) for p in pts])
+    iy, ix = np.indices(f.mask.shape).reshape(2, -1)
+    hmax, hmin = exhaustive_distortion_sq(np.stack([ix, iy], axis=1), ext.doubled.reshape(-1, 2))
     hsq = max(hmax, 1 / hmin)
     return lsq, hsq, hsq <= 36 * lsq
 
@@ -335,21 +444,50 @@ def dumps_map(f: CandidateMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_map(text: str, window: Window | None = None) -> CandidateMap:
+_MAP_LINE = r"[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*->[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*"
+# a whole map text of plain lines: ASCII digits, blanks and tabs, no comments
+_MAP_TEXT = re.compile(rf"(?:(?:{_MAP_LINE}|[ \t]*)\n)*(?:{_MAP_LINE}|[ \t]*)")
+
+
+def _text_pairs(text: str):
+    """(sources, images) of a plain map text, in two whole-text passes, or
+    None when ``text`` is not plain or repeats a source point."""
+    if not _MAP_TEXT.fullmatch(text):
+        return None
+    tokens = text.replace("->", " ").split()
+    try:
+        quads = np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        quads = np.array([int(t) for t in tokens], dtype=object)
+    quads = quads.reshape(-1, 4)
+    src = _int_pairs(quads[:, :2])
+    return None if _repeats(src) else (src, _int_pairs(quads[:, 2:]))
+
+
+def _line_pairs(text: str):
+    """(sources, images) of any map text, line by line; a PatchFormatError
+    names the first line that is malformed or repeats a source point."""
     imgs: dict[Point, Point] = {}
     for ln in _data_lines(text):
         x, y, u, v = _fields(ln, "# # -> # #")
         if (x, y) in imgs:
             raise PatchFormatError(f"repeated source point in map line: {ln!r}")
         imgs[(x, y)] = (u, v)
-    if not imgs:
+    return _int_pairs(list(imgs)), _int_pairs(list(imgs.values()))
+
+
+def parse_map(text: str, window: Window | None = None) -> CandidateMap:
+    """The map in ``text``, lines ``x y -> u v``.  A plain text loads in
+    whole-text passes; comments, other integer spellings, malformed lines
+    and repeated source points go through the line-by-line reader, which
+    names the bad line."""
+    src, img = _text_pairs(text) or _line_pairs(text)
+    if not len(src):
         raise PatchFormatError("empty map file")
     if window is None:
-        xs = [p[0] for p in imgs]
-        ys = [p[1] for p in imgs]
-        window = (min(xs), min(ys), max(xs), max(ys))
+        window = (*(int(c) for c in src.min(axis=0)), *(int(c) for c in src.max(axis=0)))
     try:
-        return CandidateMap(window, imgs)
+        return CandidateMap._from_pairs(window, src, img)
     except MapInvariantError as exc:
         raise PatchFormatError(f"bad map: {exc}") from None
 

@@ -498,10 +498,9 @@ def expansion_chain_report(
         raise ValueError("window too small for the top-level frame")
 
     def expansion_sq(p, q) -> Fraction:
-        if p not in f.images or q not in f.images:
-            raise ValueError(f"end point {p if p not in f.images else q} not in the domain")
-        fu, fv = f.images[p]
-        gu, gv = f.images[q]
+        if p not in f or q not in f:
+            raise ValueError(f"end point {p if p not in f else q} not in the domain")
+        (fu, fv), (gu, gv) = f(p), f(q)
         return Fraction((fu - gu) ** 2 + (fv - gv) ** 2, (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)
 
     entries: list[ChainEntry] = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -25,7 +26,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .maps import CandidateMap, DistortionReport, ExtendedMap, all_pairs, distortion, hat_extend
-from .maps import _twice_value, identity_map
+from .maps import _exact, _peak, _twice_value, identity_map
 from .patch import Point
 
 RatPoint = tuple[Fraction, Fraction]
@@ -116,33 +117,49 @@ def _stretch_bound_sq(f: CandidateMap, grid: GridSpec, lam: Fraction) -> Fractio
     return (1 + Fraction(lam)) ** 2 * (v[0] ** 2 + v[1] ** 2) / (2 * grid.M * grid.N) ** 2
 
 
-def _step_pairs(f: CandidateMap, grid: GridSpec):
-    """Yield (k, i, j, x, target, kind, step_sq) for every evaluable probe step.
+def _grid_probes(grid: GridSpec, ks) -> tuple[np.ndarray, ...]:
+    """(k, j, i, x, y) over the probes x = x^k_{i,j} of the squares ``ks``:
+    arrays of shape (len(ks), P+1, P+1), so they flatten in (k, j, i) order."""
+    rng = np.arange(grid.P + 1)
+    k, j, i = np.meshgrid(np.asarray(ks), rng, rng, indexing="ij")
+    return k, j, i, (k - 1) * grid.M + i * grid.pitch, j * grid.pitch
+
+
+def _stretched_steps(f: CandidateMap, grid: GridSpec, bound_sq: Fraction, strict: bool,
+                     limit: int | None = None) -> list[tuple]:
+    """The evaluable probe steps whose squared expansion exceeds
+    (``strict``) or reaches ``bound_sq``: the first ``limit`` in (k, j, i)
+    order, as tuples (k, i, j, x, target, kind, step_sq).
 
     ``step_sq`` is the squared expansion |f(target) - f(x)|^2 / den^2, where
     ``den`` is the step length M/P for direct targets and 1 + M/P for
     targets shifted one cell right (used when the direct target misses the
     domain; the shifted one then has even x and is present whenever it
-    stays inside the window).
+    stays inside the window).  One vector pass over every step of the grid.
     """
-    pitch = grid.pitch
-    for k in range(1, 2 * grid.N + 1):
-        for j in range(grid.P + 1):
-            for i in range(grid.P + 1):
-                x = grid.probe(k, i, j)
-                if x not in f.images:
-                    continue
-                t = grid.probe(k, i + 1, j)
-                if not grid.in_window(t):
-                    continue
-                if t in f.images:
-                    kind, den = "direct", pitch
-                else:
-                    t, kind, den = (t[0] + 1, t[1]), "shifted", 1 + pitch
-                    if not (grid.in_window(t) and t in f.images):
-                        continue
-                (fu, fv), (gu, gv) = f.images[x], f.images[t]
-                yield k, i, j, x, t, kind, Fraction((fu - gu) ** 2 + (fv - gv) ** 2, den**2)
+    pitch, end = grid.pitch, 2 * grid.M * grid.N
+    k, j, i, x, y = (a.ravel() for a in _grid_probes(grid, range(1, 2 * grid.N + 1)))
+    here, a = f._at(x, y)
+    direct, b = f._at(x + pitch, y)
+    shifted, c = f._at(x + pitch + 1, y)
+    direct &= x + pitch <= end
+    shifted &= ~direct & (x + pitch + 1 <= end)
+    keep = np.flatnonzero(here & (direct | shifted))
+    k, j, i, x, y, direct = (v[keep] for v in (k, j, i, x, y, direct))
+    d = a[keep] - np.where(direct[:, None], b[keep], c[keep])
+    du, dv = _exact(2 * _peak(d) ** 2, d[:, 0], d[:, 1])
+    d2 = du * du + dv * dv
+    # d2 is an integer: d2 > q iff d2 > floor(q), and d2 >= q iff d2 >= ceil(q)
+    cmp, rnd = (operator.gt, math.floor) if strict else (operator.ge, math.ceil)
+    lim = [rnd(bound_sq * den**2) for den in (pitch, pitch + 1)]
+    if d2.dtype == np.int64:
+        lim = [min(q, 2**62) for q in lim]  # int64 d2 stays below 2^62
+    hit = np.flatnonzero(np.where(direct, cmp(d2, lim[0]), cmp(d2, lim[1])))[:limit]
+    return [
+        (kk, ii, jj, (xx, yy), (xx + pitch + (not dd), yy), "direct" if dd else "shifted",
+         Fraction(s, (pitch + (not dd)) ** 2))
+        for kk, ii, jj, xx, yy, dd, s in zip(*(v[hit].tolist() for v in (k, i, j, x, y, direct, d2)))
+    ]
 
 
 def check_no_stretch(f: CandidateMap, grid: GridSpec, lam: Fraction) -> list[StretchViolation]:
@@ -152,11 +169,7 @@ def check_no_stretch(f: CandidateMap, grid: GridSpec, lam: Fraction) -> list[Str
     probe step (direct or shifted right by one).
     """
     bound_sq = _stretch_bound_sq(f, grid, lam)
-    return [
-        StretchViolation(*step, bound_sq)
-        for step in _step_pairs(f, grid)
-        if step[-1] > bound_sq
-    ]
+    return [StretchViolation(*step, bound_sq) for step in _stretched_steps(f, grid, bound_sq, True)]
 
 
 # ----------------------------------------------------------------------
@@ -175,14 +188,11 @@ def _ext(f) -> ExtendedMap:
     return f if isinstance(f, ExtendedMap) else hat_extend(f)
 
 
-def _increments(fh: ExtendedMap, grid: GridSpec, k: int):
-    """Yield (i, j, du, dv) over the probes x of square k, where
-    (du, dv) = 2 (f^(x + M e1) - f^(x))."""
-    for j in range(grid.P + 1):
-        for i in range(grid.P + 1):
-            x = grid.probe(k, i, j)
-            (au, av), (bu, bv) = fh.twice((x[0] + grid.M, x[1])), fh.twice(x)
-            yield i, j, au - bu, av - bv
+def _increments(fh: ExtendedMap, grid: GridSpec, ks) -> np.ndarray:
+    """2 (f^(x + M e1) - f^(x)) over the probes x of each square in ``ks``:
+    shape (len(ks), (P+1)^2, 2), probes in (j, i) order."""
+    *_, x, y = _grid_probes(grid, ks)
+    return (fh._at(x + grid.M, y) - fh._at(x, y)).reshape(len(ks), -1, 2)
 
 
 def find_regular_square(f, grid: GridSpec, tau: Fraction) -> RegularSquareResult:
@@ -191,17 +201,17 @@ def find_regular_square(f, grid: GridSpec, tau: Fraction) -> RegularSquareResult
 
     Existence is guaranteed under the no-stretch hypothesis once M, N clear
     the constant floors; absent that, the result simply reports k_star None.
+    The projections share the denominator 2M, so each square's minimum is
+    one integer minimum over its numerators.
     """
     fh = _ext(f)
     v = _baseline(fh)
     threshold = (1 - Fraction(tau)) * Fraction(v[0] ** 2 + v[1] ** 2, 2 * grid.M * grid.N)
-    minima: dict[int, Fraction] = {}
-    k_star = None
-    for k in range(1, 2 * grid.N):
-        mn = min(Fraction(du * v[0] + dv * v[1], 2 * grid.M) for _, _, du, dv in _increments(fh, grid, k))
-        minima[k] = mn
-        if k_star is None and mn >= threshold:
-            k_star = k
+    d = _increments(fh, grid, range(1, 2 * grid.N))
+    du, dv = _exact(_peak(d) * (abs(v[0]) + abs(v[1])), d[..., 0], d[..., 1])
+    mins = (du * v[0] + dv * v[1]).min(axis=1).tolist()
+    minima = {k: Fraction(mn, 2 * grid.M) for k, mn in enumerate(mins, start=1)}
+    k_star = next((k for k, mn in minima.items() if mn >= threshold), None)
     return RegularSquareResult(k_star, minima, threshold, v)
 
 
@@ -224,13 +234,13 @@ def coarse_derivative_deviation(f, grid: GridSpec, k_star: int) -> DeviationRepo
     if not 1 <= k_star <= 2 * grid.N - 1:
         raise ValueError("k_star must leave room for the next square")
     fh = _ext(f)
-    v = _baseline(fh)
-    best = None
-    for i, j, du, dv in _increments(fh, grid, k_star):
-        val = Fraction((grid.N * du - v[0]) ** 2 + (grid.N * dv - v[1]) ** 2, (2 * grid.M * grid.N) ** 2)
-        if best is None or val > best:
-            best, arg = val, (i, j)
-    return DeviationReport(best, arg)
+    n, v = grid.N, _baseline(fh)
+    d = _increments(fh, grid, [k_star])[0]
+    du, dv = _exact(2 * (n * _peak(d) + abs(v[0]) + abs(v[1])) ** 2, d[:, 0], d[:, 1])
+    dev = (n * du - v[0]) ** 2 + (n * dv - v[1]) ** 2
+    t = int(np.argmax(dev))  # the first maximum, in (j, i) order
+    j, i = divmod(t, grid.P + 1)
+    return DeviationReport(Fraction(int(dev[t]), (2 * grid.M * grid.N) ** 2), (i, j))
 
 
 # ----------------------------------------------------------------------
@@ -241,22 +251,16 @@ def corner_count(f: CandidateMap, grid: GridSpec, k: int) -> int:
     """|domain points in the M x M lower-left corner of square k|."""
     if not 1 <= k <= 2 * grid.N:
         raise ValueError("square index out of range")
-    x0 = (k - 1) * grid.M
-    return sum(
-        1
-        for (x, y) in f.images
-        if x0 <= x < x0 + grid.M and 0 <= y < grid.M
-    )
+    return _corner_counts(f, grid)[k]
 
 
 def _corner_counts(f: CandidateMap, grid: GridSpec) -> dict[int, int]:
-    """:func:`corner_count` of every square k = 1..2N, in one pass over the domain."""
-    counts = dict.fromkeys(range(1, 2 * grid.N + 1), 0)
-    for x, y in f.images:
-        k = x // grid.M + 1
-        if 0 <= y < grid.M and k in counts:
-            counts[k] += 1
-    return counts
+    """:func:`corner_count` of every square k = 1..2N, in one bincount over the domain."""
+    iy, ix = np.nonzero(f.mask)
+    x, y = ix + f.window[0], iy + f.window[1]
+    keep = (y >= 0) & (y < grid.M) & (x >= 0) & (x < 2 * grid.M * grid.N)
+    counts = np.bincount(x[keep] // grid.M, minlength=2 * grid.N)
+    return dict(enumerate(counts.tolist(), start=1))
 
 
 class SquareDensityError(ValueError):
@@ -306,9 +310,8 @@ def expanding_pair_search(
             )
     elif k is not None:
         pair = (k, k + 1)
-    for _, _, _, x, _, kind, step_sq in _step_pairs(f, grid):
-        if step_sq >= bound_sq:
-            return ExpandingSearchResult(x, kind, pair, "witness found")
+    for _, _, _, x, _, kind, _ in _stretched_steps(f, grid, bound_sq, False, limit=1):
+        return ExpandingSearchResult(x, kind, pair, "witness found")
     return ExpandingSearchResult(
         None,
         None,

@@ -1,3 +1,5 @@
+from fractions import Fraction as F
+
 import pytest
 
 from delone import cli, hierarchy, patch
@@ -501,6 +503,19 @@ def test_bilip_extends_the_map_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_bilip_never_builds_the_images_dict(tmp_path, capsys, monkeypatch):
+    """Every bilip pass reads the map's arrays; none asks for ``images``."""
+    from delone import maps
+
+    def refuse(f):
+        raise AssertionError("the images dict was built")
+
+    path = _bilip_map(tmp_path, 1, (8, 2, 2))
+    monkeypatch.setattr(maps.CandidateMap, "images", property(refuse))
+    assert run("bilip", "--map", path, "--grid", "8", "2", "2", *_BILIP_ARGS["stretched"]) == 0
+    assert "expanding_witness" in capsys.readouterr().out
+
+
 def test_bilip_identity_sits_on_the_stretch_bound(tmp_path, capsys):
     """With lambda 0 every identity step equals the bound: no violation
     (the check is strict) and the first step is the expanding witness
@@ -514,13 +529,40 @@ def test_bilip_identity_sits_on_the_stretch_bound(tmp_path, capsys):
     assert capsys.readouterr().out == "violations\t0\nexpanding_witness\t(0, 0)\twitness found\n"
 
 
+def test_bilip_is_scale_invariant_past_int64(tmp_path, capsys):
+    """Images times 10^23 run every pass on Python ints: the same violations,
+    regular square and witness, and deviation_sq times 10^46."""
+    import random
+
+    from delone import maps, sampling
+
+    f = sampling.random_bilip_map(random.Random(1), 33, 9)
+    big = maps.CandidateMap(f.window, {p: (u * 10**23, v * 10**23) for p, (u, v) in f.images.items()})
+    outs = []
+    for g, name in ((f, "m.map"), (big, "big.map")):
+        maps.write_map(tmp_path / name, g)
+        assert run("bilip", "--map", str(tmp_path / name), "--grid", "8", "2", "2",
+                   *_BILIP_ARGS["stretched"]) == 0
+        outs.append(capsys.readouterr().out.splitlines())
+    (dev,) = [n for n, ln in enumerate(outs[0]) if ln.startswith("deviation_sq")]
+    assert outs[0][:dev] + outs[0][dev + 1:] == outs[1][:dev] + outs[1][dev + 1:]
+    small, large = (F(out[dev].split("\t")[1]) for out in outs)
+    assert large == small * 10**46 and small > 0
+
+
 @pytest.mark.parametrize("cmd,flags,named", [
     ("bilip", ("--expand", "3/4"), "--expand"),
     ("bilip", ("--expand", "a,b"), "--expand"),
+    ("bilip", ("--lambda", "-3"), "--lambda"),
+    ("bilip", ("--lambda", "-1"), "--lambda"),
+    ("bilip", ("--tau", "2"), "--tau"),
+    ("bilip", ("--tau", "1"), "--tau"),
+    ("bilip", ("--tau", "-1"), "--tau"),
     ("gen", ("--n1-steps", "x"), "--n1-steps"),
     ("gen", ("--L-schedule", "1,y"), "--L-schedule"),
     ("gen", ("--d2p", "zz"), "--d2p"),
-], ids=["expand-one", "expand-words", "n1-steps", "L-schedule", "d2p"])
+], ids=["expand-one", "expand-words", "lambda-minus-3", "lambda-minus-1", "tau-2", "tau-1",
+        "tau-minus-1", "n1-steps", "L-schedule", "d2p"])
 def test_a_bad_flag_value_exits_2_naming_it_before_any_output(tmp_path, capsys, cmd, flags,
                                                               named):
     """argparse prints its usage, then one error line naming the flag."""

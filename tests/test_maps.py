@@ -2,8 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
 from delone import maps
-from tests_oracles import extension_certificate_oracle
+from tests_oracles import extension_certificate_oracle, map_text_oracle
+from delone.hierarchy import CapacityError
 from delone.maps import CandidateMap, MapInvariantError
 from delone.patch import PatchFormatError
 from delone.sampling import random_bilip_map
@@ -136,7 +139,7 @@ def test_stretched_two_by_one_maps_match_python_ints(seed):
     assert maps.extension_certificate(f) == extension_certificate_oracle(f)
 
 
-@pytest.mark.parametrize("factor", [1, 2**22, 2**23, 2**24, 2**25, 3 * 10**9, 10**30])
+@pytest.mark.parametrize("factor", [1, 2**22, 2**23, 2**24, 2**25, 3 * 10**9, 10**30, 10**200])
 def test_extension_certificate_across_the_int64_guard(factor):
     # a 5x3 map moves from int64 to Python ints between 2**23 and 2**24
     f = _stretched(random_bilip_map(random.Random(factor % 97), 5, 3), factor)
@@ -165,3 +168,86 @@ def test_map_file_round_trip(tmp_path):
 def test_map_file_rejects_a_repeated_source_point():
     with pytest.raises(PatchFormatError, match="repeated source point in map line: '0 0 -> 5 5'"):
         maps.parse_map("0 0 -> 0 0\n1 0 -> 1 0\n0 0 -> 5 5\n")
+
+
+def test_exhaustive_distortion_table_is_charged_to_the_cell_cap(monkeypatch):
+    pts = [(x, 0) for x in range(11)]
+    monkeypatch.setenv("DELONE_CELL_CAP", str(11 * 11 - 1))
+    with pytest.raises(CapacityError, match="pair table requires 121 cells"):
+        maps.exhaustive_distortion_sq(pts, [(2 * x, 0) for x, _ in pts])
+    assert maps.exhaustive_distortion_sq(pts[:10], [(2 * x, 0) for x, _ in pts[:10]]) == (1, 1)
+
+
+def test_exhaustive_distortion_names_a_collapsed_pair():
+    # a short pair with a large image distance must not hide the collapse
+    pts = [(0, 0), (1, 0), (50, 0)]
+    with pytest.raises(ValueError, match=r"collapses the pair \(\(0, 0\), \(1, 0\)\)"):
+        maps.exhaustive_distortion_sq(pts, [(0, 0), (0, 0), (2, 0)])
+
+
+def test_plain_map_text_takes_the_whole_text_path():
+    plain = "0 0 -> 0 0\n1 0->-5 7\n\t2 0 ->  9 1 \n\n 0 1 -> 100000000000000000000000 3"
+    src, img = maps._text_pairs(plain)
+    assert src.tolist() == [[0, 0], [1, 0], [2, 0], [0, 1]] and img.dtype == object
+    for other in ("# c\n" + plain, plain.replace("9", "+9"), plain + "\r\n", plain + "\n2 0 -> 3 3"):
+        assert maps._text_pairs(other) is None
+
+
+_BLANK = st.sampled_from([" ", "  ", "\t", " \t"])
+_ARROW = st.sampled_from(["->", " ->", "-> ", " -> ", "\t->\t", "  ->"])
+_EDGE = st.sampled_from(["", "", " ", "\t"])
+
+
+@st.composite
+def _map_texts(draw):
+    """A map text and an optional window: injective maps on small windows,
+    scaled past 2^63 at times, spelled every way the format allows, some
+    with one defect (repeated source, collision, missing even point,
+    garbage line)."""
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    x0, y0 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    window = (x0, y0, x0 + w - 1, y0 + h - 1)
+    pts = [(x, y) for y in range(y0, y0 + h) for x in range(x0, x0 + w) if x % 2 == 0 or draw(st.booleans())]
+    if not pts:
+        pts = [(x0, y0)]
+    pairs = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=len(pts),
+                          max_size=len(pts), unique=True))
+    scale = draw(st.sampled_from([1, 1, -1, 3, 2**63, -(2**64) - 5, 10**23]))
+    rows = [[*p, u * scale, v * scale] for p, (u, v) in zip(pts, pairs)]
+    defect = draw(st.sampled_from(["none", "none", "repeat", "collide", "drop", "garbage", "spelling"]))
+    if defect == "repeat":
+        rows.append(list(draw(st.sampled_from(rows))[:2]) + [99 * scale, 98])
+    elif defect == "collide" and len(rows) > 1:
+        i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+        rows[j][2:] = rows[i][2:]
+    elif defect == "drop":
+        even = [r for r in rows if r[0] % 2 == 0]
+        rows.remove(draw(st.sampled_from(even)) if even else rows[0])
+    rows = draw(st.permutations(rows))
+    lines = [
+        f"{draw(_EDGE)}{x}{draw(_BLANK)}{y}{draw(_ARROW)}{u}{draw(_BLANK)}{v}{draw(_EDGE)}"
+        + draw(st.sampled_from(["", "", "", "  # note", "#"]))
+        for x, y, u, v in rows
+    ]
+    if defect == "spelling" and lines:
+        lines[0] = lines[0].replace("0", "+0", 1).replace("1", "0_1", 1)
+    extra = ["", " \t", "# comment"]
+    if defect == "garbage":
+        extra.append(draw(st.text(alphabet="012 ->x#+_\t", max_size=12)))
+    for ln in draw(st.lists(st.sampled_from(extra), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), ln)
+    text = draw(st.sampled_from(["\n", "\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    given_window = draw(st.sampled_from([None, None, window, (x0, y0, x0 + w - 2, y0 + h - 1),
+                                         (x0 - 1, y0, x0 + w - 1, y0 + h)]))
+    return text, given_window
+
+
+@settings(max_examples=400, deadline=None)
+@given(_map_texts())
+def test_map_text_loads_as_the_line_oracle_reads_it(case):
+    text, window = case
+    try:
+        got = "map", maps.parse_map(text, window).images
+    except PatchFormatError as exc:
+        got = "error", str(exc)
+    assert got == map_text_oracle(text, window)

@@ -9,7 +9,14 @@ from delone import maps, rectlab as R
 from delone.maps import CandidateMap
 from delone.rectlab import GridSpec
 from delone.sampling import random_closed_polyline
-from tests_oracles import pt_seg_dist_sq_le
+from tests_oracles import (
+    corner_count_oracle,
+    deviation_oracle,
+    pair_ratio_extremes,
+    pt_seg_dist_sq_le,
+    regular_oracle,
+    stretch_oracle,
+)
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +274,36 @@ def test_corner_counts_in_one_pass_match_each_square_scan(seed):
     window = (-4, -2, 2 * grid.M * grid.N + 5, grid.M + 2)
     keep = {p for p in maps.window_points(window) if p[0] % 2 == 0 or rng.random() < 0.5}
     f = CandidateMap(window, {p: p for p in keep})
-    assert R._corner_counts(f, grid) == {k: R.corner_count(f, grid, k) for k in range(1, 2 * grid.N + 1)}
+    want = {k: corner_count_oracle(f, grid, k) for k in range(1, 2 * grid.N + 1)}
+    assert R._corner_counts(f, grid) == want
+    assert {k: R.corner_count(f, grid, k) for k in want} == want
+
+
+@pytest.mark.parametrize("scale", [1, 2**20, 10**23], ids=["int64", "int64-wide", "python-int"])
+@pytest.mark.parametrize("grid", [GridSpec(4, 2, 2), GridSpec(3, 2, 3), GridSpec(6, 1, 2)],
+                         ids=["pitch2", "pitch1", "pitch3"])
+def test_vector_kernels_match_the_oracles(grid, scale):
+    """Each probe-grid kernel and the exhaustive distortion pass against a
+    per-point re-evaluation, on int64 images, small and near the int64
+    guard, and on images past int64 (scaled by 10^23, so every pass runs
+    on Python ints)."""
+    rng = random.Random(grid.M * 100 + grid.P)
+    for _ in range(8):
+        f = _random_grid_map(rng, grid)
+        f = CandidateMap(grid.window, {p: (u * scale, v * scale) for p, (u, v) in f.images.items()})
+        assert (f.image.dtype == object) == (scale > 2**62)
+        lam, tau = F(rng.randint(0, 8), 8), F(rng.randint(0, 9), 10)
+        assert [(v.k, v.i, v.j) for v in R.check_no_stretch(f, grid, lam)] == stretch_oracle(f, grid, lam)
+        res = R.find_regular_square(f, grid, tau)
+        assert (res.k_star, res.minima) == regular_oracle(f, grid, tau)
+        for k in range(1, 2 * grid.N):
+            assert R.coarse_derivative_deviation(f, grid, k).max_sq == deviation_oracle(f, grid, k)
+        assert R._corner_counts(f, grid) == {
+            k: corner_count_oracle(f, grid, k) for k in range(1, 2 * grid.N + 1)
+        }
+        pts = sorted(f.domain)[:40]
+        twice = [(2 * u, 2 * v) for u, v in (f(p) for p in pts)]
+        assert maps.exhaustive_distortion_sq(pts, twice) == pair_ratio_extremes(pts, twice)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ checks.
 """
 
 import itertools
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -35,6 +36,60 @@ def extension_certificate_oracle(f):
     lsq = bilip_sq({p: (F(u), F(v)) for p, (u, v) in f.images.items()})
     hsq = bilip_sq({p: _fhat(f, p) for p in window})
     return lsq, hsq, hsq <= 36 * lsq
+
+
+def pair_ratio_extremes(points, twice):
+    """Max and min of |F(p) - F(q)|^2 / (4 |p - q|^2) over all pairs, in Fractions."""
+    ratios = [
+        F((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2, 4 * ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2))
+        for (p, a), (q, b) in itertools.combinations(zip(points, twice), 2)
+    ]
+    return max(ratios), min(ratios)
+
+
+def corner_count_oracle(f, grid, k):
+    """Domain points in the M x M lower-left corner of square k, one by one."""
+    x0 = (k - 1) * grid.M
+    return sum(1 for (x, y) in f.images if x0 <= x < x0 + grid.M and 0 <= y < grid.M)
+
+
+_MAP_LINE = re.compile(r"\s*(\S+)\s+(\S+)\s*->\s*(\S+)\s+(\S+)\s*")
+
+
+def map_text_oracle(text, window=None):
+    """What reading a map text gives, line by line from the format's rules:
+    ``("map", {point: image})`` or ``("error", message)``."""
+    images = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = _MAP_LINE.fullmatch(line)
+        try:
+            x, y, u, v = (int(g) for g in m.groups())
+        except (AttributeError, ValueError):
+            return "error", f"expected '# # -> # #', got {line!r}"
+        if (x, y) in images:
+            return "error", f"repeated source point in map line: {line!r}"
+        images[x, y] = (u, v)
+    if not images:
+        return "error", "empty map file"
+    if window is None:
+        xs, ys = [p[0] for p in images], [p[1] for p in images]
+        window = (min(xs), min(ys), max(xs), max(ys))
+    x0, y0, x1, y1 = window
+    if x0 > x1 or y0 > y1:
+        return "error", "bad map: empty window"
+    for x, y in images:
+        if not (x0 <= x <= x1 and y0 <= y <= y1):
+            return "error", f"bad map: domain point {(x, y)} outside window"
+    if len(set(images.values())) < len(images):
+        return "error", "bad map: map is not injective"
+    for y in range(y0, y1 + 1):
+        for x in range(x0, x1 + 1):
+            if x % 2 == 0 and (x, y) not in images:
+                return "error", f"bad map: window point {(x, y)} has even x but is not in the domain"
+    return "map", images
 
 
 def stretch_oracle(f, grid, lam):
