@@ -588,6 +588,11 @@ def materialize_region(
 # exact scans (shared by the sliding recursion and by export tooling)
 # ----------------------------------------------------------------------
 
+# cells (one byte each) of grid rows a strip of ``_scan_full`` spans: about
+# a quarter of a megabyte, so a strip's planes stay in cache
+_STRIP = 1 << 18
+
+
 def scan_count(
     grid: np.ndarray,
     needle: Patch,
@@ -599,14 +604,16 @@ def scan_count(
     """Exact-match placements of ``needle`` in ``grid`` with origins in ranges.
 
     A placement matches when occupied AND unoccupied cells agree.  Ranges
-    are inclusive bounds on the placement origin (bottom-left cell).  The
-    grid slice the ranges cover goes through ``_scan_full``, a boolean
-    pass with no arithmetic on cells.
+    are inclusive bounds on the placement origin (bottom-left cell); a
+    negative lower bound counts from origin 0.  The grid slice the ranges
+    cover goes through ``_scan_full``, a boolean pass with no arithmetic
+    on cells.
     """
     H, W = grid.shape
     w, h = needle.width, needle.height
     if w > W or h > H:
         return 0
+    x_lo, y_lo = max(x_lo, 0), max(y_lo, 0)
     x_hi = W - w if x_hi is None else min(x_hi, W - w)
     y_hi = H - h if y_hi is None else min(y_hi, H - h)
     if x_lo > x_hi or y_lo > y_hi:
@@ -622,18 +629,33 @@ def _scan_full(grid: np.ndarray, needle: Patch) -> int:
     grid shifted by each needle offset, tested against ``grid != 0`` where
     the needle cell is occupied and ``grid == 0`` where it is empty.  No
     arithmetic is done on cells, so nothing can overflow.
+
+    The origins are scanned in strips of ``_STRIP // W`` rows (at least
+    one), so the two planes and the accumulator are strip-sized buffers,
+    allocated once a call and refilled in place for each strip; the last
+    strip uses a slice of them.  A grid smaller than a strip is one strip.
     """
     H, W = grid.shape
     w, h = needle.width, needle.height
     outh, outw = H - h + 1, W - w + 1
-    occupied = grid != 0
-    empty = ~occupied
-    hit = np.ones((outh, outw), dtype=bool)
-    for dy, row in enumerate(needle.cells.tolist()):
-        for dx, bit in enumerate(row):
-            src = occupied if bit else empty
-            hit &= src[dy : dy + outh, dx : dx + outw]
-    return int(np.count_nonzero(hit))
+    rows = min(outh, max(1, _STRIP // W))
+    occupied = np.empty((rows + h - 1, W), dtype=bool)
+    empty = np.empty_like(occupied)
+    hit = np.empty((rows, outw), dtype=bool)
+    cells = needle.cells.tolist()
+    total = 0
+    for y in range(0, outh, rows):
+        n = min(rows, outh - y)
+        if n < rows:  # the last strip is shorter
+            occupied, empty, hit = occupied[: n + h - 1], empty[: n + h - 1], hit[:n]
+        np.not_equal(grid[y : y + n + h - 1], 0, out=occupied)
+        np.logical_not(occupied, out=empty)
+        hit.fill(True)
+        for dy, row in enumerate(cells):
+            for dx, bit in enumerate(row):
+                hit &= (occupied if bit else empty)[dy : dy + n, dx : dx + outw]
+        total += int(np.count_nonzero(hit))
+    return total
 
 
 def aligned_block_counts(grid: np.ndarray, spec: HierarchySpec, m: int) -> list[int]:
@@ -974,9 +996,15 @@ def estimate_repetitivity(patch: Patch, r: int, cap: int | None = None) -> int |
     bisection above the largest R found so far: a window that holds the
     pattern at side R still holds it at every larger side.
 
+    The distinct codes come in ascending order.  For r <= 4 (uint16 codes)
+    they are read off a presence table of all 2^(r^2) codes, with no sort;
+    above that a table cannot exist and ``np.unique`` sorts a copy.
+
     The code arrays are charged to the cell cap at one cell a byte: three
     window-sized code arrays cover the codes with the plane that builds
-    them, then the copy ``np.unique`` sorts and the window test's masks.
+    them, then the window test's masks and, for r > 4, the sorted copy.
+    The charge is unchanged for r <= 4, where the presence table (at most
+    64 KB) takes the place of the sorted copy.
     """
     side = patch.side
     if r < 1:
@@ -990,7 +1018,7 @@ def estimate_repetitivity(patch: Patch, r: int, cap: int | None = None) -> int |
                 f"{3 * itemsize}-byte pattern codes of side {r} on a {side}x{side} window", cap)
     codes = _pattern_codes(patch.cells, r)
     best, top = r, side - r
-    for code in np.unique(codes):
+    for code in _distinct_codes(codes, r):
         here = codes == code
         if _blocks_hold(here, best - r + 1):
             continue
@@ -1020,6 +1048,16 @@ def _pattern_codes(cells: np.ndarray, r: int) -> np.ndarray:
         np.left_shift(cells[dy : dy + outh, dx : dx + outw], dtype(bit), out=shifted, dtype=dtype)
         codes |= shifted
     return codes
+
+
+def _distinct_codes(codes: np.ndarray, r: int) -> np.ndarray:
+    """The distinct values of ``codes``, ascending: a presence table of the
+    2^(r^2) uint16 codes for r <= 4, a sort for the uint64 codes above."""
+    if _code_dtype(r) is not np.uint16:
+        return np.unique(codes)
+    seen = np.zeros(1 << r * r, dtype=bool)
+    seen[codes.ravel()] = True
+    return np.flatnonzero(seen).astype(np.uint16)
 
 
 def _code_dtype(r: int) -> type:

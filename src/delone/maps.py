@@ -119,7 +119,7 @@ class CandidateMap:
         x0, y0, x1, y1 = window
         if x0 > x1 or y0 > y1:
             raise MapInvariantError("empty window")
-        sx, sy = src.T
+        sx, sy = _exact(max(map(abs, window)), *src.T)  # window offsets may pass int64
         outside = (sx < x0) | (sx > x1) | (sy < y0) | (sy > y1)
         if outside.any():
             x, y = src[np.argmax(outside)].tolist()
@@ -440,8 +440,14 @@ def delone_params_of(patch: Patch) -> DeloneParams:
 # ----------------------------------------------------------------------
 
 def dumps_map(f: CandidateMap) -> str:
-    lines = [f"{x} {y} -> {u} {v}" for (x, y), (u, v) in sorted(f.images.items())]
-    return "\n".join(lines) + "\n"
+    """One ``x y -> u v`` line per domain point, in (x, y) order: the order
+    of ``mask`` read column by column.  The rows are formatted from one
+    (n, 4) array, so neither a dict nor a sort is built."""
+    ix, iy = np.nonzero(f.mask.T)
+    x0, y0 = f.window[:2]
+    xs, ys, img = _exact(max(map(abs, f.window)), ix, iy, f.image[iy, ix])
+    rows = np.column_stack((xs + x0, ys + y0, img))
+    return "\n".join(["%d %d -> %d %d"] * len(rows)) % tuple(rows.ravel().tolist()) + "\n"
 
 
 _MAP_LINE = r"[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*->[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*"

@@ -2,6 +2,7 @@ import itertools
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,6 +140,18 @@ def test_repetitivity_peak_is_under_its_charge(ue3, r):
         tracemalloc.stop()
     assert window.side == 972
     assert peak < charge
+
+
+@pytest.mark.parametrize("name,level", [("ue3", 5), ("nonrect3", 4)])
+def test_pattern_list_is_the_sorted_distinct_codes(name, level, request):
+    """The presence table lists the same codes as ``np.unique``, ascending,
+    so the bisection visits the patterns in the same order."""
+    spec = request.getfixturevalue(name).spec
+    cells = H.materialize(spec, level, 1).cells
+    for r in (1, 2, 3, 4):
+        codes = H._pattern_codes(cells, r)
+        got, want = H._distinct_codes(codes, r), np.unique(codes)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +292,39 @@ def test_scan_count_property(data):
     got = H.scan_count(grid, needle, x_lo, x_hi, y_lo, y_hi)
     assert got == _naive_sliding(grid, needle, x_lo, x_hi, y_lo, y_hi)
     assert H.scan_count(grid, needle) == _naive_sliding(grid, needle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scan_count_across_strips(data):
+    """With strips a few bytes long every grid spans many strips, and the
+    needles (h >= 2) straddle each strip edge."""
+    draw = data.draw
+    gh, gw = draw(st.integers(2, 12)), draw(st.integers(1, 12))
+    grid = _fill(draw, gh, gw)
+    h, w = draw(st.integers(2, min(4, gh))), draw(st.integers(1, min(4, gw)))
+    if draw(st.booleans()):
+        y, x = draw(st.integers(0, gh - h)), draw(st.integers(0, gw - w))
+        needle = Patch(grid[y : y + h, x : x + w])
+    else:
+        needle = Patch(_fill(draw, h, w))
+    lo = st.integers(-4, max(gh, gw))
+    hi = st.none() | st.integers(-2, max(gh, gw) + 1)
+    x_lo, y_lo, x_hi, y_hi = draw(lo), draw(lo), draw(hi), draw(hi)
+    with mock.patch.object(H, "_STRIP", draw(st.integers(1, 3 * gw))):
+        assert H.scan_count(grid, needle, x_lo, x_hi, y_lo, y_hi) == _naive_sliding(
+            grid, needle, x_lo, x_hi, y_lo, y_hi)
+        assert H.scan_count(grid, needle, x_lo=x_lo) == _naive_sliding(grid, needle, x_lo=x_lo)
+        assert H.scan_count(grid, needle, y_lo=y_lo) == _naive_sliding(grid, needle, y_lo=y_lo)
+        assert H.scan_count(grid, needle) == _naive_sliding(grid, needle)
+
+
+def test_scan_count_clamps_negative_lower_bounds():
+    grid = np.ones((6, 6), dtype=np.uint8)
+    needle = Patch(np.ones((2, 2), dtype=np.uint8))
+    for x_lo, y_lo in [(0, 0), (-1, 0), (0, -3), (-5, -5)]:
+        assert H.scan_count(grid, needle, x_lo=x_lo, y_lo=y_lo) == 25
+    assert H.scan_count(grid, needle, x_lo=-1, x_hi=1, y_lo=-3, y_hi=0) == 2
 
 
 def test_scan_count_matches_naive_loops():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delone import maps
-from tests_oracles import extension_certificate_oracle, map_text_oracle
+from tests_oracles import dumps_map_oracle, extension_certificate_oracle, map_text_oracle
 from delone.hierarchy import CapacityError
 from delone.maps import CandidateMap, MapInvariantError
 from delone.patch import PatchFormatError
@@ -163,6 +163,41 @@ def test_map_file_round_trip(tmp_path):
     maps.write_map(path, f)
     g = maps.read_map(path, window=(0, 0, 4, 1))
     assert g.images == f.images
+
+
+@st.composite
+def _maps(draw):
+    """Injective maps on small windows anywhere in Z^2 (corners past 2^63
+    at times), images scaled past 2^63 at times, some with an empty domain."""
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    x0 = draw(st.integers(-4, 4) | st.sampled_from([2**63, -(2**64) - 1, 10**20 + 1]))
+    y0 = draw(st.integers(-4, 4) | st.sampled_from([2**62, -(10**30)]))
+    window = (x0, y0, x0 + w - 1, y0 + h - 1)
+    pts = [(x, y) for y in range(y0, y0 + h) for x in range(x0, x0 + w) if x % 2 == 0 or draw(st.booleans())]
+    pairs = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=len(pts),
+                          max_size=len(pts), unique=True))
+    scale = draw(st.sampled_from([1, -1, 7, 2**63, -(2**64) - 5, 10**23]))
+    return CandidateMap(window, {p: (u * scale, v * scale) for p, (u, v) in zip(pts, pairs)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_maps())
+def test_dumps_map_writes_the_sorted_images(f):
+    """The text is formatted from the arrays, read back by ``parse_map``
+    (which builds no images dict) and by the dict constructor alike."""
+    want = dumps_map_oracle(f)
+    assert maps.dumps_map(f) == want
+    if want != "\n":
+        assert maps.dumps_map(maps.parse_map(want, f.window)) == want
+
+
+def test_dumps_map_of_a_pooled_size_map():
+    f = random_bilip_map(random.Random(1004), 2 * 32 * 4 + 1, 33)
+    parsed = maps.parse_map(dumps_map_oracle(f))
+    assert maps.dumps_map(parsed) == dumps_map_oracle(f)
+    assert "images" not in parsed.__dict__
+    for g in (f, _stretched(f, 10**23)):
+        assert maps.dumps_map(g) == dumps_map_oracle(g)
 
 
 def test_map_file_rejects_a_repeated_source_point():

@@ -194,3 +194,10 @@ def pt_seg_dist_sq_le(p, a, b, tsq):
         ux, uy = p[0] - b[0], p[1] - b[1]
         return ux * ux + uy * uy <= tsq
     return (wx * wx + wy * wy) * dd - wd * wd <= tsq * dd
+
+
+def dumps_map_oracle(f):
+    """A map's text by the format's definition: one ``x y -> u v`` line per
+    domain point, from the images dict sorted by source point."""
+    lines = [f"{x} {y} -> {u} {v}" for (x, y), (u, v) in sorted(f.images.items())]
+    return "\n".join(lines) + "\n"
