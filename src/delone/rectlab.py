@@ -25,6 +25,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .hierarchy import check_cells
 from .maps import CandidateMap, DistortionReport, ExtendedMap, all_pairs, distortion, hat_extend
 from .maps import _exact, _peak, _twice_value, identity_map
 from .patch import Point
@@ -537,72 +538,143 @@ class BruteForceResult:
 def brute_force_min_bilip(points: Sequence[Point], box: tuple[int, int, int, int]) -> BruteForceResult:
     """Exact minimum two-sided distortion over all injections into the box.
 
-    Backtracks over assignments in lexicographic target order with
-    branch-and-bound on the running constant, so the returned witness is
-    the lexicographically first optimum.  At most 8 points.
+    The points are placed in input order, each on a box target taken in
+    x-major order, with branch-and-bound on the running constant, so the
+    returned witness is the lexicographically first optimum.  At most 8
+    points, with integer coordinates; ``box`` is ``(x0, y0, x1, y1)``.
+
+    A pair's squared ratio ``max(d/s, s/d)`` pairs one squared distance
+    between the points with one in the box, so the search ranks these few
+    ``Fraction``s once and compares small ints.  Each unplaced point keeps
+    a bitmask of the targets still allowed: placing a point ANDs every
+    later mask with the targets whose rank against its image is below the
+    best so far (a distance of 0 never is, so targets stay distinct), and
+    an empty mask prunes the branch.  Candidates are tried from the lowest
+    bit up, the x-major order, and a pruned subtree holds no leaf below the
+    best, so the same improvements are found in the same order as by plain
+    backtracking, and the witness is the same.  The rank table holds one
+    entry per distinct point distance and pair of targets, and is charged
+    to the cell cap.
     """
     pts = list(points)
     if len(pts) > 8:
         raise ValueError("oracle capped at 8 points")
+    pts = [_int_fields(p, 2, f"point {k}") for k, p in enumerate(pts)]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
-    x0, y0, x1, y1 = box
-    targets = [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)]
-    if len(targets) < len(pts):
+    x0, y0, x1, y1 = _int_fields(box, 4, "box (x0, y0, x1, y1)")
+    w, h = max(x1 - x0 + 1, 0), max(y1 - y0 + 1, 0)
+    n, m = len(pts), w * h
+    if m < n:
         raise ValueError("box too small")
-    n = len(pts)
-    src_sq = [
-        [
-            (pts[a][0] - pts[b][0]) ** 2 + (pts[a][1] - pts[b][1]) ** 2
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    best_num, best_den = None, None  # best bilip_sq = num/den
-    best_imgs: tuple[Point, ...] | None = None
-    cur_imgs: list[Point] = []
+    if n < 2:
+        return BruteForceResult(Fraction(1), ((x0, y0),)[:n])
+    pairs = list(itertools.combinations(range(n), 2))
+    src_sq = [(pts[a][0] - pts[b][0]) ** 2 + (pts[a][1] - pts[b][1]) ** 2 for a, b in pairs]
+    src_vals = sorted(set(src_sq))
+    check_cells(len(src_vals) * m * m, "brute-force rank table")
+    # box distances by offset: box_cls[dx, dy] indexes box_vals, and box_vals[0] == 0
+    box_vals, box_cls = np.unique(np.add.outer(np.arange(w) ** 2, np.arange(h) ** 2), return_inverse=True)
+    ratio = {
+        (c, e): Fraction(max(s, d), min(s, d))
+        for c, s in enumerate(src_vals) for e, d in enumerate(box_vals.tolist()) if d
+    }
+    ratios = sorted({Fraction(1), *ratio.values()})
+    rank_of = {r: k for k, r in enumerate(ratios)}
+    # rank by (point distance, box distance); a distance of 0 ranks past every bound
+    rank = np.full((len(src_vals), len(box_vals)), len(ratios), dtype=np.min_scalar_type(len(ratios)))
+    for ce, r in ratio.items():
+        rank[ce] = rank_of[r]
+    ax = np.abs(np.subtract.outer(np.arange(w), np.arange(w)))
+    ay = np.abs(np.subtract.outer(np.arange(h), np.arange(h)))
+    by_offset = rank[:, box_cls.reshape(w, h)]
+    # table[c, i, j]: rank of targets i = (x0 + i // h, y0 + i % h) and j at point distance class c
+    table = by_offset[:, ax[:, None, :, None], ay[None, :, None, :]].reshape(len(src_vals), m, m)
+    cls = [[0] * n for _ in range(n)]
+    for (a, b), s in zip(pairs, src_sq):
+        cls[a][b] = src_vals.index(s)
+    best, witness = _bf_search(table, cls, len(ratios))
+    return BruteForceResult(ratios[best], tuple((x0 + i // h, y0 + i % h) for i in witness))
 
-    def ratio_le(an, ad, bn, bd) -> bool:
-        return an * bd <= bn * ad
 
-    def dfs(t: int, cur_n: int, cur_d: int):
-        nonlocal best_num, best_den, best_imgs
-        if best_num is not None and not ratio_le(cur_n, cur_d, best_num, best_den):
-            return
-        if best_num is not None and cur_n * best_den == best_num * cur_d:
-            return  # ties keep the earlier (lexicographically first) witness
-        if t == n:
-            best_num, best_den, best_imgs = cur_n, cur_d, tuple(cur_imgs)
-            return
-        used = set(cur_imgs)
-        for tgt in targets:
-            if tgt in used:
-                continue
-            nn, dd = cur_n, cur_d
-            ok = True
-            for b in range(t):
-                isq = (tgt[0] - cur_imgs[b][0]) ** 2 + (tgt[1] - cur_imgs[b][1]) ** 2
-                if isq == 0:
-                    ok = False
+def _int_fields(value, count: int, what: str) -> tuple[int, ...]:
+    """``value`` as a tuple of ``count`` Python ints (numpy ints pass), else
+    a one-line ValueError naming ``what``."""
+    try:
+        fields = tuple(value)
+        if len(fields) == count:
+            return tuple(map(operator.index, fields))
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be {count} integers, got {value!r}")
+
+
+def _bf_search(table: np.ndarray, cls: list[list[int]], unbounded: int) -> tuple[int, list[int]]:
+    """The least leaf rank and its first witness, by the search that
+    ``brute_force_min_bilip`` describes, on an explicit stack.
+
+    ``table[cls[a][b], i, j]`` is the rank of points a < b on targets i, j.
+    ``doms[k][u]`` is the mask of targets left for point u once points
+    0..k-1 are placed, and ``rem[k]`` the untried candidates of point k.
+    """
+    n = len(cls)
+    full = (1 << table.shape[1]) - 1
+    best, witness = unbounded, None
+    allow = _bf_allow(table, cls, best)
+    img = [0] * n
+    doms = [[full] * n for _ in range(n)]
+    rem = [0] * n
+    rem[0] = full
+    k = 0
+    while k >= 0:
+        r = rem[k]
+        if not r:
+            k -= 1
+            continue
+        low = r & -r
+        rem[k] = r ^ low
+        i = img[k] = low.bit_length() - 1
+        if k < n - 1:
+            here, nxt, row = doms[k], doms[k + 1], allow[k]
+            for u in range(k + 1, n):
+                d = here[u] & row[u][i]
+                if not d:
                     break
-                s = src_sq[t][b]
-                # expansion^2 = isq/s ; contraction^2 = s/isq
-                if not ratio_le(isq, s, nn, dd):
-                    nn, dd = isq, s
-                if not ratio_le(s, isq, nn, dd):
-                    nn, dd = s, isq
-            if not ok:
-                continue
-            if best_num is not None and not ratio_le(nn, dd, best_num, best_den):
-                continue
-            cur_imgs.append(tgt)
-            dfs(t + 1, nn, dd)
-            cur_imgs.pop()
+                nxt[u] = d
+            else:
+                rem[k + 1] = nxt[k + 1]
+                k += 1
+            continue
+        # a leaf: every pair ranks below best, so this is the next improvement
+        best = max(int(table[cls[a][b], img[a], img[b]]) for a, b in itertools.combinations(range(n), 2))
+        witness = list(img)
+        if best == 0:  # rank 0 is the ratio 1, which nothing beats
+            break
+        allow = _bf_allow(table, cls, best)
+        for k in range(1, n):  # re-filter the stack for the new bound
+            prev, cur, row, i = doms[k - 1], doms[k], allow[k - 1], img[k - 1]
+            for u in range(k, n):
+                cur[u] = prev[u] & row[u][i]
+            rem[k] &= cur[k]
+            if not cur[k] >> img[k] & 1:  # point k's image is out: its subtree is spent
+                rem[k + 1:] = [0] * (n - k - 1)
+                break
+        k = n - 1
+    return best, witness
 
-    dfs(0, 1, 1)
-    if best_imgs is None:
-        raise RuntimeError("no injective assignment found")
-    return BruteForceResult(Fraction(best_num, best_den), best_imgs)
+
+def _bf_allow(table: np.ndarray, cls: list[list[int]], bound: int) -> list[list[list[int]]]:
+    """``allow[a][b][i]``: mask of the targets j with rank of points a < b on
+    targets i, j below ``bound``."""
+    nc, m, _ = table.shape
+    packed = np.packbits(table < bound, axis=-1, bitorder="little")
+    step = packed.shape[-1]
+    buf = packed.tobytes()
+    masks = [
+        [int.from_bytes(buf[o:o + step], "little") for o in range(c * m * step, (c + 1) * m * step, step)]
+        for c in range(nc)
+    ]
+    return [[masks[c] for c in row] for row in cls]
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,19 @@
+import gc
 import math
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delone import maps, rectlab as R
+from delone.hierarchy import CapacityError
 from delone.maps import CandidateMap
 from delone.rectlab import GridSpec
 from delone.sampling import random_closed_polyline
 from tests_oracles import (
+    brute_force_oracle,
     corner_count_oracle,
     deviation_oracle,
     pair_ratio_extremes,
@@ -474,6 +478,101 @@ def test_brute_force_symmetry_invariance():
 def test_brute_force_box_too_small():
     with pytest.raises(ValueError, match="box too small"):
         R.brute_force_min_bilip([(0, 0), (1, 0), (0, 1)], (0, 0, 1, 0))
+
+
+# the six pooled benchmark sets (perfbench/pool.json, exact-checks), each in
+# the box (0, 0, 3, 3), with the value and witness of plain backtracking
+POOLED_BRUTE_FORCE = [
+    ([(5, 1), (4, 0), (3, 3), (0, 1), (0, 5), (2, 3), (3, 2), (2, 5)], F(4),
+     ((0, 0), (0, 1), (2, 0), (1, 3), (3, 3), (2, 1), (3, 0), (3, 2))),
+    ([(3, 5), (3, 2), (0, 1), (1, 5), (4, 2), (2, 2), (5, 0), (0, 2)], F(4),
+     ((0, 1), (1, 3), (3, 0), (0, 0), (2, 2), (0, 3), (3, 3), (2, 0))),
+    ([(2, 0), (0, 3), (0, 5), (3, 1), (2, 5), (3, 5), (5, 1)], F(4),
+     ((0, 0), (0, 2), (0, 3), (1, 0), (1, 3), (2, 2), (3, 0))),
+    ([(0, 0), (2, 0), (1, 1), (0, 4), (3, 4), (4, 0), (3, 2)], F(13, 4),
+     ((0, 1), (1, 0), (0, 0), (1, 3), (3, 3), (3, 0), (2, 1))),
+    ([(3, 4), (3, 1), (4, 2), (3, 3), (3, 0), (4, 4), (1, 5), (4, 1)], F(5, 2),
+     ((0, 0), (0, 2), (1, 2), (1, 1), (0, 3), (1, 0), (3, 0), (1, 3))),
+    ([(0, 2), (1, 0), (1, 2), (1, 3), (3, 1), (5, 2), (2, 0)], F(5, 2),
+     ((0, 0), (0, 2), (1, 0), (2, 0), (1, 3), (3, 3), (0, 3))),
+]
+
+
+@pytest.mark.parametrize("pts, want, images", POOLED_BRUTE_FORCE)
+def test_brute_force_pooled_sets_keep_value_and_witness(pts, want, images):
+    res = R.brute_force_min_bilip(pts, (0, 0, 3, 3))
+    assert (res.bilip_sq, res.images) == (want, images)
+
+
+def test_brute_force_far_points_and_far_box_stay_exact():
+    pts, want, images = POOLED_BRUTE_FORCE[0]
+    far = 10**12
+    res = R.brute_force_min_bilip([(x + far, y - far) for x, y in pts], (0, 0, 3, 3))
+    assert (res.bilip_sq, res.images) == (want, images)
+    res = R.brute_force_min_bilip(pts, (far, -far, far + 3, 3 - far))
+    assert res.bilip_sq == want
+    assert res.images == tuple((u + far, v - far) for u, v in images)
+
+
+def test_brute_force_box_past_the_cap(monkeypatch):
+    # point distances 1 and 2: two rank classes over 32 x 32 target pairs
+    pts = [(0, 0), (1, 0), (0, 1)]
+    with pytest.raises(CapacityError, match="brute-force rank table requires"):
+        R.brute_force_min_bilip(pts, (0, 0, 10**9, 10**9))
+    monkeypatch.setenv("DELONE_CELL_CAP", str(2 * 32 * 32))
+    assert R.brute_force_min_bilip(pts, (0, 0, 3, 7)).bilip_sq == 1
+    monkeypatch.setenv("DELONE_CELL_CAP", str(2 * 32 * 32 - 1))
+    with pytest.raises(CapacityError, match="brute-force rank table requires 2048 cells"):
+        R.brute_force_min_bilip(pts, (0, 0, 3, 7))
+
+
+def test_brute_force_leaves_no_reference_cycles():
+    # tables held in a cycle (say, a self-referencing nested search function)
+    # would outlive the call until a full collection
+    pts, _, _ = POOLED_BRUTE_FORCE[0]
+    gc.collect()
+    gc.disable()
+    try:
+        R.brute_force_min_bilip(pts, (0, 0, 3, 3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("pts, box, match", [
+    ([(0, 0), (1.5, 0)], (0, 0, 2, 2), r"point 1 must be 2 integers, got \(1.5, 0\)"),
+    ([(0, 0), (1, 0, 0)], (0, 0, 2, 2), "point 1 must be 2 integers"),
+    ([(0, 0), 7], (0, 0, 2, 2), "point 1 must be 2 integers, got 7"),
+    ([(0, 0), (1, 0)], (0, 0, 2), r"box \(x0, y0, x1, y1\) must be 4 integers"),
+    ([(0, 0), (1, 0)], (0, 0, 2.0, 2), "box .* must be 4 integers"),
+    ([(0, 0), (1, 0)], "0 0 2 2", "box .* must be 4 integers"),
+    ([(0, 0)] * 9, (0, 0, 2, 2), "oracle capped at 8 points"),
+    ([(0, 0), (0, 0)], (0, 0, 2, 2), "points must be distinct"),
+])
+def test_brute_force_rejects_malformed_input_up_front(pts, box, match):
+    with pytest.raises(ValueError, match=match) as err:
+        R.brute_force_min_bilip(pts, box)
+    assert "\n" not in str(err.value)
+
+
+def test_brute_force_takes_numpy_ints():
+    pts, want, images = POOLED_BRUTE_FORCE[3]
+    res = R.brute_force_min_bilip(np.array(pts, dtype=np.int64), tuple(np.array([0, 0, 3, 3], dtype=np.int32)))
+    assert (res.bilip_sq, res.images) == (want, images)
+    assert all(type(c) is int for p in res.images for c in p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_brute_force_matches_permutation_oracle(data):
+    w, h = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(0, min(4, w * h)))
+    coord = st.integers(-6, 6)
+    pts = data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n, unique=True))
+    x0, y0 = data.draw(coord), data.draw(coord)
+    box = (x0, y0, x0 + w - 1, y0 + h - 1)
+    res = R.brute_force_min_bilip(pts, box)
+    assert (res.bilip_sq, res.images) == brute_force_oracle(pts, box)
 
 
 def test_heuristic_recovers_identity_on_full_grid():

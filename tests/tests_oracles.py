@@ -201,3 +201,26 @@ def dumps_map_oracle(f):
     domain point, from the images dict sorted by source point."""
     lines = [f"{x} {y} -> {u} {v}" for (x, y), (u, v) in sorted(f.images.items())]
     return "\n".join(lines) + "\n"
+
+
+def brute_force_oracle(points, box):
+    """(least squared distortion, witness) over every injection into the box:
+    ``itertools.permutations`` of the x-major targets, each scored by the
+    exact ``max(d/s, s/d)`` over its pairs (1 with no pairs); the first
+    minimum met is the witness."""
+    x0, y0, x1, y1 = box
+    targets = [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)]
+    pairs = list(itertools.combinations(range(len(points)), 2))
+
+    def sq(p, q):
+        return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+
+    best, witness = None, None
+    for images in itertools.permutations(targets, len(points)):
+        value = F(1)
+        for a, b in pairs:
+            s, d = sq(points[a], points[b]), sq(images[a], images[b])
+            value = max(value, F(d, s), F(s, d))
+        if best is None or value < best:
+            best, witness = value, images
+    return best, witness
