@@ -17,7 +17,12 @@ cap); occurrence counting works on the implicit structure:
 
 Arrangements come in two flavours: dense integer grids, and a compact
 closed form for the bottom-alternation construction whose grids are far
-too large to store explicitly in rigorous parameter regimes.
+too large to store explicitly in rigorous parameter regimes.  Both hand
+the recursion their seam tables: the four edges as runs, and the counts of
+horizontal pairs, vertical pairs and 2x2 quads of child ids.  A dense
+grid builds them once, on first use, from one counting pass over its quads
+(the pairs are the quads' marginals plus the top and right edges), and
+keeps them; the closed form derives them from its bottom edge.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import groupby
 from typing import Iterator
 
 import numpy as np
@@ -88,8 +95,7 @@ class Edge:
     @classmethod
     def of(cls, line: np.ndarray) -> "Edge":
         """Runs of an explicit line of ids."""
-        cuts = [0, *(np.flatnonzero(np.diff(line)) + 1).tolist(), len(line)]
-        return cls(tuple((int(line[a]), b - a) for a, b in zip(cuts, cuts[1:])))
+        return cls(tuple((v, sum(1 for _ in run)) for v, run in groupby(line.tolist())))
 
     @property
     def length(self) -> int:
@@ -206,39 +212,68 @@ class DenseArrangement:
         return self.grid
 
     def edge(self, side: str) -> Edge:
-        g = self.grid
-        return Edge.of({"left": g[:, 0], "right": g[:, -1], "bottom": g[0], "top": g[-1]}[side])
+        return self._edges[side]
 
     def hpair_counts(self) -> dict[tuple[int, int], int]:
-        return _tally(self.grid[:, :-1], self.grid[:, 1:])
+        return dict(self._tallies[0])
 
     def vpair_counts(self) -> dict[tuple[int, int], int]:
-        return _tally(self.grid[:-1, :], self.grid[1:, :])
+        return dict(self._tallies[1])
 
     def quad_counts(self) -> dict[tuple[int, int, int, int], int]:
+        return dict(self._tallies[2])
+
+    # The seam tables are built on first use and kept: the grid is a private
+    # read-only copy, so they can never go stale.  The tally getters above
+    # hand out copies, so a caller cannot edit the kept tables.
+
+    @cached_property
+    def _edges(self) -> dict[str, Edge]:
         g = self.grid
-        return _tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])
+        return {"left": Edge.of(g[:, 0]), "right": Edge.of(g[:, -1]),
+                "bottom": Edge.of(g[0]), "top": Edge.of(g[-1])}
+
+    @cached_property
+    def _tallies(self) -> tuple[dict, dict, dict]:
+        """(hpair, vpair, quad) counts from one counting pass over the quads.
+
+        Every horizontal pair below the top row is the (bl, br) of a quad, and
+        every vertical pair left of the right column is its (bl, tl); the top
+        row's and the right column's pairs are those edges' steps.  A grid of
+        one row or one column has no quads and only edge pairs.
+        """
+        quads = _quad_counts(self.grid) if self.rows > 1 and self.cols > 1 else {}
+        hpairs, vpairs = self._edges["top"].steps(), self._edges["right"].steps()
+        for (bl, br, tl, _), n in quads.items():
+            _add(hpairs, (bl, br), n)
+            _add(vpairs, (bl, tl), n)
+        return hpairs, vpairs, quads
 
 
-def _tally(*parts: np.ndarray) -> dict[tuple[int, ...], int]:
-    """Counts of the id tuples at equal positions of equally shaped arrays."""
-    flat = [p.ravel().astype(np.int64) for p in parts]
-    if not flat[0].size:
-        return {}
-    lo = min(int(f.min()) for f in flat)
-    radix = max(int(f.max()) for f in flat) - lo + 1
-    if radix ** len(flat) >= 2**62:  # keys would overflow int64
-        cnt = Counter(zip(*(f.tolist() for f in flat)))
-        return {tuple(int(v) for v in key): n for key, n in cnt.items()}
-    key = np.zeros_like(flat[0])
-    for f in flat:
-        key = key * radix + (f - lo)
-    uniq, cnt = np.unique(key, return_counts=True)
-    digits = []
-    for _ in flat:
-        uniq, d = np.divmod(uniq, radix)
-        digits.append((d + lo).tolist())
-    return {tuple(ids[::-1]): int(c) for *ids, c in zip(*digits, cnt.tolist())}
+def _quad_counts(grid: np.ndarray) -> dict[tuple[int, int, int, int], int]:
+    """Counts of the 2x2 blocks (bl, br, tl, tr) of a grid of at least 2x2.
+
+    Each block is one radix key over the grid's id range.  Keys are counted
+    by ``np.bincount`` while its table of radix**4 slots is no longer than
+    the four ids read per block (so the table costs no more than reading
+    the blocks), else by ``np.unique``; a Counter of id tuples takes over
+    where a key would overflow int64.
+    """
+    lo, hi = int(grid.min()), int(grid.max())
+    radix = hi - lo + 1
+    if radix**4 >= 2**62:
+        corners = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
+        return dict(Counter(zip(*(c.ravel().tolist() for c in corners))))
+    g = grid.astype(np.int64) - lo
+    key = ((g[:-1, :-1] * radix + g[:-1, 1:]) * radix + g[1:, :-1]) * radix + g[1:, 1:]
+    if radix**4 <= 4 * key.size:
+        cnt = np.bincount(key.ravel(), minlength=radix**4)
+        uniq = np.flatnonzero(cnt)
+        cnt = cnt[uniq]
+    else:
+        uniq, cnt = np.unique(key, return_counts=True)
+    digits = [(d + lo).tolist() for d in np.unravel_index(uniq, (radix,) * 4)]
+    return dict(zip(zip(*digits), cnt.tolist()))
 
 
 @dataclass(frozen=True)
@@ -303,9 +338,11 @@ class AltBottomArrangement:
     def edge(self, side: str) -> Edge:
         """Left, right and top edges hold only ``main_id``; the bottom edge
         alternates main and alternate groups, starting and ending main."""
+        return self._bottom if side == "bottom" else Edge(((self.main_id, self.rows),))
+
+    @cached_property
+    def _bottom(self) -> Edge:
         s, m = self.super_cells, self.main_id
-        if side != "bottom":
-            return Edge(((m, self.rows),))
         return Edge(((m, s), (self.alt_id, s)), (self.blocks - 1) // 2, ((m, s),))
 
     def hpair_counts(self) -> dict[tuple[int, int], int]:
@@ -461,6 +498,10 @@ class HierarchySpec:
         if not (1 <= level <= self.num_levels):
             raise SpecError(f"level {level} outside 1..{self.num_levels}")
 
+    def _check_pid(self, level: int, pid: int) -> None:
+        if not (1 <= pid <= self.k(level)):
+            raise SpecError(f"patch id {pid} outside 1..{self.k(level)}")
+
     # -- exact counting --------------------------------------------------
 
     def step_count_matrix(self, level: int) -> list[list[int]]:
@@ -494,7 +535,7 @@ class HierarchySpec:
 
     def density(self, level: int, pid: int) -> Fraction:
         """Occupied fraction of the (implicit) level patch, exact."""
-        self._check_level(level)
+        self._check_pid(level, pid)
         side, _, pops, _ = self._frame_table()[level - 1]
         return Fraction(pops[pid - 1], side * side)
 
@@ -525,9 +566,7 @@ def materialize(
     _memo: dict | None = None,
 ) -> Patch:
     """Bit-exact expansion of the arrangement recursion into a patch."""
-    spec._check_level(level)
-    if not (1 <= pid <= spec.k(level)):
-        raise SpecError(f"patch id {pid} outside 1..{spec.k(level)}")
+    spec._check_pid(level, pid)
     check_cells(spec.cell_count(level), f"materializing level {level} patch {pid}", cap)
     memo: dict = {} if _memo is None else _memo
     arr = _materialize_cells(spec, level, pid, memo)
@@ -700,9 +739,10 @@ def count_occurrences(
     itself is scanned whole.  Every materialization, in either mode, passes
     ``check_cells`` against ``cap``.  ``_memo`` carries the memo (keys
     ``n``, ``V``, ``H`` and ``C``) between calls that count the same
-    needle under the same cap.
+    needle under the same cap.  A ``pid`` outside 1..k(level) is a
+    SpecError in either mode.
     """
-    spec._check_level(level)
+    spec._check_pid(level, pid)
     side = spec.side(level)
     if needle.width > side or needle.height > side:
         raise SpecError(
@@ -762,6 +802,11 @@ class _SlidingCount:
     junctions), otherwise scan one materialized block.  Seams and junctions
     are only evaluated at levels whose side is at least the needle's, so a
     placement crosses at most one seam each way.
+
+    The edges and the pair and quad tallies the recursion reads are the
+    arrangements' own tables, kept on the arrangement objects, so they are
+    built once per spec object whatever the needle, memo or number of
+    counts; only the memo is per needle.
     """
 
     def __init__(self, spec: HierarchySpec, needle: Patch, cap: int | None, memo: dict):

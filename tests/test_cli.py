@@ -191,6 +191,24 @@ def test_count_and_freq(tmp_path, capsys):
     assert len(lines) == 1 + 6
 
 
+@pytest.mark.parametrize("level,pid,mode", [
+    ("3", "0", "sliding"), ("3", "-1", "sliding"), ("3", "9", "sliding"),
+    ("1", "3", "sliding"), ("3", "5", "block_aligned"),
+])
+def test_count_rejects_a_patch_id_outside_the_level(tmp_path, capsys, level, pid, mode):
+    out = tmp_path / "ue.dhs"
+    run("gen", "--construction", "ue", "--depth", "3", "--mode", "toy", "--out", str(out))
+    needle = tmp_path / "n.dpf"
+    patch.write_patch(needle, hierarchy.read_spec(out).base[0])
+    capsys.readouterr()
+    rc = run("count", "--spec", str(out), "--needle", str(needle),
+             "--level", level, "--id", pid, "--mode", mode)
+    assert rc == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == f"error: patch id {pid} outside 1..2\n"
+
+
 def test_repetitivity_cmd(tmp_path, capsys):
     out = tmp_path / "n.dhs"
     run("gen", "--construction", "nonrect", "--depth", "2", "--out", str(out))

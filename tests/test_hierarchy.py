@@ -76,6 +76,80 @@ def _check_altbottom_against_dense(s, b, ids):
             assert alt.id_at(col, row) == dense.id_at(col, row)
 
 
+# id ranges of the dense-table property: small ids; a wide range whose
+# radix**4 table outgrows every 7x7 grid (np.unique); a radix past 2**15.5,
+# whose keys would overflow int64 (Counter)
+ID_RANGES = {"small": (1, 3), "wide": (-500, 500), "overflow": (0, 2**16)}
+
+
+@pytest.mark.parametrize("lo,hi", ID_RANGES.values(), ids=ID_RANGES.keys())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dense_tables_match_naive(lo, hi, data):
+    rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    ids = data.draw(st.lists(st.integers(lo, hi), min_size=rows * cols, max_size=rows * cols))
+    g = np.array(ids, dtype=np.int64).reshape(rows, cols)
+    g.flat[0], g.flat[-1] = lo, hi  # a grid of two or more cells spans the whole range
+    dense = DenseArrangement(g)
+    assert dense.hpair_counts() == _naive_tally(g[:, :-1], g[:, 1:])
+    assert dense.vpair_counts() == _naive_tally(g[:-1], g[1:])
+    assert dense.quad_counts() == _naive_tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])
+    for side, line in {"left": g[:, 0], "right": g[:, -1], "bottom": g[0], "top": g[-1]}.items():
+        edge = dense.edge(side)
+        assert edge.length == len(line)
+        assert edge.tally() == Counter(line.tolist())
+        assert edge.steps() == _naive_tally(line[:-1], line[1:])
+
+
+@pytest.mark.parametrize("lo,hi,path", [
+    (1, 3, "bincount"), (-500, 500, "unique"), (0, 2**16, "Counter"),
+])
+def test_quad_kernel_takes_the_path_its_radix_allows(lo, hi, path):
+    g = np.random.default_rng(7).integers(lo, hi + 1, size=(7, 7))
+    g[0, 0], g[-1, -1] = lo, hi
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount, \
+            mock.patch.object(np, "unique", wraps=np.unique) as unique, \
+            mock.patch.object(H, "Counter", wraps=Counter) as counter:
+        got = DenseArrangement(g).quad_counts()
+    used = {"bincount": bincount.called, "unique": unique.called, "Counter": counter.called}
+    assert used == {name: name == path for name in used}
+    assert got == _naive_tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])
+
+
+def test_seam_tables_are_built_once_per_spec(ue3, monkeypatch):
+    spec = H.loads_spec(H.dumps_spec(ue3.spec))  # fresh arrangements, no tables built yet
+    dense = [a for lv in spec.levels for a in lv.arrangements if isinstance(a, DenseArrangement)]
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args: (calls.update([name]), fn(*args))[1]
+
+    monkeypatch.setattr(H, "_quad_counts", counted("quads", H._quad_counts))
+    monkeypatch.setattr(H.Edge, "of", staticmethod(counted("edge", H.Edge.of)))
+    top, (n1, n2) = spec.num_levels, spec.base[:2]
+    first = H.count_occurrences(spec, n1, top, 1, SLIDING)
+    built = dict(calls)
+    assert 0 < built["quads"] <= len(dense) and 0 < built["edge"] <= 4 * len(dense)
+    second = H.count_occurrences(spec, n2, top, 1, SLIDING)
+    assert dict(calls) == built
+    assert [first, second] == [H.count_occurrences(ue3.spec, n, top, 1, SLIDING) for n in (n1, n2)]
+
+
+def test_dense_tallies_are_copies():
+    g = np.array([[1, 2, 2], [3, 1, 2]])
+    dense = DenseArrangement(g)
+    tables = [
+        (dense.hpair_counts, _naive_tally(g[:, :-1], g[:, 1:])),
+        (dense.vpair_counts, _naive_tally(g[:-1], g[1:])),
+        (dense.quad_counts, _naive_tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])),
+    ]
+    for get, want in tables:
+        got = get()
+        got[next(iter(got))] += 5
+        got[(0, 0)] = 1
+        assert get() == want
+
+
 def test_altbottom_validation():
     with pytest.raises(H.SpecError):
         AltBottomArrangement(1, 4, 1, 2)  # even block count
@@ -375,6 +449,16 @@ def test_block_count_of_unknown_needle_is_zero():
     spec = toy_spec()
     stranger = from_rows(["1111", "1111", "1111", "1010"])
     assert H.count_occurrences(spec, stranger, 2, 1, BLOCK_ALIGNED) == 0
+
+
+@pytest.mark.parametrize("mode", [SLIDING, BLOCK_ALIGNED])
+@pytest.mark.parametrize("level,pid", [(2, 0), (2, -1), (2, 3), (1, 3)])
+def test_count_rejects_a_patch_id_outside_the_level(mode, level, pid):
+    spec = toy_spec()
+    with pytest.raises(H.SpecError, match=rf"^patch id {pid} outside 1\.\.2$"):
+        H.count_occurrences(spec, spec.base[0], level, pid, mode)
+    with pytest.raises(H.SpecError, match=rf"^patch id {pid} outside 1\.\.2$"):
+        spec.density(level, pid)
 
 
 def test_needle_larger_than_target_rejected():
