@@ -76,9 +76,9 @@ def _check_altbottom_against_dense(s, b, ids):
             assert alt.id_at(col, row) == dense.id_at(col, row)
 
 
-# id ranges of the dense-table property: small ids; a wide range whose
-# radix**4 table outgrows every 7x7 grid (np.unique); a radix past 2**15.5,
-# whose keys would overflow int64 (Counter)
+# id ranges of the dense-table property: small ids; a wide range of
+# negative and positive ids (np.unique keys offset by the lowest id); a
+# radix past 2**15.5, whose keys would overflow int64 (Counter)
 ID_RANGES = {"small": (1, 3), "wide": (-500, 500), "overflow": (0, 2**16)}
 
 
@@ -101,19 +101,41 @@ def test_dense_tables_match_naive(lo, hi, data):
         assert edge.steps() == _naive_tally(line[:-1], line[1:])
 
 
-@pytest.mark.parametrize("lo,hi,path", [
-    (1, 3, "bincount"), (-500, 500, "unique"), (0, 2**16, "Counter"),
-])
+@pytest.mark.parametrize("lo,hi,path", [(-500, 500, "unique"), (0, 2**16, "Counter")])
 def test_quad_kernel_takes_the_path_its_radix_allows(lo, hi, path):
     g = np.random.default_rng(7).integers(lo, hi + 1, size=(7, 7))
     g[0, 0], g[-1, -1] = lo, hi
-    with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount, \
-            mock.patch.object(np, "unique", wraps=np.unique) as unique, \
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique, \
             mock.patch.object(H, "Counter", wraps=Counter) as counter:
         got = DenseArrangement(g).quad_counts()
-    used = {"bincount": bincount.called, "unique": unique.called, "Counter": counter.called}
+    used = {"unique": unique.called, "Counter": counter.called}
     assert used == {name: name == path for name in used}
     assert got == _naive_tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])
+
+
+def _kept_bytes(dense: DenseArrangement) -> int:
+    """Bytes still allocated after building the arrangement's seam tables."""
+    tracemalloc.start()
+    try:
+        dense.edge("left")
+        dense.quad_counts()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kept_seam_tables_grow_with_distinct_quads_not_cells():
+    # 512x512 cells in 64x64 blocks of four ids: few runs and distinct
+    # quads, while the build's int64 key array alone takes 2 MiB
+    i = np.arange(512) // 64 % 2
+    blocks = DenseArrangement(1 + i[:, None] + 2 * i[None, :])
+    assert len(blocks.quad_counts()) == 16
+    assert _kept_bytes(DenseArrangement(blocks.grid)) < 64 * 1024
+    # an id-diverse grid keeps one entry per distinct quad
+    diverse = DenseArrangement(np.random.default_rng(3).integers(1, 65, size=(256, 256)))
+    quads = len(diverse.quad_counts())
+    assert quads > 60_000
+    assert _kept_bytes(DenseArrangement(diverse.grid)) < 400 * quads
 
 
 def test_seam_tables_are_built_once_per_spec(ue3, monkeypatch):
