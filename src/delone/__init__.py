@@ -29,6 +29,7 @@ from .hierarchy import (
     BLOCK_ALIGNED,
     SLIDING,
     AltBottomArrangement,
+    Arrangement,
     CapacityError,
     DenseArrangement,
     HierarchySpec,

@@ -20,21 +20,23 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Literal
 
 import numpy as np
 
 from .hierarchy import (
+    Arrangement,
     CheckRow,
-    DenseArrangement,
+    Edge,
     HierarchySpec,
     Level,
     SchemeReport,
     _imat_mul,
-    check_cells,
 )
 from .patch import Patch, PatchFormatError, _data_lines, _fields
 
@@ -475,13 +477,64 @@ def stripe_choice(s: int, p_n: int, p_next: int, r_n: int, rule: StripeRule) -> 
     stripe into r_n runs of equal width (half dense, half sparse when r_n
     is even).
     """
+    num, den = _stripe_slope(p_n, p_next, r_n, rule)
+    return s * num // den % 2 == 0
+
+
+def _stripe_slope(p_n: int, p_next: int, r_n: int, rule: StripeRule) -> tuple[int, int]:
+    """(num, den): the stripe rule's value at column s is floor(s num / den)."""
     if rule == "literal":
-        val = Fraction(s * p_next, r_n)
-    elif rule == "scaled":
-        val = Fraction(s * p_n * r_n, p_next)
-    else:
-        raise ValueError(f"unknown stripe rule {rule!r}")
-    return math.floor(val) % 2 == 0
+        return p_next, r_n
+    if rule == "scaled":
+        return p_n * r_n, p_next
+    raise ValueError(f"unknown stripe rule {rule!r}")
+
+
+def _stripe_row(side: int, p_n: int, p_next: int, r_n: int, rule: StripeRule,
+                j_dense: int, j_sparse: int) -> Edge:
+    """The :func:`stripe_choice` row over block columns -side/2 .. side/2 - 1.
+
+    floor(s num / den) gains an even 2 num / g when s gains 2 den / g
+    (g = gcd(num, den)), so the row repeats a period of that length, whose
+    runs are read between the columns where the floor changes.
+    """
+    num, den = _stripe_slope(p_n, p_next, r_n, rule)
+    period = min(side, 2 * den // math.gcd(num, den))
+    reps, rest = divmod(side, period)
+
+    def runs(s: int, n: int) -> tuple[tuple[int, int], ...]:
+        out, end = [], s + n
+        while s < end:
+            v = s * num // den
+            nxt = min(end, -(-(v + 1) * den // num))  # the first column past value v
+            out.append((j_sparse if v % 2 else j_dense, nxt - s))
+            s = nxt
+        return _merged(out)
+
+    return Edge(((runs(-(side // 2), period), reps),) + (((runs(-(side // 2), rest), 1),) if rest else ()))
+
+
+def _merged(runs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """``runs`` with consecutive runs of one id joined."""
+    return tuple((v, sum(n for _, n in same)) for v, same in groupby(runs, key=itemgetter(0)))
+
+
+def _row_major_bands(runs: tuple[tuple[int, int], ...], cols: int) -> list[tuple[Edge, int]]:
+    """The bands of ``runs`` laid out row-major in rows of ``cols`` cells: the
+    rows inside a run are one band, a row where the runs change is one."""
+    bands, row, filled = [], [], 0
+    for v, n in runs:
+        if filled:  # finish the row the runs before began
+            take = min(n, cols - filled)
+            row.append((v, take))
+            filled, n = filled + take, n - take
+            if filled < cols:
+                continue
+            bands.append((Edge(((tuple(row), 1),)), 1))
+        if n >= cols:
+            bands.append((Edge(((((v, cols),), 1),)), n // cols))
+        row, filled = [(v, n % cols)], n % cols
+    return bands
 
 
 def build_simplex_level(
@@ -498,7 +551,8 @@ def build_simplex_level(
     over (j_dense, j_sparse); the first k_n free cells in row-major order
     hold the distinctness device (the bits of k-1 choose dense/sparse); the
     remaining free cells are filled greedily, smallest id first, to meet
-    the counts exactly.
+    the counts exactly.  Each arrangement is built as bands, the stripe and
+    the rows of those row-major runs, with no grid, so any side builds.
     """
     if not 1 <= n <= len(seq.A):
         raise ValueError("no matrix for that step")
@@ -512,32 +566,15 @@ def build_simplex_level(
         raise SimplexBuildError("cannot differentiate that many outputs")
     l_n = seq.l[n - 1]
     side = 2 * (l_n + 1)  # blocks per side
-    check_cells(side * side, f"filling the step {n} arrangement's grid cells")
     r_n = seq.r[n - 1]
     if r_n >= side:
         raise SimplexBuildError("stripe taller than the frame")
-    stripe_ids = np.array(
-        [
-            j_dense if stripe_choice(c - (l_n + 1), seq.p[n - 1], seq.p[n], r_n, rule) else j_sparse
-            for c in range(side)
-        ],
-        dtype=np.int64,
-    )
-    arrs: list[DenseArrangement] = []
+    stripe = _stripe_row(side, seq.p[n - 1], seq.p[n], r_n, rule, j_dense, j_sparse)
+    free = (side - r_n) * side - 1  # the cells above the stripe but the top-right one
+    arrs: list[Arrangement] = []
     for k in range(1, k_next + 1):
-        grid = np.zeros((side, side), dtype=np.int64)
-        used = [0] * (k_n + 1)
-        grid[side - 1, side - 1] = 1
-        used[1] += 1
-        grid[:r_n, :] = stripe_ids
-        used[j_dense] += r_n * int((stripe_ids == j_dense).sum())
-        used[j_sparse] += r_n * int((stripe_ids == j_sparse).sum())
-        flat_free = np.flatnonzero(grid.ravel() == 0)  # row-major from the bottom
-        device, rest = flat_free[:k_n], flat_free[k_n:]
-        for b, pos in enumerate(device):
-            pid = j_dense if (k - 1) >> b & 1 else j_sparse
-            grid.ravel()[pos] = pid
-            used[pid] += 1
+        device = [j_dense if (k - 1) >> b & 1 else j_sparse for b in range(min(k_n, free))]
+        used = Counter(device) + Counter({1: 1}) + Counter({pid: r_n * c for pid, c in stripe.tally().items()})
         need = [0] * (k_n + 1)
         for i in range(1, k_n + 1):
             need[i] = mat[i - 1][k - 1] - used[i]
@@ -546,14 +583,13 @@ def build_simplex_level(
                     f"output {k}: A_{n}({i},{k}) = {mat[i-1][k-1]} cannot cover the "
                     f"{used[i]} forced blocks of patch {i}"
                 )
-        if sum(need) != len(rest):
+        if sum(need) != free - len(device):
             raise SimplexBuildError(
-                f"output {k}: counts sum to {sum(need) + sum(used)} but the frame "
+                f"output {k}: counts sum to {sum(need) + sum(used.values())} but the frame "
                 f"holds {side * side} blocks"
             )
-        fill = np.repeat(np.arange(1, k_n + 1, dtype=np.int64), need[1:])
-        grid.ravel()[rest] = fill
-        arrs.append(DenseArrangement(grid))
+        fill = [(pid, 1) for pid in device] + [(i, c) for i, c in enumerate(need) if c] + [(1, 1)]
+        arrs.append(Arrangement(((stripe, r_n), *_row_major_bands(_merged(fill), side))))
     return Level(
         arrs,
         anchor=(l_n + 1, l_n + 1),

@@ -15,30 +15,28 @@ cap); occurrence counting works on the implicit structure:
   strips and corner tiles at the bottom of the recursion are ever
   materialized, so the cost grows with depth, not with side length.
 
-Arrangements come in two flavours: dense integer grids, and a compact
-closed form for the bottom-alternation construction whose grids are far
-too large to store explicitly in rigorous parameter regimes.  Both hand
-the recursion their seam tables: the four edges as runs, and the counts of
-horizontal pairs, vertical pairs and 2x2 quads of child ids.  A dense
-grid builds them once, on first use, from one counting pass over its quads
-(the pairs are the quads' marginals plus the top and right edges), and
-keeps them; the closed form derives them from its bottom edge.
+Every arrangement is one model, a list of bands of equal rows (see
+:class:`Arrangement`), so grids far too large to store keep a few bands of
+a few runs each, and the seam tables the recursion reads follow from the
+bands.
 """
 
 from __future__ import annotations
 
 import operator
 import os
-from collections import Counter
+import re
+from bisect import bisect_right
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, chain, groupby
 from typing import Iterator
 
 import numpy as np
 
-from .patch import Patch, PatchFormatError, Point, _fields, _text_buf, dumps_patch, parse_patch_lines
+from .patch import Patch, PatchFormatError, Point, _fields, dumps_patch, parse_patch_lines
 
 BLOCK_ALIGNED = "block_aligned"
 SLIDING = "sliding"
@@ -71,7 +69,7 @@ class SpecError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# arrangement edges
+# lines of child ids
 # ----------------------------------------------------------------------
 
 Runs = tuple[tuple[Hashable, int], ...]
@@ -79,75 +77,90 @@ Runs = tuple[tuple[Hashable, int], ...]
 
 @dataclass(frozen=True)
 class Edge:
-    """One side of an arrangement grid as runs ``(id, length)``.
-
-    Bottom and top edges read left to right, left and right edges bottom
-    to top.  The edge is ``head`` repeated ``reps`` times, then ``tail``,
-    so periodic edges of astronomically long grids stay small.  Ids may be
-    any hashable: :meth:`pair` zips two edges into an edge of id pairs.
+    """A line of child ids: an arrangement row, read left to right, or a
+    column, read bottom to top.  It is its ``pieces`` in order, each the
+    runs ``(id, length)`` of a period and the number of times the period
+    repeats, Python ints, so periodic lines of astronomically long grids
+    stay small.  Ids may be any hashable: :meth:`pair` zips two lines.
     """
 
-    head: Runs
-    reps: int = 1
-    tail: Runs = ()
+    pieces: tuple[tuple[Runs, int], ...]
 
-    @classmethod
-    def of(cls, line: np.ndarray) -> "Edge":
-        """Runs of an explicit line of ids."""
-        cuts = [0, *(np.flatnonzero(np.diff(line)) + 1).tolist(), len(line)]
-        return cls(tuple((int(line[a]), b - a) for a, b in zip(cuts, cuts[1:])))
+    @cached_property
+    def _index(self) -> list[tuple[int, int, list[int], list]]:
+        """Per piece: its length, its period, and its runs' starts and ids."""
+        out = []
+        for runs, reps in self.pieces:
+            starts = list(accumulate((n for _, n in runs), initial=0))
+            out.append((starts[-1] * reps, starts[-1], starts[:-1], [v for v, _ in runs]))
+        return out
 
     @property
     def length(self) -> int:
-        return sum(n for _, n in self.head) * self.reps + sum(n for _, n in self.tail)
+        return sum(size for size, *_ in self._index)
 
-    @property
-    def const(self) -> Hashable | None:
-        """The only id on the edge, or None when there are several."""
-        ids = {v for v, _ in self.head + self.tail}
-        return next(iter(ids)) if len(ids) == 1 else None
+    def at(self, pos: int) -> Hashable:
+        """The id at position ``pos``."""
+        for size, span, starts, ids in self._index:
+            if pos < size:
+                return ids[bisect_right(starts, pos % span) - 1]
+            pos -= size
+        raise IndexError("position past the end of the line")
 
     def tally(self) -> dict:
         """Number of positions holding each id."""
-        out: dict = {}
-        for v, n in self.head:
-            _add(out, v, n * self.reps)
-        for v, n in self.tail:
-            _add(out, v, n)
-        return out
+        return _sum((v, n * reps) for runs, reps in self.pieces for v, n in runs)
 
     def steps(self) -> dict:
-        """Number of consecutive positions holding each (id, next id)."""
-        out: dict = {}
-        for runs, mult in ((self.head, self.reps), (self.tail, 1)):
-            for v, n in runs:
-                _add(out, (v, v), (n - 1) * mult)
-            for (u, _), (v, _) in zip(runs, runs[1:]):
-                _add(out, (u, v), mult)
-        _add(out, (self.head[-1][0], self.head[0][0]), self.reps - 1)
-        if self.tail:
-            _add(out, (self.head[-1][0], self.tail[0][0]), 1)
-        return out
+        """Number of consecutive positions holding each (id, next id): inside
+        runs, between the runs of a period, across the repetitions of a
+        period, and between pieces."""
+        pieces = self.pieces
+        return _sum(chain(
+            (((v, v), (n - 1) * reps) for runs, reps in pieces for v, n in runs),
+            (((u, v), reps) for runs, reps in pieces for (u, _), (v, _) in zip(runs, runs[1:])),
+            (((runs[-1][0], runs[0][0]), reps - 1) for runs, reps in pieces),
+            (((a[-1][0], b[0][0]), 1) for (a, _), (b, _) in zip(pieces, pieces[1:])),
+        ))
+
+    @property
+    def const(self) -> Hashable | None:
+        """The only id on the line, or None when there are several."""
+        ids = {v for runs, _ in self.pieces for v, _ in runs}
+        return next(iter(ids)) if len(ids) == 1 else None
 
     def pair(self, other: "Edge") -> "Edge":
-        """The edge of (self id, other id) at equal positions."""
-        if self.length != other.length:
-            raise SpecError("paired edges differ in length")
+        """The line of (self id, other id) at equal positions of two lines
+        of one length.
+
+        A line of one id pairs with the other line's pieces as they are, so
+        a periodic row stays small whatever its length.  Other lines are
+        zipped run by run (see :meth:`_runs`).
+        """
         c = other.const
         if c is not None:
-            return Edge(_relabel(self.head, lambda v: (v, c)), self.reps,
-                        _relabel(self.tail, lambda v: (v, c)))
+            return Edge(tuple((tuple(((v, c), n) for v, n in runs), reps) for runs, reps in self.pieces))
         c = self.const
         if c is not None:
-            return Edge(_relabel(other.head, lambda v: (c, v)), other.reps,
-                        _relabel(other.tail, lambda v: (c, v)))
-        # neither edge is constant: both come from stored grids, so their
-        # run lists are no longer than a stored grid side
-        return Edge(_zip_runs(self.head * self.reps + self.tail, other.head * other.reps + other.tail))
+            return Edge(tuple((tuple(((c, v), n) for v, n in runs), reps) for runs, reps in other.pieces))
+        return Edge(((_zip_runs(self._runs(), other._runs()), 1),))
+
+    def _runs(self) -> Runs:
+        """The runs of the line written out.  Writing out repetitions is
+        charged to the cell cap, one cell a run."""
+        if any(reps > 1 for _, reps in self.pieces):
+            check_cells(sum(len(runs) * reps for runs, reps in self.pieces), "writing out a periodic line")
+        return sum((runs * reps for runs, reps in self.pieces), ())
 
 
-def _relabel(runs: Runs, fn) -> Runs:
-    return tuple((fn(v), n) for v, n in runs)
+def _sum(items) -> dict:
+    """Nonnegative counts of ``items`` (key, count) summed by key, zeros left out."""
+    out: dict = {}
+    get = out.get
+    for key, n in items:
+        if n:
+            out[key] = get(key, 0) + n
+    return out
 
 
 def _zip_runs(r1: Runs, r2: Runs) -> Runs:
@@ -173,207 +186,148 @@ def _zip_runs(r1: Runs, r2: Runs) -> Runs:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DenseArrangement:
-    """Explicit grid of child ids; row 0 is the bottom row.  The grid is
-    kept in the smallest dtype that holds its id range."""
+class Arrangement:
+    """The grid of child ids of one patch, as bands of equal rows.
 
-    grid: np.ndarray
+    ``bands`` runs bottom to top, each a row (an :class:`Edge`) and the
+    number of consecutive grid rows holding it.  The seam tables follow
+    from the bands (see :meth:`_tables`); they are built on first use and
+    kept, the getters hand out copies, and they grow with bands x runs and
+    with the distinct pairs and quads, not with cells.
+    """
+
+    bands: tuple[tuple[Edge, int], ...]
+    rows: int = field(init=False)
+    cols: int = field(init=False)
+    _tally: dict = field(init=False, repr=False, compare=False)  # cells holding each child id
+    _corners: dict = field(init=False, repr=False, compare=False)  # (col, row) -> id
 
     def __post_init__(self):
-        g = np.asarray(self.grid)
-        if g.ndim != 2 or g.size == 0:
-            raise SpecError("arrangement grid must be a nonempty matrix")
-        dtype = g.dtype
-        if dtype.itemsize > 1:  # one byte is already the smallest
-            dtype = np.result_type(np.min_scalar_type(g.min()), np.min_scalar_type(g.max()))
-        g = np.array(g, dtype=dtype, order="C")  # a private copy, so the caller's array stays writable
-        g.flags.writeable = False
-        object.__setattr__(self, "grid", g)
-
-    @property
-    def rows(self) -> int:
-        return int(self.grid.shape[0])
-
-    @property
-    def cols(self) -> int:
-        return int(self.grid.shape[1])
+        lengths, tally, rows = set(), {}, 0
+        for row, m in self.bands:
+            if m < 1:
+                raise SpecError("band multiplicities must be at least 1")
+            length = 0
+            for runs, reps in row.pieces:
+                for v, n in runs:
+                    length += n * reps
+                    tally[v] = tally.get(v, 0) + n * reps * m
+            lengths.add(length)
+            rows += m
+        if len(lengths) != 1 or min(lengths) < 1:
+            raise SpecError("an arrangement needs bands, with rows of one length of at least 1")
+        last, (low, _), (high, _) = lengths.pop() - 1, self.bands[0], self.bands[-1]
+        corners = {(0, 0): low.pieces[0][0][0][0], (last, 0): low.pieces[-1][0][-1][0],
+                   (0, rows - 1): high.pieces[0][0][0][0], (last, rows - 1): high.pieces[-1][0][-1][0]}
+        vars(self).update(rows=rows, cols=last + 1, _tally=tally, _corners=corners)
 
     def id_at(self, col: int, row: int) -> int:
-        return int(self.grid[row, col])
+        corner = self._corners.get((col, row))  # the junction recursion asks for these again and again
+        if corner is not None:
+            return corner
+        for line, m in self.bands:
+            if row < m:
+                return line.at(col)
+            row -= m
+        raise IndexError("row past the top of the arrangement")
 
     def id_bounds(self) -> tuple[int, int]:
-        return int(self.grid.min()), int(self.grid.max())
+        return min(self._tally), max(self._tally)
 
     def counts(self, k_prev: int) -> list[int]:
-        out = np.bincount(self.grid.ravel(), minlength=k_prev + 1)
-        return [int(c) for c in out[1 : k_prev + 1]]
+        """Cells holding each child id 1..k_prev."""
+        return [self._tally.get(v, 0) for v in range(1, k_prev + 1)]
 
     def to_grid(self) -> np.ndarray:
-        return self.grid
+        """The grid, row 0 the bottom row, read-only and in the smallest
+        dtype that holds its ids.  Unchecked: its callers charge at least
+        its cells to the cap first."""
+        dtype = np.result_type(*map(np.min_scalar_type, self.id_bounds()))
+        lines = [np.array(_ids(line), dtype) for line, _ in self.bands]
+        grid = np.repeat(np.array(lines), [m for _, m in self.bands], axis=0)
+        grid.flags.writeable = False
+        return grid
+
+    grid = property(to_grid, doc="The grid of :meth:`to_grid`.")
 
     def edge(self, side: str) -> Edge:
         return self._edges[side]
 
     def hpair_counts(self) -> dict[tuple[int, int], int]:
-        return dict(self._tallies[0])
+        return dict(self._tables[0])
 
     def vpair_counts(self) -> dict[tuple[int, int], int]:
-        return dict(self._tallies[1])
+        return dict(self._tables[1])
 
     def quad_counts(self) -> dict[tuple[int, int, int, int], int]:
-        return dict(self._tallies[2])
-
-    # The seam tables are built on first use and kept: the grid is a private
-    # read-only copy, so they can never go stale.  The tally getters above
-    # hand out copies, so a caller cannot edit the kept tables.  They live as
-    # long as the arrangement and are not charged to the cell cap: a spec
-    # keeps the tables of every arrangement it has counted, and the quad
-    # table holds one entry per distinct quad, about 120-160 bytes each on
-    # CPython 3.11 (an id-diverse 256x256 grid of 64 ids keeps about 8 MB
-    # against its 64 KB grid; a grid of few ids keeps a few KB).
+        return dict(self._tables[2])
 
     @cached_property
     def _edges(self) -> dict[str, Edge]:
-        g = self.grid
-        return {"left": Edge.of(g[:, 0]), "right": Edge.of(g[:, -1]),
-                "bottom": Edge.of(g[0]), "top": Edge.of(g[-1])}
+        last = self.cols - 1
+        return {"bottom": self.bands[0][0], "top": self.bands[-1][0],
+                "left": Edge(((tuple((line.at(0), m) for line, m in self.bands), 1),)),
+                "right": Edge(((tuple((line.at(last), m) for line, m in self.bands), 1),))}
 
     @cached_property
-    def _tallies(self) -> tuple[dict, dict, dict]:
-        """(hpair, vpair, quad) counts from one counting pass over the quads.
-
-        Every horizontal pair below the top row is the (bl, br) of a quad, and
-        every vertical pair left of the right column is its (bl, tl); the top
-        row's and the right column's pairs are those edges' steps.  A grid of
-        one row or one column has no quads and only edge pairs.
-        """
-        quads = _quad_counts(self.grid) if self.rows > 1 and self.cols > 1 else {}
-        hpairs, vpairs = self._edges["top"].steps(), self._edges["right"].steps()
-        for (bl, br, tl, _), n in quads.items():
-            _add(hpairs, (bl, br), n)
-            _add(vpairs, (bl, tl), n)
+    def _tables(self) -> tuple[dict, dict, dict]:
+        """(hpair, vpair, quad) counts.  A band of multiplicity m holds its
+        row's steps m times, and its m - 1 inner row boundaries stack the
+        row on itself; a boundary between two bands stacks their rows (an
+        "H" seam, whose junctions are the quads)."""
+        bands = self.bands
+        steps = [(row.steps(), m) for row, m in bands]
+        stacks = [lower.pair(upper) for (lower, _), (upper, _) in zip(bands, bands[1:])]
+        hpairs = _sum((p, n * m) for row, m in steps for p, n in row.items())
+        vpairs = _sum(chain((((v, v), n * (m - 1)) for row, m in bands for v, n in row.tally().items()),
+                            (item for stack in stacks for item in stack.tally().items())))
+        quads = _sum(chain((((u, v, u, v), n * (m - 1)) for row, m in steps for (u, v), n in row.items()),
+                           ((_SEAMS["H"][2](p + q), n) for stack in stacks for (p, q), n in stack.steps().items())))
         return hpairs, vpairs, quads
 
 
-def _quad_counts(grid: np.ndarray) -> dict[tuple[int, int, int, int], int]:
-    """Counts of the 2x2 blocks (bl, br, tl, tr) of a grid of at least 2x2.
-
-    Each block is one radix key over the grid's id range, counted by
-    ``np.unique``; a Counter of id tuples takes over where a key would
-    overflow int64.
-    """
-    lo, hi = int(grid.min()), int(grid.max())
-    radix = hi - lo + 1
-    if radix**4 >= 2**62:
-        corners = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
-        return dict(Counter(zip(*(c.ravel().tolist() for c in corners))))
-    g = grid.astype(np.int64) - lo
-    key = ((g[:-1, :-1] * radix + g[:-1, 1:]) * radix + g[1:, :-1]) * radix + g[1:, 1:]
-    uniq, cnt = np.unique(key, return_counts=True)
-    digits = [(d + lo).tolist() for d in np.unravel_index(uniq, (radix,) * 4)]
-    return dict(zip(zip(*digits), cnt.tolist()))
+def _ids(line: Edge) -> list:
+    """The ids of ``line`` written out, one a position."""
+    return [v for runs, reps in line.pieces for v, n in runs * reps for _ in range(n)]
 
 
-@dataclass(frozen=True)
-class AltBottomArrangement:
-    """Closed form of the alternating-bottom-row arrangement.
+class DenseArrangement(Arrangement):
+    """The arrangement of a grid of child ids, row 0 the bottom row."""
+
+    def __init__(self, grid: np.ndarray):
+        g = np.asarray(grid)
+        if g.ndim != 2 or g.size == 0:
+            raise SpecError("arrangement grid must be a nonempty matrix")
+        super().__init__(_row_bands(g.tolist()))
+
+
+def _row_bands(rows, read=iter) -> tuple[tuple[Edge, int], ...]:
+    """The bands of ``rows``, bottom row first, a run of equal rows a band;
+    ``read`` gives one row's ids, as anything ``int`` takes, once a band."""
+    return tuple((Edge(((tuple((int(v), len(list(run))) for v, run in groupby(read(row))), 1),)), len(list(same)))
+                 for row, same in groupby(rows))
+
+
+class AltBottomArrangement(Arrangement):
+    """The alternating-bottom-row arrangement, as two bands.
 
     The grid is square with side ``super_cells * blocks``.  The bottom
     ``super_cells`` rows split into ``blocks`` column groups of width
     ``super_cells``; group b holds ``alt_id`` when b is odd, ``main_id``
     when b is even (so both extreme groups hold ``main_id``).  Everything
-    above the bottom band holds ``main_id``.  ``blocks`` must be odd.
-
-    Every band row equals the bottom edge and every column is constant
-    inside and above the band, so all tallies follow from the bottom edge.
+    above the bottom band holds ``main_id``.  ``blocks`` must be odd.  The
+    four parameters are kept for the one-line .dhs spelling.
     """
 
-    super_cells: int
-    blocks: int
-    main_id: int
-    alt_id: int
-
-    def __post_init__(self):
-        if self.super_cells < 1 or self.blocks < 3 or self.blocks % 2 == 0:
+    def __init__(self, super_cells: int, blocks: int, main_id: int, alt_id: int):
+        if super_cells < 1 or blocks < 3 or blocks % 2 == 0:
             raise SpecError("need super_cells >= 1 and an odd blocks >= 3")
-        if self.main_id == self.alt_id:
+        if main_id == alt_id:
             raise SpecError("main and alternate ids must differ")
-
-    @property
-    def rows(self) -> int:
-        return self.super_cells * self.blocks
-
-    @property
-    def cols(self) -> int:
-        return self.super_cells * self.blocks
-
-    def id_at(self, col: int, row: int) -> int:
-        if row >= self.super_cells:
-            return self.main_id
-        return self.alt_id if (col // self.super_cells) % 2 else self.main_id
-
-    def id_bounds(self) -> tuple[int, int]:
-        return min(self.main_id, self.alt_id), max(self.main_id, self.alt_id)
-
-    def counts(self, k_prev: int) -> list[int]:
-        out = [0] * k_prev
-        s, b = self.super_cells, self.blocks
-        total = (s * b) ** 2
-        alt = s * s * (b // 2)
-        out[self.alt_id - 1] += alt
-        out[self.main_id - 1] += total - alt
-        return out
-
-    def to_grid(self) -> np.ndarray:
-        s, b = self.super_cells, self.blocks
-        n = s * b
-        # unchecked: its one caller materializes a patch at least this wide, checked first
-        grid = np.full((n, n), self.main_id, dtype=np.int32)
-        for blk in range(1, b, 2):
-            grid[:s, blk * s : (blk + 1) * s] = self.alt_id
-        return grid
-
-    def edge(self, side: str) -> Edge:
-        """Left, right and top edges hold only ``main_id``; the bottom edge
-        alternates main and alternate groups, starting and ending main."""
-        return self._bottom if side == "bottom" else Edge(((self.main_id, self.rows),))
-
-    @cached_property
-    def _bottom(self) -> Edge:
-        s, m = self.super_cells, self.main_id
-        return Edge(((m, s), (self.alt_id, s)), (self.blocks - 1) // 2, ((m, s),))
-
-    def hpair_counts(self) -> dict[tuple[int, int], int]:
-        s, n, m = self.super_cells, self.rows, self.main_id
-        out = {p: s * c for p, c in self.edge("bottom").steps().items()}
-        _add(out, (m, m), (n - s) * (n - 1))
-        return out
-
-    def vpair_counts(self) -> dict[tuple[int, int], int]:
-        s, n, m = self.super_cells, self.rows, self.main_id
-        out: dict[tuple[int, int], int] = {}
-        for v, c in self.edge("bottom").tally().items():
-            _add(out, (v, v), (s - 1) * c)  # inside the band
-            _add(out, (v, m), c)  # band top row below the filler
-        _add(out, (m, m), (n - s - 1) * n)
-        return out
-
-    def quad_counts(self) -> dict[tuple[int, int, int, int], int]:
-        s, n, m = self.super_cells, self.rows, self.main_id
-        out: dict[tuple[int, int, int, int], int] = {}
-        for (u, v), c in self.edge("bottom").steps().items():
-            _add(out, (u, v, u, v), (s - 1) * c)  # inside the band
-            _add(out, (u, v, m, m), c)  # band top row below the filler
-        _add(out, (m, m, m, m), (n - s - 1) * (n - 1))
-        return out
-
-
-def _add(d: dict, key, val: int) -> None:
-    if val:
-        d[key] = d.get(key, 0) + val
-
-
-Arrangement = DenseArrangement | AltBottomArrangement
+        vars(self).update(super_cells=super_cells, blocks=blocks, main_id=main_id, alt_id=alt_id)
+        s, n = super_cells, super_cells * blocks
+        bottom = Edge(((((main_id, s), (alt_id, s)), blocks // 2), (((main_id, s),), 1)))
+        super().__init__(((bottom, s), (Edge(((((main_id, n),), 1),)), n - s)))
 
 
 # ----------------------------------------------------------------------
@@ -802,9 +756,9 @@ class _SlidingCount:
     placement crosses at most one seam each way.
 
     The edges and the pair and quad tallies the recursion reads are the
-    arrangements' own tables, kept on the arrangement objects, so they are
-    built once per spec object whatever the needle, memo or number of
-    counts; only the memo is per needle.
+    arrangements' own tables, built from their bands and kept on the
+    arrangement objects, so they are built once per spec object whatever
+    the needle, memo or number of counts; only the memo is per needle.
     """
 
     def __init__(self, spec: HierarchySpec, needle: Patch, cap: int | None, memo: dict):
@@ -1127,12 +1081,14 @@ def _or_runs(a: np.ndarray, K: int) -> np.ndarray:
 # descriptor file (.dhs)
 # ----------------------------------------------------------------------
 
-def _spec_chunks(spec: HierarchySpec) -> Iterator[bytes | np.ndarray]:
+def _spec_chunks(spec: HierarchySpec) -> Iterator[bytes]:
     """The .dhs text of ``spec`` as encoded chunks, each ending in a newline.
 
-    A dense arrangement body with ids 0..9 is one uint8 buffer laid out
-    by :func:`patch._text_buf` (digits at even columns, single spaces, a
-    newline per row); other ids are joined row by row.
+    An alternating-bottom arrangement is one line.  Any other arrangement
+    whose grid the cell cap admits is written dense, a line of ids per row,
+    top row first.  A grid past the cap is written as its bands: a ``band``
+    line each, then a line per piece of its row, the repetitions and then
+    each run's id and length.
     """
     def line(text: str) -> bytes:
         return (text + "\n").encode()
@@ -1151,17 +1107,18 @@ def _spec_chunks(spec: HierarchySpec) -> Iterator[bytes | np.ndarray]:
             yield line(f"meta {k} {lv.meta[k]}")
         for arr in lv.arrangements:
             if isinstance(arr, AltBottomArrangement):
-                yield line(
-                    f"arrangement {arr.rows} {arr.cols} altbottom "
-                    f"{arr.super_cells} {arr.blocks} {arr.main_id} {arr.alt_id}"
-                )
-                continue
-            yield line(f"arrangement {arr.rows} {arr.cols}")
-            lo, hi = arr.id_bounds()
-            if 0 <= lo and hi <= 9:
-                yield _text_buf(arr.grid, sep=True)
+                yield line(f"arrangement {arr.rows} {arr.cols} altbottom "
+                           f"{arr.super_cells} {arr.blocks} {arr.main_id} {arr.alt_id}")
+            elif arr.rows * arr.cols <= cell_cap():
+                yield line(f"arrangement {arr.rows} {arr.cols}")
+                for row, m in reversed(arr.bands):
+                    yield line(" ".join(map(str, _ids(row)))) * m
             else:
-                yield line("\n".join(" ".join(map(str, row)) for row in arr.grid[::-1].tolist()))
+                yield line(f"arrangement {arr.rows} {arr.cols} bands {len(arr.bands)}")
+                for row, m in arr.bands:
+                    yield line(f"band {m} pieces {len(row.pieces)}")
+                    for runs, reps in row.pieces:
+                        yield line(" ".join(map(str, (reps, *(x for run in runs for x in run)))))
 
 
 def dumps_spec(spec: HierarchySpec) -> str:
@@ -1183,9 +1140,10 @@ def loads_spec(text: str) -> HierarchySpec:
     with missing, extra or non-integer fields; levels not numbered 1, 2,
     3, ... in order; a ``patches`` count other than the number of patches
     or arrangements that follow; an arrangement body that is not ``rows``
-    lines of ``cols`` decimal ids separated by single spaces; a child id
-    outside 1..k of the level below; and the structural errors of the
-    constructors (frames not square, even ``blocks``, ...).
+    lines of ``cols`` decimal ids separated by single spaces; bands that do
+    not add up (:func:`_parse_bands`); a child id outside 1..k of the level
+    below; and the structural errors of the constructors (frames not
+    square, even ``blocks``, ...).
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     try:
@@ -1259,9 +1217,16 @@ def _parse_spec(lines: list[str]) -> HierarchySpec:
     return HierarchySpec(base, levels, kind, anchored, meta)
 
 
+# a dense body line: decimal ids separated by single spaces
+_ID_LINE = re.compile(r"[0-9]+(?: [0-9]+)*")
+
+
 def _parse_arrangement(lines: list[str], i: int) -> tuple[Arrangement, int]:
     """The arrangement whose header is ``lines[i]``, and the next index."""
-    if len(lines[i].split()) > 3:
+    head = lines[i].split()
+    if head[3:4] == ["bands"]:
+        return _parse_bands(lines, i)
+    if len(head) > 3:
         rows, cols, s, b, main, alt = _fields(lines[i], "arrangement # # altbottom # # # #")
         arr = AltBottomArrangement(s, b, main, alt)
         if arr.rows != rows or arr.cols != cols:
@@ -1273,45 +1238,40 @@ def _parse_arrangement(lines: list[str], i: int) -> tuple[Arrangement, int]:
     body = lines[i + 1 : i + 1 + rows]
     if len(body) != rows:
         raise PatchFormatError("truncated arrangement body")
-    return DenseArrangement(_parse_ids(body, rows, cols)), i + 1 + rows
+
+    def read(text: str) -> list[str]:  # each distinct line is checked and read once, into runs
+        ids = text.split(" ")
+        if len(ids) != cols or not _ID_LINE.fullmatch(text):
+            raise PatchFormatError(f"arrangement body is not {rows} rows of {cols} ids")
+        return ids
+
+    arr = DenseArrangement.__new__(DenseArrangement)  # a dense spelling, built from its bands, no grid
+    Arrangement.__init__(arr, _row_bands(reversed(body), read))
+    return arr, i + 1 + rows
 
 
-def _parse_ids(body: list[str], rows: int, cols: int) -> np.ndarray:
-    """The id grid (row 0 the bottom row) of an arrangement body, top row
-    first: ``rows`` lines of ``cols`` decimal ids and single spaces.
-
-    Checked and converted in whole-array passes over the body's bytes.
-    With one digit per id (2 bytes per id) the digits and separators sit
-    at even and odd bytes; otherwise every id ends at a separator byte.
-    Either way the separators must be spaces with a newline at every
-    ``cols``-th one, and ids may not be empty.  The general path alone
-    would parse both, but on a 1024 x 1024 body (the choquet levels) the
-    strided one-digit path is about 8x faster and builds no index arrays;
-    it yields uint8 ids, the general path int64 ones.
-    """
-    buf = np.frombuffer("\n".join([*body, ""]).encode(), dtype=np.uint8)
-    n = rows * cols
-    if buf.size < 2 * n:  # before any array of n entries is allocated
-        raise PatchFormatError(f"arrangement body is not {rows} rows of {cols} ids")
-    want = np.full(n, ord(" "), dtype=np.uint8)
-    want[cols - 1 :: cols] = ord("\n")
-    digit = buf - ord("0")  # non-digits wrap to values above 9
-    if buf.size == 2 * n:
-        ids = digit[0::2]
-        if ids.max() <= 9 and (buf[1::2] == want).all():
-            return np.ascontiguousarray(ids.reshape(rows, cols)[::-1])
-    seps = np.flatnonzero(digit > 9)
-    lengths = np.diff(seps, prepend=-1) - 1
-    if seps.size != n or not np.array_equal(buf[seps], want) or lengths.min() < 1:
-        raise PatchFormatError(f"arrangement body is not {rows} rows of {cols} ids")
-    width = int(lengths.max())
-    if width > 18:
-        raise PatchFormatError("arrangement id too large")
-    ids = np.zeros(n, dtype=np.int64)
-    for j in range(1, width + 1):  # the digit of weight 10^(j-1), 0 past an id's length
-        # seps - j only wraps below 0 for a first id shorter than j, which is masked
-        ids += np.where(lengths >= j, digit[seps - j], 0).astype(np.int64) * 10 ** (j - 1)
-    return ids.reshape(rows, cols)[::-1]
+def _parse_bands(lines: list[str], i: int) -> tuple[Arrangement, int]:
+    """The band spelling whose header is ``lines[i]``, and the next index."""
+    rows, cols, count = _fields(lines[i], "arrangement # # bands #")
+    bands = []
+    for _ in range(count):
+        i += 1
+        head = lines[i] if i < len(lines) else ""
+        mult, npieces = _fields(head, "band # pieces #")
+        pieces = []
+        for text in lines[i + 1 : i + 1 + npieces]:
+            reps, *flat = _fields(text, "#" + " # #" * (len(text.split()) // 2))
+            if not flat or min(reps, *flat[1::2]) < 1:
+                raise PatchFormatError(f"expected repetitions and runs, each at least 1, got {text!r}")
+            pieces.append((tuple(zip(flat[::2], flat[1::2])), reps))
+        if len(pieces) != npieces:
+            raise PatchFormatError(f"truncated band: {head!r}")
+        bands.append((Edge(tuple(pieces)), mult))
+        i += npieces
+    arr = Arrangement(tuple(bands))
+    if (arr.rows, arr.cols) != (rows, cols):
+        raise PatchFormatError(f"the bands make a {arr.rows}x{arr.cols} grid, not {rows}x{cols}")
+    return arr, i + 1
 
 
 def read_spec(path) -> HierarchySpec:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from delone import choquet as C
+from delone import cli
 from delone import hierarchy as H
-from delone.patch import PatchFormatError, has_even_column_property
+from delone.patch import PatchFormatError, has_even_column_property, loads_patch
 
 
 # ----------------------------------------------------------------------
@@ -350,9 +351,37 @@ def test_rigorous_hierarchy_depth_two_builds_and_validates():
     assert cb.spec.step_count_matrix(2) == cb.seq.A[0]
 
 
-def test_rigorous_hierarchy_depth_three_hits_the_cap():
-    with pytest.raises(H.CapacityError, match="grid cells"):
-        C.build_choquet_spec(2, 3, mode="rigorous")
+def test_rigorous_hierarchy_depth_three_builds_and_validates(tmp_path, capsys):
+    """The level-3 grids are 474989023199232 blocks a side: they are built
+    and written as bands, and the written spec loads, validates and counts
+    under the default cap."""
+    out = tmp_path / "c3.dhs"
+    argv = ["gen", "--construction", "choquet", "--depth", "3", "--mode", "rigorous", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert "arrangement 474989023199232 474989023199232 bands 6\n" in out.read_text()
+    spec = H.read_spec(out)
+    assert H.validate_scheme(spec).ok
+    seq = C.make_choquet_seq(2, 3, mode="rigorous")
+    assert spec.side(3) == seq.p[2] and [spec.step_count_matrix(t) for t in (2, 3)] == seq.A
+    w = C.find_separating_coordinates(seq)
+    for n in (2, 3):
+        assert spec.popcounts(n) == [C.patch_cardinality(seq, w.i0, n, k) for k in (1, 2, 3)]
+    jd, js = w.columns[3]
+    assert C.measure_vectors(seq, 3, jd)[0].values[w.i0 - 1] == w.dbar
+    assert C.measure_vectors(seq, 3, js)[0].values[w.i0 - 1] == w.dbar_prime
+    needle = tmp_path / "n.dpf"
+    needle.write_text("PATCH 2 2 0 0\n11\n10\n")
+    capsys.readouterr()
+    for cmd in (["stats"], ["count", "--level", "3", "--id", "1"], ["freq", "--level-from", "3", "--level-to", "3"]):
+        assert cli.main([cmd[0], "--spec", str(out), *(["--needle", str(needle)] if len(cmd) > 1 else []),
+                         *cmd[1:]]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 9 + 1 + 1 + 3  # stats: a header and 3 patches a level; count; freq
+    count = int(lines[10])
+    built = C.build_choquet_spec(2, 3, mode="rigorous").spec
+    assert count == H.count_occurrences(built, loads_patch(needle.read_text()), 3, 1)
+    level, pid, _, num, den = lines[12].split("\t")[:5]
+    assert (level, pid) == ("3", "1") and F(int(num), int(den)) == F(count, seq.p[2] ** 2)
 
 
 def test_build_depth_exceeding_sequence_rejected(tmp_path):

@@ -1,7 +1,9 @@
 """The .dhs descriptor and plain PBM codecs: round trips and malformed input."""
 
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -114,6 +116,30 @@ def test_dhs_codec_round_trip(spec):
         assert path.read_bytes() == text.encode()
 
 
+def _tables(arr):
+    return arr.counts(12), arr.hpair_counts(), arr.vpair_counts(), arr.quad_counts(), arr.to_grid().tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(dhs_specs())
+def test_band_spelling_round_trip(spec):
+    """Under a cap of one cell every arrangement of two or more cells but
+    the alternating-bottom ones is written as bands; the bands load back to
+    the same tables and grid and write the same text, and under the default
+    cap the spec is still written dense."""
+    dense = H.dumps_spec(spec)
+    with mock.patch.dict(os.environ, {"DELONE_CELL_CAP": "1"}):
+        text = H.dumps_spec(spec)
+        back = H.loads_spec(text)
+        assert H.dumps_spec(back) == text
+    wide = [a for lv in spec.levels for a in lv.arrangements
+            if a.rows * a.cols > 1 and not isinstance(a, AltBottomArrangement)]
+    assert text.count(" bands ") == len(wide)
+    for lv, lv2 in zip(spec.levels, back.levels, strict=True):
+        assert [_tables(a) for a in lv.arrangements] == [_tables(b) for b in lv2.arrangements]
+    assert H.dumps_spec(back) == H.dumps_spec(spec) == dense == _joined_dhs(spec)
+
+
 def test_dhs_writer_covers_both_id_paths():
     # ids 0..9 go through the byte buffer, larger ids through the join
     base = [Patch(np.ones((1, 1), dtype=np.uint8))] * 12
@@ -219,8 +245,55 @@ MALFORMED = [
 ]
 
 
-def _replace(old: str, new: str) -> str:
-    lines = VALID.split("\n")
+VALID_BANDS = """DHS 1
+level 1 patches 2
+PATCH 2 2 0 0
+11
+10
+PATCH 2 2 0 0
+11
+11
+level 2 patches 2
+anchor 0 0
+arrangement 6 6 bands 2
+band 2 pieces 2
+2 1 1 2 1
+1 2 2
+band 4 pieces 1
+1 1 6
+arrangement 6 6 altbottom 2 3 1 2
+"""
+
+# (what is wrong, the line replaced, its replacement) in VALID_BANDS
+MALFORMED_BANDS = [
+    ("multiplicity zero", "band 2 pieces 2", "band 0 pieces 2"),
+    ("negative multiplicity", "band 2 pieces 2", "band -2 pieces 2"),
+    ("multiplicities short of the rows", "band 4 pieces 1", "band 3 pieces 1"),
+    ("multiplicities past the rows", "band 4 pieces 1", "band 5 pieces 1"),
+    ("header rows past the multiplicities", "arrangement 6 6 bands 2", "arrangement 7 6 bands 2"),
+    ("runs short of the columns", "1 1 6", "1 1 5"),
+    ("runs past the columns", "1 2 2", "1 2 3"),
+    ("repetitions past the columns", "2 1 1 2 1", "3 1 1 2 1"),
+    ("zero repetitions", "1 2 2", "0 2 2"),
+    ("zero run length", "1 2 2", "1 2 2 1 0"),
+    ("piece without runs", "1 2 2", "2"),
+    ("child id out of range", "1 1 6", "1 3 6"),
+    ("child id zero", "1 1 6", "1 0 6"),
+    ("run missing its length", "2 1 1 2 1", "2 1 1 2"),
+    ("extra field in a piece", "1 1 6", "1 1 6 7"),
+    ("band missing its piece count", "band 4 pieces 1", "band 4 pieces"),
+    ("extra field in a band", "band 4 pieces 1", "band 4 pieces 1 1"),
+    ("bands header missing its count", "arrangement 6 6 bands 2", "arrangement 6 6 bands"),
+    ("extra field in the bands header", "arrangement 6 6 bands 2", "arrangement 6 6 bands 2 2"),
+    ("more bands than written", "arrangement 6 6 bands 2", "arrangement 6 6 bands 3"),
+    ("fewer bands than written", "arrangement 6 6 bands 2", "arrangement 6 6 bands 1"),
+    ("more pieces than written", "band 2 pieces 2", "band 2 pieces 3"),
+    ("non-integer run", "1 1 6", "1 x 6"),
+]
+
+
+def _replace(old: str, new: str, text: str = VALID) -> str:
+    lines = text.split("\n")
     return "\n".join(new if ln == old else ln for ln in lines)
 
 
@@ -231,10 +304,28 @@ def test_valid_fixture_loads():
     assert spec.num_levels == 2 and spec.popcounts(2) == [6 * 3 + 3 * 4, 8 * 3 + 1 * 4]
 
 
+def test_valid_band_fixture_loads():
+    spec = H.loads_spec(VALID_BANDS)
+    # rows 1 2 1 2 2 2 twice under four rows of 1s; patches of 3 and 4 points
+    assert spec.popcounts(2) == [28 * 3 + 8 * 4, 32 * 3 + 4 * 4]
+    assert spec.levels[0].arrangements[0].to_grid()[:2].tolist() == [[1, 2, 1, 2, 2, 2]] * 2
+
+
+@pytest.mark.parametrize("why,old,new", MALFORMED_BANDS, ids=[m[0] for m in MALFORMED_BANDS])
+def test_malformed_band_spelling_is_a_format_error(tmp_path, capsys, why, old, new):
+    assert old in VALID_BANDS.split("\n")
+    _assert_format_error(_replace(old, new, VALID_BANDS), tmp_path, capsys)
+
+
 @pytest.mark.parametrize("why,old,new", MALFORMED, ids=[m[0] for m in MALFORMED])
 def test_malformed_dhs_is_a_format_error(tmp_path, capsys, why, old, new):
     assert old in VALID.split("\n")
-    text = _replace(old, new)
+    _assert_format_error(_replace(old, new), tmp_path, capsys)
+
+
+def _assert_format_error(text, tmp_path, capsys):
+    """``text`` fails to load, and ``delone stats`` on it exits 2 with one
+    error line."""
     with pytest.raises(PatchFormatError):
         H.loads_spec(text)
     path = tmp_path / "bad.dhs"
@@ -274,11 +365,21 @@ _GARBAGE = st.sampled_from(["", "x", "-1", "0", "3", "10", "1 1", "\t", "  ", "l
 def test_mutated_dhs_loads_or_is_a_format_error(data):
     """Random edits of a valid descriptor either load or raise
     PatchFormatError, and ``delone stats`` exits 0 or 2 accordingly."""
-    lines = VALID.split("\n")[:-1]
+    _check_mutation(data, VALID, _GARBAGE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_band_spelling_loads_or_is_a_format_error(data):
+    _check_mutation(data, VALID_BANDS, st.one_of(_GARBAGE, st.sampled_from(["band", "bands", "pieces"])))
+
+
+def _check_mutation(data, valid: str, garbage) -> None:
+    lines = valid.split("\n")[:-1]
     edit = data.draw(st.sampled_from(["cut", "drop", "dup", "token"]))
     i = data.draw(st.integers(0, len(lines) - 1))
     if edit == "cut":
-        text = VALID[: data.draw(st.integers(0, len(VALID)))]
+        text = valid[: data.draw(st.integers(0, len(valid)))]
     else:
         if edit == "drop":
             del lines[i]
@@ -287,7 +388,7 @@ def test_mutated_dhs_loads_or_is_a_format_error(data):
         else:
             toks = lines[i].split(" ")
             j = data.draw(st.integers(0, len(toks) - 1))
-            toks[j] = data.draw(_GARBAGE)
+            toks[j] = data.draw(garbage)
             lines[i] = " ".join(toks)
         text = "\n".join(lines) + "\n"
     try:

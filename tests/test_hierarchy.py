@@ -2,6 +2,7 @@ import itertools
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from delone import cli
 from delone import hierarchy as H
-from delone import choquet, maps, nonrect, ue
+from delone import maps, nonrect, ue
 from delone.hierarchy import (
     BLOCK_ALIGNED,
     SLIDING,
@@ -20,7 +21,7 @@ from delone.hierarchy import (
     HierarchySpec,
     Level,
 )
-from delone.patch import Patch, dumps_patch, from_rows
+from delone.patch import Patch, PatchFormatError, dumps_patch, from_rows
 from tests_oracles import repetitivity_oracle
 
 
@@ -101,57 +102,95 @@ def test_dense_tables_match_naive(lo, hi, data):
         assert edge.steps() == _naive_tally(line[:-1], line[1:])
 
 
-@pytest.mark.parametrize("lo,hi,path", [(-500, 500, "unique"), (0, 2**16, "Counter")])
-def test_quad_kernel_takes_the_path_its_radix_allows(lo, hi, path):
-    g = np.random.default_rng(7).integers(lo, hi + 1, size=(7, 7))
-    g[0, 0], g[-1, -1] = lo, hi
-    with mock.patch.object(np, "unique", wraps=np.unique) as unique, \
-            mock.patch.object(H, "Counter", wraps=Counter) as counter:
-        got = DenseArrangement(g).quad_counts()
-    used = {"unique": unique.called, "Counter": counter.called}
-    assert used == {name: name == path for name in used}
-    assert got == _naive_tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])
+def _runs(draw, length: int, ids) -> tuple:
+    """``length`` cells cut into 1..5 runs of random ids."""
+    cuts = draw(st.lists(st.integers(1, length - 1), max_size=min(4, length - 1), unique=True)) if length > 1 else []
+    bounds = [0, *sorted(cuts), length]
+    return tuple((draw(ids), b - a) for a, b in zip(bounds, bounds[1:]))
 
 
-def _kept_bytes(dense: DenseArrangement) -> int:
-    """Bytes still allocated after building the arrangement's seam tables."""
+@st.composite
+def band_arrangements(draw):
+    """1..5 bands of multiplicity 1..4 over rows of a common length, each
+    row a period of 1..5 runs repeated 1..3 times, then a tail of 0..5 runs."""
+    ids = st.integers(1, 4)
+    cols = draw(st.integers(1, 12))
+    bands = []
+    for _ in range(draw(st.integers(1, 5))):
+        period = draw(st.integers(1, cols))
+        reps = draw(st.integers(1, min(3, cols // period)))
+        pieces = [(_runs(draw, period, ids), reps)]
+        if cols > period * reps:
+            pieces.append((_runs(draw, cols - period * reps, ids), 1))
+        bands.append((H.Edge(tuple(pieces)), draw(st.integers(1, 4))))
+    return H.Arrangement(tuple(bands))
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_arrangements())
+def test_band_tables_match_naive(arr):
+    rows = [[v for runs, k in row.pieces for _ in range(k) for v, n in runs for _ in range(n)]
+            for row, m in arr.bands for _ in range(m)]
+    g = np.array(rows)
+    assert np.array_equal(arr.to_grid(), g)
+    assert arr.counts(4) == [int((g == i).sum()) for i in range(1, 5)]
+    assert arr.hpair_counts() == _naive_tally(g[:, :-1], g[:, 1:])
+    assert arr.vpair_counts() == _naive_tally(g[:-1], g[1:])
+    assert arr.quad_counts() == _naive_tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])
+    for side, line in {"left": g[:, 0], "right": g[:, -1], "bottom": g[0], "top": g[-1]}.items():
+        edge = arr.edge(side)
+        assert edge.length == len(line)
+        assert edge.tally() == Counter(line.tolist())
+        assert edge.steps() == _naive_tally(line[:-1], line[1:])
+    assert [[arr.id_at(c, r) for c in range(arr.cols)] for r in range(arr.rows)] == rows
+
+
+def _kept(grid: np.ndarray) -> tuple[int, DenseArrangement]:
+    """Bytes still allocated after building an arrangement from ``grid``
+    and its seam tables, and the arrangement."""
     tracemalloc.start()
     try:
-        dense.edge("left")
-        dense.quad_counts()
-        return tracemalloc.get_traced_memory()[0]
+        arr = DenseArrangement(grid)
+        arr.edge("left")
+        arr.quad_counts()
+        return tracemalloc.get_traced_memory()[0], arr
     finally:
         tracemalloc.stop()
 
 
 def test_kept_seam_tables_grow_with_distinct_quads_not_cells():
-    # 512x512 cells in 64x64 blocks of four ids: few runs and distinct
-    # quads, while the build's int64 key array alone takes 2 MiB
+    # 512x512 cells in 64x64 blocks of four ids: 8 bands of 8 runs and 16
+    # distinct quads, against 256 KiB of one-byte cells
     i = np.arange(512) // 64 % 2
-    blocks = DenseArrangement(1 + i[:, None] + 2 * i[None, :])
-    assert len(blocks.quad_counts()) == 16
-    assert _kept_bytes(DenseArrangement(blocks.grid)) < 64 * 1024
-    # an id-diverse grid keeps one entry per distinct quad
-    diverse = DenseArrangement(np.random.default_rng(3).integers(1, 65, size=(256, 256)))
+    kept, blocks = _kept(1 + i[:, None] + 2 * i[None, :])
+    assert len(blocks.bands) == 8 and len(blocks.quad_counts()) == 16
+    assert kept < 64 * 1024
+    # an id-diverse grid keeps one entry per stored run and per distinct quad
+    kept, diverse = _kept(np.random.default_rng(3).integers(1, 65, size=(256, 256)))
+    runs = sum(len(runs) for row, _ in diverse.bands for runs, _ in row.pieces)
     quads = len(diverse.quad_counts())
     assert quads > 60_000
-    assert _kept_bytes(DenseArrangement(diverse.grid)) < 400 * quads
+    assert kept < 200 * (runs + quads)
+
+
+def _counted_property(monkeypatch, cls, name: str, calls: Counter) -> None:
+    """Count the builds of the cached property ``cls.name``."""
+    fn = getattr(cls, name).func
+    prop = cached_property(lambda self: (calls.update([name]), fn(self))[1])
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
 
 
 def test_seam_tables_are_built_once_per_spec(ue3, monkeypatch):
     spec = H.loads_spec(H.dumps_spec(ue3.spec))  # fresh arrangements, no tables built yet
-    dense = [a for lv in spec.levels for a in lv.arrangements if isinstance(a, DenseArrangement)]
+    arrs = [a for lv in spec.levels for a in lv.arrangements]
     calls = Counter()
-
-    def counted(name, fn):
-        return lambda *args: (calls.update([name]), fn(*args))[1]
-
-    monkeypatch.setattr(H, "_quad_counts", counted("quads", H._quad_counts))
-    monkeypatch.setattr(H.Edge, "of", staticmethod(counted("edge", H.Edge.of)))
+    for name in ("_tables", "_edges"):
+        _counted_property(monkeypatch, H.Arrangement, name, calls)
     top, (n1, n2) = spec.num_levels, spec.base[:2]
     first = H.count_occurrences(spec, n1, top, 1, SLIDING)
     built = dict(calls)
-    assert 0 < built["quads"] <= len(dense) and 0 < built["edge"] <= 4 * len(dense)
+    assert 0 < built["_tables"] <= len(arrs) and 0 < built["_edges"] <= len(arrs)
     second = H.count_occurrences(spec, n2, top, 1, SLIDING)
     assert dict(calls) == built
     assert [first, second] == [H.count_occurrences(ue3.spec, n, top, 1, SLIDING) for n in (n1, n2)]
@@ -170,6 +209,16 @@ def test_dense_tallies_are_copies():
         got[next(iter(got))] += 5
         got[(0, 0)] = 1
         assert get() == want
+
+
+def test_band_validation():
+    row, short = H.Edge(((((1, 2),), 1),)), H.Edge(((((1, 1),), 1),))
+    for bands in ((), ((row, 0),), ((row, 1), (short, 1)), ((H.Edge(()), 1),)):
+        with pytest.raises(H.SpecError):
+            H.Arrangement(bands)
+    head = "DHS 1\nlevel 1 patches 1\nPATCH 1 1 0 0\n1\nlevel 2 patches 1\narrangement 1 1 bands 1\n"
+    with pytest.raises(PatchFormatError, match="rows of one length of at least 1"):
+        H.loads_spec(head + "band 1 pieces 0\n")
 
 
 def test_altbottom_validation():
@@ -311,7 +360,6 @@ def test_default_cap_is_read_at_call_time(monkeypatch):
         (144, lambda: H.materialize(spec, 2, 1)),
         ((2 * base.height - 1) * (2 * base.width - 1) * base.popcount(),
          lambda: maps.delone_params_of(base)),
-        (64, lambda: choquet.build_choquet_spec(2, 2, mode="toy", ratio_cap=8)),  # 8x8 grids
     ]
     for need, run in paths:
         monkeypatch.setenv("DELONE_CELL_CAP", str(need))
