@@ -441,8 +441,10 @@ def initial_simplex_patches(p1: int, k1: int, i0: int) -> list[Patch]:
     """The k1 starting patches on a p1 x p1 support.
 
     Patch i0 is full minus its top-right cell; every other patch k keeps
-    the even columns, the bottom row, and the marker cell (1, k).  All are
-    pairwise distinct and keep even columns full.
+    the even columns, the bottom row, and one marker cell in an odd column:
+    the k-th of the slots (column 1, rows 1..p1-1), then (column 3, rows
+    1..p1-1), and so on.  All are pairwise distinct and keep even columns
+    full.
     """
     if p1 < 4 or p1 % 2:
         raise ValueError("p1 must be an even integer >= 4")
@@ -450,7 +452,7 @@ def initial_simplex_patches(p1: int, k1: int, i0: int) -> list[Patch]:
         raise ValueError("k1 must be at least 3")
     if not 1 <= i0 <= k1:
         raise ValueError("i0 out of range")
-    if any(k >= p1 for k in range(1, k1 + 1) if k != i0):
+    if max(k for k in range(1, k1 + 1) if k != i0) > (p1 - 1) * p1 // 2:
         raise SimplexBuildError("k1 too large for p1: marker cells would leave the support")
     out: list[Patch] = []
     for k in range(1, k1 + 1):
@@ -461,7 +463,8 @@ def initial_simplex_patches(p1: int, k1: int, i0: int) -> list[Patch]:
         else:
             cells[:, 0::2] = 1
             cells[0, :] = 1
-            cells[k, 1] = 1
+            col, row = divmod(k - 1, p1 - 1)
+            cells[1 + row, 1 + 2 * col] = 1
         out.append(Patch(cells, (0, 0)))
     return out
 

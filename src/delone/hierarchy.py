@@ -28,7 +28,7 @@ import os
 import re
 from bisect import bisect_right
 from collections.abc import Hashable
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, groupby
@@ -334,16 +334,17 @@ class AltBottomArrangement(Arrangement):
 # hierarchy spec
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Level:
     """One hierarchy level above the base: one arrangement per patch id."""
 
-    arrangements: list[Arrangement]
+    arrangements: tuple[Arrangement, ...]
     anchor: tuple[int, int] = (0, 0)  # (col, row) cell carrying the previous frame
     n_is_one: bool = False
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        vars(self)["arrangements"] = tuple(self.arrangements)
         if not self.arrangements:
             raise SpecError("level must hold at least one arrangement")
         dims = {(a.rows, a.cols) for a in self.arrangements}
@@ -361,31 +362,56 @@ class Level:
         return self.arrangements[0].rows
 
 
-# (side, origin, popcounts, child counts) of one level
-_FrameRow = tuple[int, Point, list[int], list[list[int]]]
+# (side, origin, popcounts, child counts) of one level; child counts hold,
+# per arrangement, the number of cells holding each child id (none at level 1)
+_FrameRow = tuple[int, Point, tuple[int, ...], tuple[list[int], ...]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class HierarchySpec:
-    """Base patches plus one :class:`Level` per higher hierarchy level."""
+    """Base patches plus one :class:`Level` per higher hierarchy level.
 
-    base: list[Patch]
-    levels: list[Level] = field(default_factory=list)
+    A spec is fixed once built: ``base``, ``levels`` and each level's
+    ``arrangements`` are tuples, and the frame table, one
+    :data:`_FrameRow` per level, is computed here, at construction.  A
+    builder grows a spec with :meth:`extended`, which computes the new
+    level's row only; the constructor and ``dataclasses.replace`` compute
+    every row.
+    """
+
+    base: tuple[Patch, ...]
+    levels: tuple[Level, ...] = ()
     kind: str = "custom"
     anchored: bool = False
     meta: dict[str, str] = field(default_factory=dict)
-    # the frame table (see _frame_table), and the base and levels it was computed from
-    _frames: list[_FrameRow] = field(default_factory=list, init=False, repr=False, compare=False)
-    _frames_src: tuple[list[Patch], list[Level]] = field(
-        default=([], []), init=False, repr=False, compare=False
-    )
+    _rows: InitVar[tuple[_FrameRow, ...] | None] = None  # frame rows of the spec this one extends
+    _frames: tuple[_FrameRow, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self.base:
+    def __post_init__(self, _rows):
+        base, levels = tuple(self.base), tuple(self.levels)
+        if not base:
             raise SpecError("need at least one base patch")
-        sides = {(p.width, p.height) for p in self.base}
-        if len(sides) != 1 or self.base[0].width != self.base[0].height:
+        sides = {(p.width, p.height) for p in base}
+        if len(sides) != 1 or base[0].width != base[0].height:
             raise SpecError("base patches must be squares of equal side")
+        frames = list(_rows or [(base[0].width, base[0].origin, tuple(p.popcount() for p in base), ())])
+        for lv in levels[len(frames) - 1 :]:
+            side, (ox, oy), pops, _ = frames[-1]
+            ac, ar = lv.anchor
+            counts = tuple(arr.counts(len(pops)) for arr in lv.arrangements)
+            frames.append((
+                side * lv.branching,
+                (ox - ac * side, oy - ar * side),
+                tuple(sum(c * p for c, p in zip(col, pops)) for col in counts),
+                counts,
+            ))
+        vars(self).update(base=base, levels=levels, _frames=tuple(frames))
+
+    def extended(self, level: Level) -> HierarchySpec:
+        """This spec with ``level`` on top, sharing the frame rows below it."""
+        return HierarchySpec(
+            self.base, self.levels + (level,), self.kind, self.anchored, dict(self.meta), _rows=self._frames
+        )
 
     # -- shape accessors -------------------------------------------------
 
@@ -399,7 +425,7 @@ class HierarchySpec:
 
     def side(self, level: int) -> int:
         self._check_level(level)
-        return self._frame_table()[level - 1][0]
+        return self._frames[level - 1][0]
 
     def cell_count(self, level: int) -> int:
         return self.side(level) ** 2
@@ -407,44 +433,7 @@ class HierarchySpec:
     def origin(self, level: int) -> Point:
         """Absolute position of the level's bottom-left cell (frames nest)."""
         self._check_level(level)
-        return self._frame_table()[level - 1][1]
-
-    def _frame_table(self) -> list[_FrameRow]:
-        """(side, origin, popcounts, child counts) of every level, indexed by
-        level - 1.  Child counts hold, per arrangement, the number of cells
-        holding each child id (none at level 1).
-
-        A row is kept while the base patches and the levels up to its own
-        are the objects it was computed from.  Any edit of ``base`` or
-        ``levels`` (append, pop, or replacing an entry at any position)
-        recomputes the rows from the first changed level up, so the builders,
-        which append one level at a time, pay one step of counts a level.
-        Patches and levels are taken as fixed once in the spec: an edit
-        inside one (say, of a level's ``arrangements`` list) is not seen;
-        replace the object instead.
-        """
-        base, levels = self.base, self.levels
-        src_base, src_levels = self._frames_src
-        table = self._frames
-        if _same_objects(src_base, base):
-            if _same_objects(src_levels, levels):
-                return table
-            kept = next((i for i, (a, b) in enumerate(zip(src_levels, levels)) if a is not b), len(levels))
-            table = table[: 1 + kept]
-        else:
-            table = [(base[0].width, base[0].origin, [p.popcount() for p in base], [])]
-        for lv in levels[len(table) - 1 :]:
-            side, (ox, oy), pops, _ = table[-1]
-            ac, ar = lv.anchor
-            counts = [arr.counts(len(pops)) for arr in lv.arrangements]
-            table.append((
-                side * lv.branching,
-                (ox - ac * side, oy - ar * side),
-                [sum(c * p for c, p in zip(col, pops)) for col in counts],
-                counts,
-            ))
-        self._frames, self._frames_src = table, (list(base), list(levels))
-        return table
+        return self._frames[level - 1][1]
 
     def _check_level(self, level: int) -> None:
         if not (1 <= level <= self.num_levels):
@@ -464,7 +453,7 @@ class HierarchySpec:
         self._check_level(level)
         if level == 1:
             raise SpecError("level 1 has no arrangement")
-        return [list(row) for row in zip(*self._frame_table()[level - 1][3])]
+        return [list(row) for row in zip(*self._frames[level - 1][3])]
 
     def count_matrix(self, m: int, n: int) -> list[list[int]]:
         """Block counts of level-m patches inside level-n patches (k_m x k_n)."""
@@ -479,21 +468,15 @@ class HierarchySpec:
 
     def popcounts(self, level: int) -> list[int]:
         """Occupied cells of each level patch (the base popcounts pushed up
-        through the step count matrices), read from the frame table: the
-        first call costs one step per level, later calls none until
-        ``base`` or ``levels`` is edited (see :meth:`_frame_table`)."""
+        through the step count matrices), read from the frame table."""
         self._check_level(level)
-        return list(self._frame_table()[level - 1][2])
+        return list(self._frames[level - 1][2])
 
     def density(self, level: int, pid: int) -> Fraction:
         """Occupied fraction of the (implicit) level patch, exact."""
         self._check_pid(level, pid)
-        side, _, pops, _ = self._frame_table()[level - 1]
+        side, _, pops, _ = self._frames[level - 1]
         return Fraction(pops[pid - 1], side * side)
-
-
-def _same_objects(a: list, b: list) -> bool:
-    return len(a) == len(b) and all(map(operator.is_, a, b))
 
 
 def _imat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -766,9 +749,8 @@ class _SlidingCount:
         self.w, self.h = needle.width, needle.height
         # the needle as each seam sees it: "H" runs as "V" on transposed cells
         self.needles = {"V": needle, "H": Patch(needle.cells.T)}
-        table = spec._frame_table()
-        self.sides = [row[0] for row in table]
-        self.child_counts = [row[3] for row in table]
+        self.sides = [row[0] for row in spec._frames]
+        self.child_counts = [row[3] for row in spec._frames]
 
     def _fits_children(self, t: int, n: int) -> bool:
         """An n x n block fits inside every child of a level-t patch."""
@@ -948,9 +930,8 @@ def validate_scheme(spec: HierarchySpec) -> SchemeReport:
     check("children_valid", ok, wit)
 
     ok, wit = True, ""
-    table = spec._frame_table()
     for t in range(2, spec.num_levels + 1):
-        for j, counts in enumerate(table[t - 1][3], start=1):
+        for j, counts in enumerate(spec._frames[t - 1][3], start=1):
             for i, c in enumerate(counts, start=1):
                 if c == 0:
                     ok, wit = False, f"level {t} patch {j} never uses child {i}"

@@ -424,14 +424,14 @@ def _build_steps(
                 m_it, n_it = m, n_blocks
             if it == 0:
                 m, n_blocks = m_it, n_it
-            spec.levels.append(
+            spec = spec.extended(
                 alternation_level(
                     m_it, p_star, n_it, n_is_one=n_is_one,
                     meta={"step": str(step), "L": str(L)},
                 )
             )
         if closing is not None:
-            spec.levels.append(closing())
+            spec = spec.extended(closing())
         budget -= stored + reserved
         bracket_ok = None
         newtop = spec.num_levels

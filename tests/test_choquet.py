@@ -130,9 +130,25 @@ def test_initial_patches_distinct_and_even_columns():
         assert has_even_column_property(p)
 
 
+def test_initial_patch_markers_fill_odd_columns():
+    # p1 = 4 has three marker slots in column 1, then three in column 3
+    patches = C.initial_simplex_patches(4, 7, i0=7)
+    assert len({p.cells.tobytes() for p in patches}) == 7
+    for k, (col, row) in enumerate([(1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (3, 3)], start=1):
+        want = np.zeros((4, 4), dtype=np.uint8)
+        want[:, 0::2] = 1
+        want[0, :] = 1
+        want[row, col] = 1
+        assert np.array_equal(patches[k - 1].cells, want), k
+        assert has_even_column_property(patches[k - 1])
+
+
 def test_initial_patch_marker_collision():
-    with pytest.raises(C.SimplexBuildError, match="too large"):
-        C.initial_simplex_patches(4, 5, i0=5)
+    # p1 = 4 has six marker slots and p1 = 6 fifteen; patch k takes slot k
+    C.initial_simplex_patches(4, 7, i0=7)
+    for p1, k1, i0 in [(4, 8, 8), (4, 7, 3), (6, 17, 1)]:
+        with pytest.raises(C.SimplexBuildError, match="too large"):
+            C.initial_simplex_patches(p1, k1, i0=i0)
     with pytest.raises(ValueError, match="even"):
         C.initial_simplex_patches(5, 3, i0=1)
 
@@ -341,6 +357,26 @@ def test_matrices_file_rejects_nonpositive(tmp_path):
     mats.write_text("p 4 32\nr 1\nmatrix 3 3\n1 1 1\n0 30 12\n62 33 51\n")
     with pytest.raises(C.SimplexBuildError, match="positive"):
         C.read_matrices_file(mats)
+
+
+@pytest.mark.parametrize("e", [3, 4])
+def test_more_extreme_points_build_and_separate(e):
+    """With e + 1 patches on p1 = 4 the last marker sits in column 3; the
+    hierarchy still validates, the cardinality formula and the anchor hold,
+    and the e + 1 vertices give e distinct level-1 measure vectors."""
+    cb = C.build_choquet_spec(e, 3, mode="toy", ratio_cap=16)  # sides 4, 32, 512
+    spec, seq, w = cb.spec, cb.seq, cb.witness
+    assert spec.k(1) == e + 1 and spec.base[0].width == 4
+    assert H.validate_scheme(spec).ok and C.validate_choquet_seq(seq).ok
+    for n in (2, 3):
+        for k in range(1, seq.k[n - 1] + 1):
+            assert C.patch_cardinality(seq, w.i0, n, k) == H.materialize(spec, n, k).popcount()
+            assert spec.step_count_matrix(n)[0][k - 1] == 1
+    level1 = {
+        tuple(next(v.values for v in C.measure_vectors(seq, 3, j) if v.level == 1))
+        for j in range(1, seq.k[2] + 1)
+    }
+    assert len(level1) == e
 
 
 def test_rigorous_hierarchy_depth_two_builds_and_validates():

@@ -34,6 +34,19 @@ def test_gen_choquet_writes_k_ledger(tmp_path):
     assert spec.kind == "choquet" and spec.num_levels == 3
 
 
+@pytest.mark.parametrize("e", [3, 4])
+@pytest.mark.parametrize("mode, depth", [("toy", "2"), ("rigorous", "3")])
+def test_gen_choquet_more_extreme_points(tmp_path, e, mode, depth):
+    out = tmp_path / "c.dhs"
+    rc = run("gen", "--construction", "choquet", "--extreme-points", str(e),
+             "--depth", depth, "--mode", mode, "--out", str(out))
+    assert rc == 0
+    ledger = (tmp_path / "c.ledger.txt").read_text()
+    assert "FAIL" not in ledger and "check all_children_used: pass" in ledger
+    spec = hierarchy.read_spec(out)
+    assert spec.k(1) == e + 1 and spec.num_levels == int(depth)
+
+
 def test_gen_rigorous_ledger_constants(tmp_path):
     out = tmp_path / "r.dhs"
     rc = run("gen", "--construction", "nonrect", "--depth", "1",

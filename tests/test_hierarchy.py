@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from collections import Counter
@@ -868,52 +869,103 @@ def test_sliding_recursion_equals_scan(spec, data):
     assert {(r.level, r.pid): r.count for r in rep.rows} == want
 
 
+def _fresh_frame(spec, level):
+    side, (ox, oy) = spec.base[0].width, spec.base[0].origin
+    for lv in spec.levels[: level - 1]:
+        ox, oy = ox - lv.anchor[0] * side, oy - lv.anchor[1] * side
+        side *= lv.branching
+    return side, (ox, oy)
+
+
+def _check_frames(spec):
+    """Frames, popcounts and step counts of every level against a
+    recompute: the frame walk above, popcounts of materialized patches
+    and the arrangements' own counts."""
+    for t in range(1, spec.num_levels + 1):
+        assert (spec.side(t), spec.origin(t)) == _fresh_frame(spec, t)
+        pops = [H.materialize(spec, t, pid).popcount() for pid in range(1, spec.k(t) + 1)]
+        assert spec.popcounts(t) == pops
+        assert [spec.density(t, pid) for pid in range(1, spec.k(t) + 1)] == [
+            Fraction(c, spec.side(t) ** 2) for c in pops
+        ]
+        if t > 1:
+            cols = [arr.counts(spec.k(t - 1)) for arr in spec.levels[t - 2].arrangements]
+            assert spec.step_count_matrix(t) == [list(row) for row in zip(*cols)]
+
+
 def test_frames_follow_level_edits():
-    def fresh(spec, level):
-        side, (ox, oy) = spec.base[0].width, spec.base[0].origin
-        for lv in spec.levels[: level - 1]:
-            ox, oy = ox - lv.anchor[0] * side, oy - lv.anchor[1] * side
-            side *= lv.branching
-        return side, (ox, oy)
-
-    def check(spec):
-        """Frames, popcounts and step counts of every level against a
-        recompute: the frame walk above, popcounts of materialized patches
-        and the arrangements' own counts."""
-        for t in range(1, spec.num_levels + 1):
-            assert (spec.side(t), spec.origin(t)) == fresh(spec, t)
-            pops = [H.materialize(spec, t, pid).popcount() for pid in range(1, spec.k(t) + 1)]
-            assert spec.popcounts(t) == pops
-            assert [spec.density(t, pid) for pid in range(1, spec.k(t) + 1)] == [
-                Fraction(c, spec.side(t) ** 2) for c in pops
-            ]
-            if t > 1:
-                cols = [arr.counts(spec.k(t - 1)) for arr in spec.levels[t - 2].arrangements]
-                assert spec.step_count_matrix(t) == [list(row) for row in zip(*cols)]
-
+    """A spec cannot be edited in place; each changed spec is a new one, made
+    by extended, by the constructor or by dataclasses.replace, and its frame
+    rows follow the change."""
     spec = toy_spec(ell=1)
     assert spec.side(2) == 12
-    check(spec)
-    spec.levels.append(ue.mix_level())  # builders append after reading sides
-    check(spec)
-    spec.levels.append(nonrect.alternation_level(1, 1, 2))
-    check(spec)
-    spec.levels[-1] = ue.mix_level()
+    _check_frames(spec)
+    spec = spec.extended(ue.mix_level())  # grow by one level
+    _check_frames(spec)
+    spec = spec.extended(nonrect.alternation_level(1, 1, 2))
+    _check_frames(spec)
+    spec = dataclasses.replace(spec, levels=spec.levels[:-1] + (ue.mix_level(),))  # a new top
     assert spec.side(4) == 108
-    check(spec)
-    spec.levels.pop()
+    _check_frames(spec)
+    spec = HierarchySpec(spec.base, spec.levels[:-1], spec.kind, spec.anchored)  # the top dropped
     assert spec.num_levels == 3 and spec.side(3) == 36
-    check(spec)
+    _check_frames(spec)
     with pytest.raises(H.SpecError):
         spec.side(4)
-    spec.levels.pop()
-    spec.levels += [nonrect.alternation_level(1, 1, 2), ue.mix_level()]  # two levels at once
-    check(spec)
-    spec.levels[0] = nonrect.alternation_level(1, 1, 2)  # below the top
-    assert spec.side(4) == 4 * 5 * 5 * 3
-    check(spec)
-    spec.base[0] = Patch(1 - spec.base[0].cells, spec.base[0].origin)
-    check(spec)
+    two = (nonrect.alternation_level(1, 1, 2), ue.mix_level())
+    spec = HierarchySpec(spec.base, spec.levels[:-1] + two, spec.kind, spec.anchored)  # grow by two
+    _check_frames(spec)
+    spec = dataclasses.replace(spec, levels=(nonrect.alternation_level(1, 1, 2),) + spec.levels[1:])
+    assert spec.side(4) == 4 * 5 * 5 * 3  # a level below the top replaced
+    _check_frames(spec)
+    spec = dataclasses.replace(spec, base=(Patch(1 - spec.base[0].cells, spec.base[0].origin),) + spec.base[1:])
+    _check_frames(spec)
+
+
+def test_specs_cannot_be_edited():
+    spec = nonrect.build_delone_spec(nonrect.counting_schedule(1), 1, mode="toy").spec
+    assert spec.popcounts(2) == [96, 138]
+    with pytest.raises(TypeError):  # the in-level edit the frame table once missed
+        spec.levels[0].arrangements[0] = ue.mix_level().arrangements[1]
+    with pytest.raises(AttributeError):
+        spec.levels.append(ue.mix_level())
+    with pytest.raises(TypeError):
+        spec.base[0] = spec.base[1]
+    for obj, attr, value in [
+        (spec, "levels", ()), (spec, "base", spec.base[:1]), (spec, "kind", "custom"),
+        (spec.levels[0], "arrangements", ()), (spec.levels[0], "anchor", (1, 1)),
+    ]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, value)
+    assert spec.popcounts(2) == [96, 138] and spec.levels[0].anchor == (0, 0)
+
+
+def test_extended_computes_one_row():
+    spec = toy_spec(ell=2)
+    lv = ue.mix_level()
+    with mock.patch.object(H.Arrangement, "counts", autospec=True, side_effect=H.Arrangement.counts) as counts:
+        grown = spec.extended(lv)
+    assert counts.call_count == len(lv.arrangements)
+    assert grown.levels == spec.levels + (lv,) and grown.meta == spec.meta
+    assert grown.meta is not spec.meta and spec.num_levels == 3
+    _check_frames(grown)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_specs())
+def test_grown_spec_matches_spec_built_at_once(spec):
+    grown = HierarchySpec(spec.base)
+    for lv in spec.levels:
+        grown = grown.extended(lv)
+    assert grown == spec
+    for t in range(1, spec.num_levels + 1):
+        assert (grown.side(t), grown.origin(t), grown.popcounts(t)) == (
+            spec.side(t), spec.origin(t), spec.popcounts(t))
+        if t > 1:
+            assert grown.step_count_matrix(t) == spec.step_count_matrix(t)
+    # a new base: every row is recomputed from it
+    flipped = dataclasses.replace(grown, base=tuple(Patch(1 - p.cells, p.origin) for p in spec.base))
+    _check_frames(flipped)
 
 
 # ----------------------------------------------------------------------
