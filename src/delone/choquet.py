@@ -31,11 +31,11 @@ import numpy as np
 
 from .hierarchy import (
     Arrangement,
-    CheckRow,
     Edge,
     HierarchySpec,
     Level,
     SchemeReport,
+    _check_row,
     _imat_mul,
 )
 from .patch import Patch, PatchFormatError, _data_lines, _fields
@@ -211,88 +211,49 @@ def validate_choquet_seq(seq: ChoquetSeq) -> SchemeReport:
     entry_floor_scale (same min >= r_n sqrt(q_{n+1})), stripe_ratio
     (r_n p_n < p_{n+1}), expansion_headroom, and the not-machine-checkable
     inverse-limit identification (recorded as a note).  In toy mode the two
-    entry floors are reported but do not fail the report.
+    entry floors and the headroom are reported but do not fail the report.
     """
-    rows: list[CheckRow] = []
     toy = seq.mode == "toy"
-
-    def row(name: str, ok: bool, witness: str = ""):
-        rows.append(CheckRow(name, ok, "" if ok else witness))
-
+    steps = range(len(seq.p) - 1)
     p1_expect = 4 if seq.dim is None else max(4, seq.dim)
-    row("start_scale", seq.p[0] == p1_expect, f"p_1 = {seq.p[0]}, expected {p1_expect}")
-    bad = [n for n, kk in enumerate(seq.k) if kk < 3]
-    row("min_patches", not bad, f"k too small at level {bad[:1]}")
 
-    ok, wit = True, ""
-    for n, mat in enumerate(seq.A):
-        for j in range(seq.k[n + 1]):
-            if mat[0][j] != 1:
-                ok, wit = False, f"A_{n+1}(1,{j+1}) = {mat[0][j]}"
-                break
-        if not ok:
-            break
-    row("unit_first_row", ok, wit)
+    def column_sums():
+        for n, mat in enumerate(seq.A):
+            want = seq.q[n + 1] // seq.q[n]
+            for j in range(seq.k[n + 1]):
+                got = sum(mat[i][j] for i in range(seq.k[n]))
+                if got != want:
+                    yield f"A_{n+1} column {j+1} sums to {got}, want {want}"
 
-    ok, wit = True, ""
-    for n, mat in enumerate(seq.A):
-        want = seq.q[n + 1] // seq.q[n]
-        for j in range(seq.k[n + 1]):
-            got = sum(mat[i][j] for i in range(seq.k[n]))
-            if got != want:
-                ok, wit = False, f"A_{n+1} column {j+1} sums to {got}, want {want}"
-                break
-        if not ok:
-            break
-    row("column_sums", ok, wit)
+    def entry_floor(floor, label):
+        for n, mat in enumerate(seq.A):
+            lo = min(mat[i][j] for i in range(1, seq.k[n]) for j in range(len(mat[0])))
+            if lo < floor(n):
+                yield f"A_{n+1} min lower entry {lo} < {label} = {floor(n)}"
 
-    def min_lower(mat: IntMatrix, kn: int) -> int:
-        return min(mat[i][j] for i in range(1, kn) for j in range(len(mat[0])))
-
-    ok, wit = True, ""
-    for n, mat in enumerate(seq.A):
-        lo = min_lower(mat, seq.k[n])
-        if lo < seq.k[n + 1]:
-            ok, wit = False, f"A_{n+1} min lower entry {lo} < k = {seq.k[n+1]}"
-            break
-    rows.append(CheckRow("entry_floor_patches", ok or toy,
-                         (wit + " (toy: reported only)") if not ok else ""))
-
-    ok, wit = True, ""
-    for n, mat in enumerate(seq.A):
-        lo = min_lower(mat, seq.k[n])
-        want = seq.r[n] * seq.p[n + 1]  # r_n sqrt(q_{n+1}) exactly
-        if lo < want:
-            ok, wit = False, f"A_{n+1} min lower entry {lo} < r*p = {want}"
-            break
-    rows.append(CheckRow("entry_floor_scale", ok or toy,
-                         (wit + " (toy: reported only)") if not ok else ""))
-
-    bad = [n + 1 for n in range(len(seq.p) - 1) if seq.r[n] * seq.p[n] >= seq.p[n + 1]]
-    row("stripe_ratio", not bad, f"r_n p_n >= p_n+1 at step {bad[:1]}")
-
-    bad = [
-        n + 1
-        for n in range(len(seq.p) - 1)
-        if not _headroom_ok(seq.p[n], seq.p[n + 1], seq.r[n], seq.k[n])
-    ]
-    rows.append(
-        CheckRow(
-            "expansion_headroom",
-            not bad or toy,
-            (f"headroom inequality fails at step {bad[:1]}" + (" (toy: reported only)" if toy else ""))
-            if bad
-            else "",
-        )
-    )
-    rows.append(
-        CheckRow(
-            "inverse_limit",
-            True,
-            "not machine-checkable; see measure-vector diagnostics",
-        )
-    )
-    return SchemeReport(tuple(rows))
+    return SchemeReport((
+        _check_row("start_scale", [f"p_1 = {seq.p[0]}, expected {p1_expect}"] if seq.p[0] != p1_expect else []),
+        _check_row("min_patches", (f"k too small at level {[n]}" for n, kk in enumerate(seq.k) if kk < 3)),
+        _check_row("unit_first_row", (
+            f"A_{n+1}(1,{j+1}) = {mat[0][j]}"
+            for n, mat in enumerate(seq.A)
+            for j in range(seq.k[n + 1])
+            if mat[0][j] != 1
+        )),
+        _check_row("column_sums", column_sums()),
+        _check_row("entry_floor_patches", entry_floor(lambda n: seq.k[n + 1], "k"), toy),
+        # r_n sqrt(q_{n+1}) exactly
+        _check_row("entry_floor_scale", entry_floor(lambda n: seq.r[n] * seq.p[n + 1], "r*p"), toy),
+        _check_row("stripe_ratio", (
+            f"r_n p_n >= p_n+1 at step {[n + 1]}" for n in steps if seq.r[n] * seq.p[n] >= seq.p[n + 1]
+        )),
+        _check_row("expansion_headroom", (
+            f"headroom inequality fails at step {[n + 1]}"
+            for n in steps
+            if not _headroom_ok(seq.p[n], seq.p[n + 1], seq.r[n], seq.k[n])
+        ), toy),
+        _check_row("inverse_limit", (), note="not machine-checkable; see measure-vector diagnostics"),
+    ))
 
 
 def make_choquet_seq(

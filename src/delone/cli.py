@@ -173,8 +173,7 @@ def cmd_gen(args) -> int:
         lines.append(
             f"separating row {cb.witness.i0}; spread bounds {cb.witness.dbar} > {cb.witness.dbar_prime}"
         )
-        for row in rep.rows:
-            lines.append(f"seqcheck {row.name}: {'pass' if row.ok else 'FAIL'} {row.witness}")
+        lines += _check_lines("seqcheck", rep)
         if not rep.ok:
             _emit(args, spec, lines)
             return 1
@@ -194,12 +193,16 @@ def cmd_gen(args) -> int:
                 f"{'bracket the targets exactly' if rec.bracket_ok else 'FAIL the target bracket'}"
             )
     rep = hierarchy.validate_scheme(spec)
-    for row in rep.rows:
-        lines.append(f"check {row.name}: {'pass' if row.ok else 'FAIL'} {row.witness}")
+    lines += _check_lines("check", rep)
     _emit(args, spec, lines)
     if not rep.ok or any(r.bracket_ok is False for r in steps):
         return 1
     return 0
+
+
+def _check_lines(prefix: str, rep: hierarchy.SchemeReport) -> list[str]:
+    """The ledger lines of a report: ``<prefix> <row>: pass|FAIL <witness>``."""
+    return [f"{prefix} {row.name}: {'pass' if row.ok else 'FAIL'} {row.witness}" for row in rep.rows]
 
 
 def _emit(args, spec, lines) -> None:

@@ -27,7 +27,7 @@ import operator
 import os
 import re
 from bisect import bisect_right
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -498,14 +498,11 @@ def materialize(
     level: int,
     pid: int,
     cap: int | None = None,
-    _memo: dict | None = None,
 ) -> Patch:
     """Bit-exact expansion of the arrangement recursion into a patch."""
     spec._check_pid(level, pid)
     check_cells(spec.cell_count(level), f"materializing level {level} patch {pid}", cap)
-    memo: dict = {} if _memo is None else _memo
-    arr = _materialize_cells(spec, level, pid, memo)
-    return Patch(arr, spec.origin(level))
+    return Patch(_materialize_cells(spec, level, pid, {}), spec.origin(level))
 
 
 def _materialize_cells(spec, level, pid, memo) -> np.ndarray:
@@ -830,6 +827,7 @@ class _SlidingCount:
             ))
         else:
             s = self.sides[t - 1]
+            check_cells(4 * cw * ch, f"junction block at level {t}", self.cap)
             blk = np.empty((2 * ch, 2 * cw), dtype=np.uint8)
             for i, pid in enumerate(quad):
                 row, col = divmod(i, 2)
@@ -872,6 +870,18 @@ class SchemeReport:
         return [r for r in self.rows if not r.ok]
 
 
+def _check_row(name: str, failures: Iterable[str], reported_only: bool = False, note: str = "") -> CheckRow:
+    """The row of a check from the witnesses it yields lazily, in the order
+    it finds them: the first fails the row, or passes it marked as reported
+    only when ``reported_only`` (toy mode); none passes it with ``note``."""
+    witness = next(iter(failures), None)
+    if witness is None:
+        return CheckRow(name, True, note)
+    if reported_only:
+        witness += " (toy: reported only)"
+    return CheckRow(name, reported_only, witness)
+
+
 def validate_scheme(spec: HierarchySpec) -> SchemeReport:
     """Structural validation of the nesting/tiling properties of a hierarchy.
 
@@ -880,78 +890,53 @@ def validate_scheme(spec: HierarchySpec) -> SchemeReport:
     is used in every arrangement; and, for anchored specs, patch 1 restricted
     to the anchor cell is patch 1 of the level below.
     """
-    rows: list[CheckRow] = []
+    levels = list(enumerate(spec.levels, start=2))
 
-    def check(name: str, ok: bool, witness: str = ""):
-        rows.append(CheckRow(name, ok, "" if ok else witness))
+    def contains_origin():
+        for t, (side, (ox, oy), _, _) in enumerate(spec._frames, start=1):
+            if not (ox <= 0 <= ox + side - 1 and oy <= 0 <= oy + side - 1):
+                yield f"level {t} frame [{ox},{ox+side-1}]^2 misses the origin"
+            if t > 1:
+                pside, (pox, poy), _, _ = spec._frames[t - 2]
+                if not (ox <= pox and oy <= poy and ox + side >= pox + pside and oy + side >= poy + pside):
+                    yield f"level {t} frame does not contain level {t-1}"
 
-    # contains_origin / nesting
-    ok, wit = True, ""
-    prev = None
-    for t in range(1, spec.num_levels + 1):
-        ox, oy = spec.origin(t)
-        side = spec.side(t)
-        if not (ox <= 0 <= ox + side - 1 and oy <= 0 <= oy + side - 1):
-            ok, wit = False, f"level {t} frame [{ox},{ox+side-1}]^2 misses the origin"
-            break
-        if prev is not None:
-            pox, poy, pside = prev
-            if not (ox <= pox and oy <= poy and ox + side >= pox + pside and oy + side >= poy + pside):
-                ok, wit = False, f"level {t} frame does not contain level {t-1}"
-                break
-        prev = (ox, oy, side)
-    check("contains_origin", ok, wit)
+    def children_valid():
+        for t, lv in levels:
+            kp = spec.k(t - 1)
+            for j, arr in enumerate(lv.arrangements, start=1):
+                lo, hi = arr.id_bounds()
+                if lo < 1 or hi > kp:
+                    yield f"level {t} patch {j} references id outside 1..{kp}"
 
-    ok, wit = True, ""
-    for t, lv in enumerate(spec.levels, start=2):
-        if lv.branching < 2:
-            ok, wit = False, f"level {t} branching {lv.branching} < 2"
-            break
-    check("sides_grow", ok, wit)
-
-    ok, wit = True, ""
-    for t, lv in enumerate(spec.levels, start=2):
-        dims = {(a.rows, a.cols) for a in lv.arrangements}
-        if len(dims) != 1 or lv.branching != lv.arrangements[0].cols:
-            ok, wit = False, f"level {t} arrangements disagree on dimensions"
-            break
-    check("exact_tiling", ok, wit)
-
-    ok, wit = True, ""
-    for t, lv in enumerate(spec.levels, start=2):
-        kp = spec.k(t - 1)
-        for j, arr in enumerate(lv.arrangements, start=1):
-            lo, hi = arr.id_bounds()
-            if lo < 1 or hi > kp:
-                ok, wit = False, f"level {t} patch {j} references id outside 1..{kp}"
-                break
-        if not ok:
-            break
-    check("children_valid", ok, wit)
-
-    ok, wit = True, ""
-    for t in range(2, spec.num_levels + 1):
-        for j, counts in enumerate(spec._frames[t - 1][3], start=1):
-            for i, c in enumerate(counts, start=1):
-                if c == 0:
-                    ok, wit = False, f"level {t} patch {j} never uses child {i}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    check("all_children_used", ok, wit)
-
-    if spec.anchored:
-        ok, wit = True, ""
-        for t, lv in enumerate(spec.levels, start=2):
-            ac, ar = lv.anchor
-            got = lv.arrangements[0].id_at(ac, ar)
+    def anchor_chain():
+        for t, lv in levels:
+            got = lv.arrangements[0].id_at(*lv.anchor)
             if got != 1:
-                ok, wit = False, f"level {t} anchor cell {lv.anchor} holds id {got}, not 1"
-                break
-        check("anchor_chain", ok, wit)
+                yield f"level {t} anchor cell {lv.anchor} holds id {got}, not 1"
 
+    rows = [
+        _check_row("contains_origin", contains_origin()),
+        _check_row("sides_grow", (
+            f"level {t} branching {lv.branching} < 2" for t, lv in levels if lv.branching < 2
+        )),
+        _check_row("exact_tiling", (
+            f"level {t} arrangements disagree on dimensions"
+            for t, lv in levels
+            if len({(a.rows, a.cols) for a in lv.arrangements}) != 1
+            or lv.branching != lv.arrangements[0].cols
+        )),
+        _check_row("children_valid", children_valid()),
+        _check_row("all_children_used", (
+            f"level {t} patch {j} never uses child {i}"
+            for t in range(2, spec.num_levels + 1)
+            for j, counts in enumerate(spec._frames[t - 1][3], start=1)
+            for i, c in enumerate(counts, start=1)
+            if c == 0
+        )),
+    ]
+    if spec.anchored:
+        rows.append(_check_row("anchor_chain", anchor_chain()))
     return SchemeReport(tuple(rows))
 
 

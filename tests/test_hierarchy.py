@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from delone import cli
 from delone import hierarchy as H
-from delone import maps, nonrect, ue
+from delone import choquet, maps, nonrect, ue
 from delone.hierarchy import (
     BLOCK_ALIGNED,
     SLIDING,
@@ -304,8 +304,8 @@ def test_pattern_list_is_the_sorted_distinct_codes(name, level, request):
 # the cell cap: one check on every path that allocates cells
 # ----------------------------------------------------------------------
 
-CAP_PATHS = ["materialize", "direct scan", "seam strip", "block-aligned count", "cli export",
-             "repetitivity", "cli repetitivity"]
+CAP_PATHS = ["materialize", "direct scan", "seam strip", "junction block", "block-aligned count",
+             "cli export", "repetitivity", "cli repetitivity"]
 
 
 @pytest.mark.parametrize("path", CAP_PATHS)
@@ -332,9 +332,14 @@ def test_cell_cap_on_every_path(path, tmp_path, capsys, monkeypatch):
         # a 5x5 needle does not fit the 4x4 children: level 2 is scanned whole
         "direct scan": (12 * 12, lambda cap: H.count_occurrences(
             spec, Patch(top[:5, :5]), 2, 1, SLIDING, cap=cap)),
-        # an 8x8 needle at level 3: level-2 scans of 144 cells, then seam
-        # strips of 2 * 7 * 12 cells
+        # an 8-wide, 2-high needle at level 3: level-2 scans of 144 cells,
+        # vertical seam strips of 2 * 7 * 12 cells, and smaller horizontal
+        # strips (2 * 1 * 12) and junction blocks (2 * 1 * 2 * 7)
         "seam strip": (2 * 7 * 12, lambda cap: H.count_occurrences(
+            spec, Patch(top[:2, :8]), 3, 1, SLIDING, cap=cap)),
+        # an 8x8 needle at level 3: the seam strips of 168 cells, then the
+        # four 7x7 tiles of each level-2 junction
+        "junction block": (4 * 7 * 7, lambda cap: H.count_occurrences(
             spec, Patch(top[:8, :8]), 3, 1, SLIDING, cap=cap)),
         "block-aligned count": (12 * 12, lambda cap: H.count_occurrences(
             spec, Patch(top[:12, :12]), 3, 1, BLOCK_ALIGNED, cap=cap)),
@@ -345,8 +350,10 @@ def test_cell_cap_on_every_path(path, tmp_path, capsys, monkeypatch):
         "cli repetitivity": (6 * 36 * 36, command("repetitivity", "--r", "2")),
     }[path]
     run(need)
-    with pytest.raises(CapacityError, match=rf"requires {need} cells \(cap {need - 1}\)"):
+    with pytest.raises(CapacityError, match=rf"requires {need} cells \(cap {need - 1}\)") as refused:
         run(need - 1)
+    # a sliding count allocates both kinds: the refused one is named
+    assert path not in ("seam strip", "junction block") or path in str(refused.value)
     with pytest.raises(CapacityError, match=r"cells \(cap 1\)"):
         run(None)
 
@@ -595,6 +602,95 @@ def test_validate_flags_bad_child_id():
     spec = HierarchySpec(base, [Level([arr])])
     bad = {r.name for r in H.validate_scheme(spec).failed()}
     assert "children_valid" in bad
+
+
+def _scheme(name):
+    """A spec that fails one ``validate_scheme`` row; ``name`` says how."""
+    base = [from_rows(["11", "11"]), from_rows(["11", "10"])]
+    mixed = DenseArrangement(np.array([[1, 2], [1, 1]]))
+    if name == "base origin":
+        return HierarchySpec([Patch(base[0].cells, (1, 1))])
+    if name == "1x1 arrangements":
+        return HierarchySpec(base, [Level([DenseArrangement(np.array([[1]]))] * 2)])
+    if name == "child id":
+        return HierarchySpec(base[:1], [Level([mixed])])
+    if name == "unused child":
+        return HierarchySpec(base, [Level([DenseArrangement(np.ones((2, 2), dtype=np.int64)), mixed])])
+    assert name == "anchor id"
+    bottom_left_2 = DenseArrangement(np.array([[2, 1], [1, 1]]))
+    return HierarchySpec(base, [Level([bottom_left_2] * 2, anchor=(0, 0))], anchored=True)
+
+
+def _choquet_seq(mode, name):
+    """A two-level sequence in ``mode`` that breaks one ``validate_choquet_seq``
+    row; entries of A_1 move within a column, so its sum stays put."""
+    seq = choquet.make_choquet_seq(2, 2, mode=mode, ratio_cap=8)
+    a = [row[:] for row in seq.A[0]]
+    seq = dataclasses.replace(seq, A=[a])
+
+    def move(src, dst, col, value):
+        a[dst][col] += a[src][col] - value
+        a[src][col] = value
+
+    if name == "p1":
+        return dataclasses.replace(seq, p=(5,) + seq.p[1:])
+    if name == "k":
+        return dataclasses.replace(seq, k=(2,) + seq.k[1:])
+    if name == "first row":
+        move(0, 1, 1, 2)
+    elif name == "column sum":
+        a[2][0] += 1
+    elif name == "floor patches":
+        move(1, 2, 2, 1)
+    elif name == "floor scale":
+        move(1, 2, 2, 3)
+    elif name == "stripe ratio":
+        return dataclasses.replace(seq, r=(seq.p[1] // seq.p[0],) + seq.r[1:])
+    else:
+        assert name == "headroom"
+        return dataclasses.replace(seq, r=(seq.p[1] // seq.p[0] - 1,) + seq.r[1:])
+    return seq
+
+
+TOY = " (toy: reported only)"
+WITNESSES = [
+    # (validator input, row, ok, witness)
+    ("base origin", "contains_origin", False, "level 1 frame [1,2]^2 misses the origin"),
+    ("1x1 arrangements", "sides_grow", False, "level 2 branching 1 < 2"),
+    ("child id", "children_valid", False, "level 2 patch 1 references id outside 1..1"),
+    ("unused child", "all_children_used", False, "level 2 patch 1 never uses child 2"),
+    ("anchor id", "anchor_chain", False, "level 2 anchor cell (0, 0) holds id 2, not 1"),
+    (("toy", "p1"), "start_scale", False, "p_1 = 5, expected 4"),
+    (("toy", "k"), "min_patches", False, "k too small at level [0]"),
+    (("toy", "first row"), "unit_first_row", False, "A_1(1,2) = 2"),
+    (("toy", "column sum"), "column_sums", False, "A_1 column 1 sums to 65, want 64"),
+    (("toy", "floor patches"), "entry_floor_patches", True, "A_1 min lower entry 1 < k = 3" + TOY),
+    (("toy", "floor scale"), "entry_floor_scale", True, "A_1 min lower entry 3 < r*p = 32" + TOY),
+    (("toy", "stripe ratio"), "stripe_ratio", False, "r_n p_n >= p_n+1 at step [1]"),
+    (("toy", "headroom"), "expansion_headroom", True, "headroom inequality fails at step [1]" + TOY),
+    (("rigorous", "p1"), "start_scale", False, "p_1 = 5, expected 4"),
+    (("rigorous", "k"), "min_patches", False, "k too small at level [0]"),
+    (("rigorous", "first row"), "unit_first_row", False, "A_1(1,2) = 2"),
+    (("rigorous", "column sum"), "column_sums", False, "A_1 column 1 sums to 1048577, want 1048576"),
+    # a failing floor in rigorous mode is a plain FAIL, with no toy suffix
+    (("rigorous", "floor patches"), "entry_floor_patches", False, "A_1 min lower entry 1 < k = 3"),
+    (("rigorous", "floor scale"), "entry_floor_scale", False, "A_1 min lower entry 3 < r*p = 4096"),
+    (("rigorous", "stripe ratio"), "stripe_ratio", False, "r_n p_n >= p_n+1 at step [1]"),
+    (("rigorous", "headroom"), "expansion_headroom", False, "headroom inequality fails at step [1]"),
+]
+
+
+@pytest.mark.parametrize("case, name, ok, witness", WITNESSES,
+                         ids=[c if isinstance(c, str) else " ".join(c) for c, *_ in WITNESSES])
+def test_validator_witnesses(case, name, ok, witness):
+    """Each reachable failure of either validator gives its row this pass or
+    FAIL and this first witness; toy mode only reports its three soft rows."""
+    if isinstance(case, tuple):
+        rep = choquet.validate_choquet_seq(_choquet_seq(*case))
+    else:
+        rep = H.validate_scheme(_scheme(case))
+    [row] = [r for r in rep.rows if r.name == name]
+    assert (row.ok, row.witness) == (ok, witness)
 
 
 # ----------------------------------------------------------------------
