@@ -248,8 +248,6 @@ class Arrangement:
         grid.flags.writeable = False
         return grid
 
-    grid = property(to_grid, doc="The grid of :meth:`to_grid`.")
-
     def edge(self, side: str) -> Edge:
         return self._edges[side]
 
@@ -538,20 +536,24 @@ def materialize_region(
         raise SpecError("region exceeds the patch support")
     if level == 1:
         return spec.base[pid - 1].cells[y0 : y0 + h, x0 : x0 + w]
-    lv = spec.levels[level - 2]
-    arr = lv.arrangements[pid - 1]
-    s = spec.side(level - 1)
-    out = np.zeros((h, w), dtype=np.uint8)
+    return _cut(spec, level - 1, spec.levels[level - 2].arrangements[pid - 1].id_at, x0, y0, w, h)
+
+
+def _cut(spec, t, id_at, x0, y0, w, h) -> np.ndarray:
+    """Cells [x0, x0+w) x [y0, y0+h) of a grid of level-t patches, the
+    patch at (col, row) being ``id_at(col, row)``.  Each piece is cut through
+    the module-level name ``materialize_region``, so a wrapper of it sees
+    every piece."""
+    s = spec._frames[t - 1][0]
+    out = np.empty((h, w), dtype=np.uint8)
     for crow in range(y0 // s, (y0 + h - 1) // s + 1):
         for ccol in range(x0 // s, (x0 + w - 1) // s + 1):
-            cid = arr.id_at(ccol, crow)
             cx0, cy0 = ccol * s, crow * s
             ix0, iy0 = max(x0, cx0), max(y0, cy0)
             ix1, iy1 = min(x0 + w, cx0 + s), min(y0 + h, cy0 + s)
-            block = materialize_region(
-                spec, level - 1, cid, ix0 - cx0, iy0 - cy0, ix1 - ix0, iy1 - iy0
+            out[iy0 - y0 : iy1 - y0, ix0 - x0 : ix1 - x0] = materialize_region(
+                spec, t, id_at(ccol, crow), ix0 - cx0, iy0 - cy0, ix1 - ix0, iy1 - iy0
             )
-            out[iy0 - y0 : iy1 - y0, ix0 - x0 : ix1 - x0] = block
     return out
 
 
@@ -559,46 +561,19 @@ def materialize_region(
 # exact scans (shared by the sliding recursion and by export tooling)
 # ----------------------------------------------------------------------
 
-# cells (one byte each) of grid rows a strip of ``_scan_full`` spans: about
+# cells (one byte each) of grid rows a strip of ``scan_count`` spans: about
 # a quarter of a megabyte, so a strip's planes stay in cache
 _STRIP = 1 << 18
 
 
-def scan_count(
-    grid: np.ndarray,
-    needle: Patch,
-    x_lo: int = 0,
-    x_hi: int | None = None,
-    y_lo: int = 0,
-    y_hi: int | None = None,
-) -> int:
-    """Exact-match placements of ``needle`` in ``grid`` with origins in ranges.
+def scan_count(grid: np.ndarray, needle: Patch) -> int:
+    """Exact-match placements of ``needle`` at every origin of ``grid``
+    (0 when the needle is larger than the grid).
 
-    A placement matches when occupied AND unoccupied cells agree.  Ranges
-    are inclusive bounds on the placement origin (bottom-left cell); a
-    negative lower bound counts from origin 0.  The grid slice the ranges
-    cover goes through ``_scan_full``, a boolean pass with no arithmetic
-    on cells.
-    """
-    H, W = grid.shape
-    w, h = needle.width, needle.height
-    if w > W or h > H:
-        return 0
-    x_lo, y_lo = max(x_lo, 0), max(y_lo, 0)
-    x_hi = W - w if x_hi is None else min(x_hi, W - w)
-    y_hi = H - h if y_hi is None else min(y_hi, H - h)
-    if x_lo > x_hi or y_lo > y_hi:
-        return 0
-    sub = grid[y_lo : y_hi + h, x_lo : x_hi + w]
-    return _scan_full(sub, needle)
-
-
-def _scan_full(grid: np.ndarray, needle: Patch) -> int:
-    """Exact-match placements of ``needle`` at every origin of ``grid``.
-
-    One boolean accumulator over the placement origins is ANDed with the
-    grid shifted by each needle offset, tested against ``grid != 0`` where
-    the needle cell is occupied and ``grid == 0`` where it is empty.  No
+    A placement matches when occupied AND unoccupied cells agree.  One
+    boolean accumulator over the placement origins is ANDed with the grid
+    shifted by each needle offset, tested against ``grid != 0`` where the
+    needle cell is occupied and ``grid == 0`` where it is empty.  No
     arithmetic is done on cells, so nothing can overflow.
 
     The origins are scanned in strips of ``_STRIP // W`` rows (at least
@@ -608,6 +583,8 @@ def _scan_full(grid: np.ndarray, needle: Patch) -> int:
     """
     H, W = grid.shape
     w, h = needle.width, needle.height
+    if w > W or h > H:
+        return 0
     outh, outw = H - h + 1, W - w + 1
     rows = min(outh, max(1, _STRIP // W))
     occupied = np.empty((rows + h - 1, W), dtype=bool)
@@ -664,10 +641,11 @@ def count_occurrences(
     needle must match a whole level); ``sliding`` counts every translate
     fully inside the support, straddles included.  Sliding counts recurse
     on the seams and junctions between children (see the module docstring
-    and ``_SlidingCount``) and only materialize seam strips one needle wide
-    at the levels whose children no longer hold the needle, and the four
-    (w-1) x (h-1) tiles of a junction at the levels whose children no
-    longer hold such a tile.  A needle wider than the children of ``level``
+    and ``_SlidingCount``) and only materialize seam strips (the w-1 columns,
+    or h-1 rows, on each side of a seam) at the levels whose children no
+    longer hold the needle, and the 2(w-1) x 2(h-1) block around a junction
+    at the levels whose children no longer hold a (w-1) x (h-1) tile; both
+    are cut in true orientation.  A needle wider than the children of ``level``
     itself is scanned whole.  Every materialization, in either mode, passes
     ``check_cells`` against ``cap``.  ``_memo`` carries the memo (keys
     ``n``, ``V``, ``H`` and ``C``) between calls that count the same
@@ -731,9 +709,12 @@ class _SlidingCount:
 
     All three recursions have one shape: look the key up, recurse into the
     children while they hold the needle (its (w-1) x (h-1) corner tiles for
-    junctions), otherwise scan one materialized block.  Seams and junctions
-    are only evaluated at levels whose side is at least the needle's, so a
-    placement crosses at most one seam each way.
+    junctions), otherwise scan one block.  A patch scans itself whole;
+    seams and junctions scan a window cut by ``_leaf`` from the small block
+    of patches they join, in true orientation, so every scan is of
+    ``needle`` itself.  Seams and junctions are only evaluated at levels
+    whose side is at least the needle's, so a placement crosses at most one
+    seam each way.
 
     The edges and the pair and quad tallies the recursion reads are the
     arrangements' own tables, built from their bands and kept on the
@@ -744,8 +725,6 @@ class _SlidingCount:
     def __init__(self, spec: HierarchySpec, needle: Patch, cap: int | None, memo: dict):
         self.spec, self.needle, self.cap, self.memo = spec, needle, cell_cap(cap), memo
         self.w, self.h = needle.width, needle.height
-        # the needle as each seam sees it: "H" runs as "V" on transposed cells
-        self.needles = {"V": needle, "H": Patch(needle.cells.T)}
         self.sides = [row[0] for row in spec._frames]
         self.child_counts = [row[3] for row in spec._frames]
 
@@ -781,8 +760,10 @@ class _SlidingCount:
         (``kind`` "V": a left of b; "H": a below b).
 
         The seam is the line of seams between a's and b's edge children,
-        joined at 2x2 junctions.  "H" runs as "V" on transposed cells, so
-        w and h below are the needle's width and height as the seam sees it.
+        joined at 2x2 junctions.  "H" swaps the roles of width and height,
+        so w and h below are the needle's extent across and along the seam;
+        the leaf cuts the strip of the c = w - 1 cells on each side of the
+        seam in true orientation.
         """
         key = (kind, t, a, b)
         if key in self.memo:
@@ -796,15 +777,9 @@ class _SlidingCount:
             if h >= 2:
                 res += sum(n * self.corner(t - 1, junction(p + q)) for (p, q), n in seam.steps().items())
         else:
-            s = self.sides[t - 1]
-            name = "vertical" if kind == "V" else "horizontal"
-            check_cells(2 * (w - 1) * s, f"{name} seam strip at level {t}", self.cap)
-            strips = [
-                materialize_region(self.spec, t, pid, x0, 0, w - 1, s) if kind == "V"
-                else materialize_region(self.spec, t, pid, 0, x0, s, w - 1).T
-                for pid, x0 in ((a, s - (w - 1)), (b, 0))
-            ]
-            res = scan_count(np.hstack(strips), self.needles[kind], x_hi=w - 2, y_hi=s - h)
+            s, c = self.sides[t - 1], w - 1
+            res = (self._leaf(t, ((a, b),), s - c, 0, 2 * c, s, "vertical seam strip") if kind == "V"
+                   else self._leaf(t, ((a,), (b,)), 0, s - c, s, 2 * c, "horizontal seam strip"))
         self.memo[key] = res
         return res
 
@@ -827,15 +802,15 @@ class _SlidingCount:
             ))
         else:
             s = self.sides[t - 1]
-            check_cells(4 * cw * ch, f"junction block at level {t}", self.cap)
-            blk = np.empty((2 * ch, 2 * cw), dtype=np.uint8)
-            for i, pid in enumerate(quad):
-                row, col = divmod(i, 2)
-                blk[row * ch : (row + 1) * ch, col * cw : (col + 1) * cw] = materialize_region(
-                    self.spec, t, pid, (s - cw, 0)[col], (s - ch, 0)[row], cw, ch)
-            res = scan_count(blk, self.needle, x_hi=cw - 1, y_hi=ch - 1)
+            res = self._leaf(t, (quad[:2], quad[2:]), s - cw, s - ch, 2 * cw, 2 * ch, "junction block")
         self.memo[key] = res
         return res
+
+    def _leaf(self, t: int, ids, x0: int, y0: int, w: int, h: int, what: str) -> int:
+        """Scan the window [x0, x0+w) x [y0, y0+h) of the block of level-t
+        patches ``ids`` (rows bottom to top), charged to the cap as ``what``."""
+        check_cells(w * h, f"{what} at level {t}", self.cap)
+        return scan_count(_cut(self.spec, t, lambda col, row: ids[row][col], x0, y0, w, h), self.needle)
 
 
 def block_frequency_matrix(spec: HierarchySpec, m: int, n: int) -> list[list[Fraction]]:

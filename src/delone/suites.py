@@ -28,6 +28,11 @@ def _row(suite, check, ok, detail=""):
     return SuiteRow(suite, check, bool(ok), detail)
 
 
+def _report_row(suite, check, rep):
+    """A validator report as one row: its failed checks' witnesses, joined."""
+    return _row(suite, check, rep.ok, "; ".join(r.witness for r in rep.failed()))
+
+
 # frozen fixture table: (L, eps, P) -> (lam, M0, N0)
 REGULARITY_FIXTURES = {
     (F(1), F(1), 1): (F(1, 108), 540, 1082),
@@ -180,17 +185,12 @@ def suite_ue(depth: int = 3) -> list[SuiteRow]:
 
 
 def suite_scheme() -> list[SuiteRow]:
-    rows = []
-    nb = nonrect.build_delone_spec(nonrect.counting_schedule(3), 3, mode="toy")
-    rep = hierarchy.validate_scheme(nb.spec)
-    rows.append(_row("scheme", "nonrect_toy", rep.ok, "; ".join(r.witness for r in rep.failed())))
-    ub = ue.build_ue_spec(None, 2, mode="toy")
-    rep = hierarchy.validate_scheme(ub.spec)
-    rows.append(_row("scheme", "ue_toy", rep.ok, "; ".join(r.witness for r in rep.failed())))
-    cb = choquet.build_choquet_spec(2, 3, mode="toy", ratio_cap=8)
-    rep = hierarchy.validate_scheme(cb.spec)
-    rows.append(_row("scheme", "choquet_toy", rep.ok, "; ".join(r.witness for r in rep.failed())))
-    return rows
+    specs = (
+        ("nonrect_toy", nonrect.build_delone_spec(nonrect.counting_schedule(3), 3, mode="toy").spec),
+        ("ue_toy", ue.build_ue_spec(None, 2, mode="toy").spec),
+        ("choquet_toy", choquet.build_choquet_spec(2, 3, mode="toy", ratio_cap=8).spec),
+    )
+    return [_report_row("scheme", check, hierarchy.validate_scheme(spec)) for check, spec in specs]
 
 
 def suite_counting() -> list[SuiteRow]:
@@ -238,8 +238,7 @@ def suite_rect() -> list[SuiteRow]:
 def suite_choquet(depth: int = 3) -> list[SuiteRow]:
     rows = []
     cb = choquet.build_choquet_spec(2, depth, mode="toy", ratio_cap=8)
-    rep = choquet.validate_choquet_seq(cb.seq)
-    rows.append(_row("choquet", "sequence_checks", rep.ok, "; ".join(r.witness for r in rep.failed())))
+    rows.append(_report_row("choquet", "sequence_checks", choquet.validate_choquet_seq(cb.seq)))
     spec = cb.spec
     ok = True
     for n in range(2, spec.num_levels + 1):

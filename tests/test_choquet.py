@@ -219,7 +219,7 @@ def test_stripe_matches_rule_in_built_levels(choq_small):
 
 def test_outputs_pairwise_distinct(choq_small):
     for lv in choq_small.spec.levels:
-        blobs = {arr.grid.tobytes() for arr in lv.arrangements}
+        blobs = {arr.to_grid().tobytes() for arr in lv.arrangements}
         assert len(blobs) == len(lv.arrangements)
 
 

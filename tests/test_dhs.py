@@ -48,7 +48,7 @@ def _joined_dhs(spec: HierarchySpec) -> str:
                 )
             else:
                 out.append(f"arrangement {arr.rows} {arr.cols}")
-                for row in arr.grid[::-1]:
+                for row in arr.to_grid()[::-1]:
                     out.append(" ".join(str(int(v)) for v in row))
     return "\n".join(out) + "\n"
 
@@ -92,7 +92,7 @@ def dhs_specs(draw):
 
 def _same_arrangement(a, b) -> bool:
     if isinstance(a, DenseArrangement):
-        return isinstance(b, DenseArrangement) and np.array_equal(a.grid, b.grid)
+        return isinstance(b, DenseArrangement) and np.array_equal(a.to_grid(), b.to_grid())
     return a == b
 
 
@@ -149,7 +149,7 @@ def test_dhs_writer_covers_both_id_paths():
         assert text == _joined_dhs(spec)
         assert text.endswith("arrangement 2 2\n" + " ".join(map(str, ids[1])) + "\n"
                              + " ".join(map(str, ids[0])) + "\n")
-        assert H.loads_spec(text).levels[0].arrangements[0].grid.tolist() == ids
+        assert H.loads_spec(text).levels[0].arrangements[0].to_grid().tolist() == ids
 
 
 def test_dense_grids_keep_the_smallest_id_dtype(tmp_path):
@@ -159,12 +159,12 @@ def test_dense_grids_keep_the_smallest_id_dtype(tmp_path):
     assert cli.main(["gen", "--construction", "choquet", "--depth", "2", "--mode", "rigorous",
                      "--out", str(out)]) == 0
     spec = H.loads_spec(out.read_text())
-    assert {arr.grid.dtype for lv in spec.levels for arr in lv.arrangements} == {np.dtype(np.uint8)}
+    assert {arr.to_grid().dtype for lv in spec.levels for arr in lv.arrangements} == {np.dtype(np.uint8)}
     base = [Patch(np.ones((1, 1), dtype=np.uint8))] * 12
     text = H.dumps_spec(HierarchySpec(base, [Level([DenseArrangement(np.array([[10, 1], [12, 3]]))])]))
-    assert H.loads_spec(text).levels[0].arrangements[0].grid.dtype == np.uint8
+    assert H.loads_spec(text).levels[0].arrangements[0].to_grid().dtype == np.uint8
     for ids, dtype in (([[1, 255]], np.uint8), ([[1, 256]], np.uint16), ([[1, 2**40]], np.uint64)):
-        assert DenseArrangement(np.array(ids, dtype=np.int64)).grid.dtype == dtype
+        assert DenseArrangement(np.array(ids, dtype=np.int64)).to_grid().dtype == dtype
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
@@ -172,7 +172,7 @@ def test_dense_arrangement_leaves_the_callers_array_writable(dtype):
     a = np.array([[1, 2]], dtype=dtype)
     arr = DenseArrangement(a)
     a[0, 0] = 3
-    assert arr.grid.tolist() == [[1, 2]] and not arr.grid.flags.writeable
+    assert arr.to_grid().tolist() == [[1, 2]] and not arr.to_grid().flags.writeable
 
 
 # ----------------------------------------------------------------------

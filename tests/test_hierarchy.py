@@ -304,8 +304,8 @@ def test_pattern_list_is_the_sorted_distinct_codes(name, level, request):
 # the cell cap: one check on every path that allocates cells
 # ----------------------------------------------------------------------
 
-CAP_PATHS = ["materialize", "direct scan", "seam strip", "junction block", "block-aligned count",
-             "cli export", "repetitivity", "cli repetitivity"]
+CAP_PATHS = ["materialize", "direct scan", "seam strip", "horizontal seam strip", "junction block",
+             "block-aligned count", "cli export", "repetitivity", "cli repetitivity"]
 
 
 @pytest.mark.parametrize("path", CAP_PATHS)
@@ -337,6 +337,10 @@ def test_cell_cap_on_every_path(path, tmp_path, capsys, monkeypatch):
         # strips (2 * 1 * 12) and junction blocks (2 * 1 * 2 * 7)
         "seam strip": (2 * 7 * 12, lambda cap: H.count_occurrences(
             spec, Patch(top[:2, :8]), 3, 1, SLIDING, cap=cap)),
+        # the same needle turned: horizontal seam strips of 12 * 2 * 7 cells,
+        # cut in true orientation, and smaller vertical strips and junctions
+        "horizontal seam strip": (2 * 7 * 12, lambda cap: H.count_occurrences(
+            spec, Patch(top[:8, :2]), 3, 1, SLIDING, cap=cap)),
         # an 8x8 needle at level 3: the seam strips of 168 cells, then the
         # four 7x7 tiles of each level-2 junction
         "junction block": (4 * 7 * 7, lambda cap: H.count_occurrences(
@@ -353,7 +357,7 @@ def test_cell_cap_on_every_path(path, tmp_path, capsys, monkeypatch):
     with pytest.raises(CapacityError, match=rf"requires {need} cells \(cap {need - 1}\)") as refused:
         run(need - 1)
     # a sliding count allocates both kinds: the refused one is named
-    assert path not in ("seam strip", "junction block") or path in str(refused.value)
+    assert path not in ("seam strip", "horizontal seam strip", "junction block") or path in str(refused.value)
     with pytest.raises(CapacityError, match=r"cells \(cap 1\)"):
         run(None)
 
@@ -403,16 +407,12 @@ def test_materialize_region_matches_slices():
 # occurrence counting
 # ----------------------------------------------------------------------
 
-def _naive_sliding(grid: np.ndarray, needle: Patch, x_lo=0, x_hi=None, y_lo=0, y_hi=None) -> int:
+def _naive_sliding(grid: np.ndarray, needle: Patch) -> int:
     gh, gw = grid.shape
     h, w = needle.cells.shape
     cnt = 0
     for y in range(gh - h + 1):
         for x in range(gw - w + 1):
-            if x < x_lo or y < y_lo:
-                continue
-            if (x_hi is not None and x > x_hi) or (y_hi is not None and y > y_hi):
-                continue
             if np.array_equal(grid[y : y + h, x : x + w], needle.cells):
                 cnt += 1
     return cnt
@@ -438,11 +438,6 @@ def test_scan_count_property(data):
         needle = Patch(grid[y : y + h, x : x + w])
     else:
         needle = Patch(_fill(draw, h, w))
-    hi = st.none() | st.integers(0, max(gh, gw) + 1)
-    x_lo, y_lo = draw(st.integers(0, gw)), draw(st.integers(0, gh))
-    x_hi, y_hi = draw(hi), draw(hi)
-    got = H.scan_count(grid, needle, x_lo, x_hi, y_lo, y_hi)
-    assert got == _naive_sliding(grid, needle, x_lo, x_hi, y_lo, y_hi)
     assert H.scan_count(grid, needle) == _naive_sliding(grid, needle)
 
 
@@ -460,23 +455,8 @@ def test_scan_count_across_strips(data):
         needle = Patch(grid[y : y + h, x : x + w])
     else:
         needle = Patch(_fill(draw, h, w))
-    lo = st.integers(-4, max(gh, gw))
-    hi = st.none() | st.integers(-2, max(gh, gw) + 1)
-    x_lo, y_lo, x_hi, y_hi = draw(lo), draw(lo), draw(hi), draw(hi)
     with mock.patch.object(H, "_STRIP", draw(st.integers(1, 3 * gw))):
-        assert H.scan_count(grid, needle, x_lo, x_hi, y_lo, y_hi) == _naive_sliding(
-            grid, needle, x_lo, x_hi, y_lo, y_hi)
-        assert H.scan_count(grid, needle, x_lo=x_lo) == _naive_sliding(grid, needle, x_lo=x_lo)
-        assert H.scan_count(grid, needle, y_lo=y_lo) == _naive_sliding(grid, needle, y_lo=y_lo)
         assert H.scan_count(grid, needle) == _naive_sliding(grid, needle)
-
-
-def test_scan_count_clamps_negative_lower_bounds():
-    grid = np.ones((6, 6), dtype=np.uint8)
-    needle = Patch(np.ones((2, 2), dtype=np.uint8))
-    for x_lo, y_lo in [(0, 0), (-1, 0), (0, -3), (-5, -5)]:
-        assert H.scan_count(grid, needle, x_lo=x_lo, y_lo=y_lo) == 25
-    assert H.scan_count(grid, needle, x_lo=-1, x_hi=1, y_lo=-3, y_hi=0) == 2
 
 
 def test_scan_count_matches_naive_loops():
