@@ -28,10 +28,8 @@ from .maps import (
 from .hierarchy import (
     BLOCK_ALIGNED,
     SLIDING,
-    AltBottomArrangement,
     Arrangement,
     CapacityError,
-    DenseArrangement,
     HierarchySpec,
     Level,
     block_frequency_matrix,

@@ -178,16 +178,10 @@ def make_finite_dim_matrices(
     k = e + 1
     out: list[IntMatrix] = []
     for n in range(len(sizes.p) - 1):
-        ratio = sizes.q[n + 1] // sizes.q[n]
         if sizes.q[n + 1] % sizes.q[n]:
             raise SimplexBuildError("q values must divide")
-        stripe = sizes.r[n] * sizes.p[n + 1] // sizes.p[n]
-        if mode == "rigorous":
-            floor = max(k, sizes.r[n] * sizes.p[n + 1])
-        else:
-            floor = max(k, stripe + k + 1)
-        dominant = ratio - 1 - (k - 2) * floor
-        if dominant < max(floor, stripe + k + 1):
+        ratio, floor, dominant = _step_entries(sizes, n, n + 1, k, mode)
+        if dominant is None:
             raise SimplexBuildError(
                 f"step {n + 1}: ratio {ratio} cannot fit {k - 1} rows with floor "
                 f"{floor} (need ratio >= {1 + (k - 1) * floor})"
@@ -200,6 +194,17 @@ def make_finite_dim_matrices(
                 mat[i][j] = dominant if i == dom_row else floor
         out.append(mat)
     return out
+
+
+def _step_entries(sizes: SizeSequences, i: int, j: int, k: int, mode: str = "rigorous") -> tuple[int, int, int | None]:
+    """(ratio q_j/q_i, floor of the lower rows, dominant entry) of the step from
+    scale i to scale j with k patches; the dominant entry is None when it
+    falls below the floor or the stripe-and-device headroom."""
+    ratio = sizes.q[j] // sizes.q[i]
+    stripe = sizes.r[i] * sizes.p[j] // sizes.p[i]
+    floor = max(k, sizes.r[i] * sizes.p[j] if mode == "rigorous" else stripe + k + 1)
+    dominant = ratio - 1 - (k - 2) * floor
+    return ratio, floor, dominant if dominant >= max(floor, stripe + k + 1) else None
 
 
 def validate_choquet_seq(seq: ChoquetSeq) -> SchemeReport:
@@ -303,13 +308,10 @@ def _feasible_subsequence(sizes: SizeSequences, k: int, depth: int) -> list[int]
                     "canonical sequence too short for a feasible subsequence; "
                     "increase its length"
                 )
-            ratio = sizes.q[j] // sizes.q[i]
-            floor = max(k, sizes.r[i] * sizes.p[j])
-            stripe = sizes.r[i] * sizes.p[j] // sizes.p[i]
             if (
                 sizes.q[j] % sizes.q[i] == 0
                 and (sizes.p[j] // sizes.p[i]) % 2 == 0
-                and ratio - 1 - (k - 2) * floor >= max(floor, stripe + k + 1)
+                and _step_entries(sizes, i, j, k)[2] is not None
             ):
                 idx.append(j)
                 break

@@ -221,6 +221,31 @@ class Arrangement:
                    (0, rows - 1): high.pieces[0][0][0][0], (last, rows - 1): high.pieces[-1][0][-1][0]}
         vars(self).update(rows=rows, cols=last + 1, _tally=tally, _corners=corners)
 
+    @classmethod
+    def dense(cls, grid: np.ndarray) -> "Arrangement":
+        """The arrangement of a grid of child ids, row 0 the bottom row."""
+        g = np.asarray(grid)
+        if g.ndim != 2 or g.size == 0:
+            raise SpecError("arrangement grid must be a nonempty matrix")
+        return cls(_row_bands(g.tolist()))
+
+    @classmethod
+    def altbottom(cls, super_cells: int, blocks: int, main_id: int, alt_id: int) -> "Arrangement":
+        """The alternating-bottom-row arrangement, as two bands.
+
+        The grid is square with side ``super_cells * blocks``.  The bottom
+        ``super_cells`` rows split into ``blocks`` column groups of width
+        ``super_cells``; group b holds ``alt_id`` when b is odd, ``main_id``
+        when b is even (so both extreme groups hold ``main_id``).
+        Everything above the bottom band holds ``main_id``.  ``blocks`` must
+        be odd.  The .dhs writer spells exactly these bands in one line.
+        """
+        if super_cells < 1 or blocks < 3 or blocks % 2 == 0:
+            raise SpecError("need super_cells >= 1 and an odd blocks >= 3")
+        if main_id == alt_id:
+            raise SpecError("main and alternate ids must differ")
+        return cls(_altbottom_bands(super_cells, blocks, main_id, alt_id))
+
     def id_at(self, col: int, row: int) -> int:
         corner = self._corners.get((col, row))  # the junction recursion asks for these again and again
         if corner is not None:
@@ -289,43 +314,31 @@ def _ids(line: Edge) -> list:
     return [v for runs, reps in line.pieces for v, n in runs * reps for _ in range(n)]
 
 
-class DenseArrangement(Arrangement):
-    """The arrangement of a grid of child ids, row 0 the bottom row."""
-
-    def __init__(self, grid: np.ndarray):
-        g = np.asarray(grid)
-        if g.ndim != 2 or g.size == 0:
-            raise SpecError("arrangement grid must be a nonempty matrix")
-        super().__init__(_row_bands(g.tolist()))
-
-
 def _row_bands(rows, read=iter) -> tuple[tuple[Edge, int], ...]:
     """The bands of ``rows``, bottom row first, a run of equal rows a band;
-    ``read`` gives one row's ids, as anything ``int`` takes, once a band."""
-    return tuple((Edge(((tuple((int(v), len(list(run))) for v, run in groupby(read(row))), 1),)), len(list(same)))
-                 for row, same in groupby(rows))
+    ``read`` gives one row's ids, as anything ``int`` takes, once a run of
+    equal rows; runs and bands merge on the ids (``1`` and ``01`` are one)."""
+    lines = ((Edge(((tuple((v, len(list(run))) for v, run in groupby(map(int, read(row)))), 1),)), len(list(same)))
+             for row, same in groupby(rows))
+    return tuple((line, sum(m for _, m in same)) for line, same in groupby(lines, operator.itemgetter(0)))
 
 
-class AltBottomArrangement(Arrangement):
-    """The alternating-bottom-row arrangement, as two bands.
+def _altbottom_bands(s: int, blocks: int, main_id: int, alt_id: int) -> tuple[tuple[Edge, int], ...]:
+    """The two bands of :meth:`Arrangement.altbottom`, unchecked."""
+    n = s * blocks
+    bottom = Edge(((((main_id, s), (alt_id, s)), blocks // 2), (((main_id, s),), 1)))
+    return (bottom, s), (Edge(((((main_id, n),), 1),)), n - s)
 
-    The grid is square with side ``super_cells * blocks``.  The bottom
-    ``super_cells`` rows split into ``blocks`` column groups of width
-    ``super_cells``; group b holds ``alt_id`` when b is odd, ``main_id``
-    when b is even (so both extreme groups hold ``main_id``).  Everything
-    above the bottom band holds ``main_id``.  ``blocks`` must be odd.  The
-    four parameters are kept for the one-line .dhs spelling.
-    """
 
-    def __init__(self, super_cells: int, blocks: int, main_id: int, alt_id: int):
-        if super_cells < 1 or blocks < 3 or blocks % 2 == 0:
-            raise SpecError("need super_cells >= 1 and an odd blocks >= 3")
-        if main_id == alt_id:
-            raise SpecError("main and alternate ids must differ")
-        vars(self).update(super_cells=super_cells, blocks=blocks, main_id=main_id, alt_id=alt_id)
-        s, n = super_cells, super_cells * blocks
-        bottom = Edge(((((main_id, s), (alt_id, s)), blocks // 2), (((main_id, s),), 1)))
-        super().__init__(((bottom, s), (Edge(((((main_id, n),), 1),)), n - s)))
+def _altbottom_fields(arr: Arrangement) -> tuple[int, int, int, int] | None:
+    """``(super_cells, blocks, main_id, alt_id)`` when the bands of ``arr``
+    are exactly those :meth:`Arrangement.altbottom` builds from them, else
+    None.  They are read off the first piece of the bottom band."""
+    (runs, reps), *_ = arr.bands[0][0].pieces
+    (main, s), (alt, _) = runs[0], runs[-1]
+    if main == alt or arr.bands != _altbottom_bands(s, 2 * reps + 1, main, alt):
+        return None
+    return s, 2 * reps + 1, main, alt
 
 
 # ----------------------------------------------------------------------
@@ -1025,11 +1038,11 @@ def _or_runs(a: np.ndarray, K: int) -> np.ndarray:
 def _spec_chunks(spec: HierarchySpec) -> Iterator[bytes]:
     """The .dhs text of ``spec`` as encoded chunks, each ending in a newline.
 
-    An alternating-bottom arrangement is one line.  Any other arrangement
-    whose grid the cell cap admits is written dense, a line of ids per row,
-    top row first.  A grid past the cap is written as its bands: a ``band``
-    line each, then a line per piece of its row, the repetitions and then
-    each run's id and length.
+    An arrangement whose bands are exactly :meth:`Arrangement.altbottom`'s is
+    one line.  Any other arrangement whose grid the cell cap admits is
+    written dense, a line of ids per row, top row first.  A grid past the
+    cap is written as its bands: a ``band`` line each, then a line per piece
+    of its row, the repetitions and then each run's id and length.
     """
     def line(text: str) -> bytes:
         return (text + "\n").encode()
@@ -1047,9 +1060,9 @@ def _spec_chunks(spec: HierarchySpec) -> Iterator[bytes]:
         for k in sorted(lv.meta):
             yield line(f"meta {k} {lv.meta[k]}")
         for arr in lv.arrangements:
-            if isinstance(arr, AltBottomArrangement):
-                yield line(f"arrangement {arr.rows} {arr.cols} altbottom "
-                           f"{arr.super_cells} {arr.blocks} {arr.main_id} {arr.alt_id}")
+            alt = _altbottom_fields(arr)
+            if alt:
+                yield line(f"arrangement {arr.rows} {arr.cols} altbottom {' '.join(map(str, alt))}")
             elif arr.rows * arr.cols <= cell_cap():
                 yield line(f"arrangement {arr.rows} {arr.cols}")
                 for row, m in reversed(arr.bands):
@@ -1169,7 +1182,7 @@ def _parse_arrangement(lines: list[str], i: int) -> tuple[Arrangement, int]:
         return _parse_bands(lines, i)
     if len(head) > 3:
         rows, cols, s, b, main, alt = _fields(lines[i], "arrangement # # altbottom # # # #")
-        arr = AltBottomArrangement(s, b, main, alt)
+        arr = Arrangement.altbottom(s, b, main, alt)
         if arr.rows != rows or arr.cols != cols:
             raise PatchFormatError("altbottom dimensions disagree")
         return arr, i + 1
@@ -1186,9 +1199,7 @@ def _parse_arrangement(lines: list[str], i: int) -> tuple[Arrangement, int]:
             raise PatchFormatError(f"arrangement body is not {rows} rows of {cols} ids")
         return ids
 
-    arr = DenseArrangement.__new__(DenseArrangement)  # a dense spelling, built from its bands, no grid
-    Arrangement.__init__(arr, _row_bands(reversed(body), read))
-    return arr, i + 1 + rows
+    return Arrangement(_row_bands(reversed(body), read)), i + 1 + rows
 
 
 def _parse_bands(lines: list[str], i: int) -> tuple[Arrangement, int]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .hierarchy import AltBottomArrangement, HierarchySpec, Level
+from .hierarchy import Arrangement, HierarchySpec, Level
 from .maps import CandidateMap
 from .patch import Patch, corner_density, from_rows, has_even_column_property
 
@@ -233,8 +233,8 @@ def alternation_level(m: int, P_star: int, N: int, n_is_one: bool = False,
     md.update({"m": str(m), "P_star": str(P_star), "N": str(N)})
     return Level(
         [
-            AltBottomArrangement(s, blocks, main_id=1, alt_id=2),
-            AltBottomArrangement(s, blocks, main_id=2, alt_id=1),
+            Arrangement.altbottom(s, blocks, main_id=1, alt_id=2),
+            Arrangement.altbottom(s, blocks, main_id=2, alt_id=1),
         ],
         anchor=(0, 0),
         n_is_one=n_is_one,

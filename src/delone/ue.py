@@ -17,7 +17,7 @@ import numpy as np
 
 from .hierarchy import (
     SLIDING,
-    DenseArrangement,
+    Arrangement,
     HierarchySpec,
     Level,
     block_frequency_matrix,
@@ -76,8 +76,8 @@ def step_offset(count_matrix: list[list[int]]) -> Fraction:
 def mix_level() -> Level:
     """The 3x3 mixing arrangement: each output keeps the other patch at its
     four corners (5 of one kind, 4 of the other; offset exactly 1/18)."""
-    a1 = DenseArrangement(np.array([[2, 1, 2], [1, 1, 1], [2, 1, 2]], dtype=np.int64))
-    a2 = DenseArrangement(np.array([[1, 2, 1], [2, 2, 2], [1, 2, 1]], dtype=np.int64))
+    a1 = Arrangement.dense(np.array([[2, 1, 2], [1, 1, 1], [2, 1, 2]], dtype=np.int64))
+    a2 = Arrangement.dense(np.array([[1, 2, 1], [2, 2, 2], [1, 2, 1]], dtype=np.int64))
     return Level([a1, a2], anchor=(1, 1), meta={"kind": "mix"})
 
 
@@ -96,9 +96,6 @@ class UEBuild:
             out = delta_product(out, d)
         return out
 
-    def density(self, level: int, pid: int) -> Fraction:
-        return self.spec.density(level, pid)
-
     def limit_density(self) -> Fraction:
         d1 = self.spec.density(1, 1)
         d2 = self.spec.density(1, 2)
@@ -113,21 +110,6 @@ class UEBuild:
             off = self.offset_between(1, level)
         gap = abs(self.spec.density(1, 2) - self.spec.density(1, 1))
         return (mean - off * gap, mean + off * gap)
-
-
-@dataclass(frozen=True)
-class FreqCertificate:
-    """Contraction certificate for a level range of the composed matrices."""
-
-    m: int
-    n: int
-    offset_bound: Fraction
-    factors: tuple[Fraction, ...]
-
-
-def contraction_certificate(build: UEBuild, m: int, n: int) -> FreqCertificate:
-    factors = tuple(build.level_offsets[m - 1 : n - 1])
-    return FreqCertificate(m, n, build.offset_between(m, n), factors)
 
 
 def build_ue_spec(

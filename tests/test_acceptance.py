@@ -327,7 +327,7 @@ def test_criterion_12_expansion_flags_and_oracle_fixtures(nonrect3):
     assert not nonrect.expansion_chain_report(nonrect3.spec, ident, F(1, 2), 1).contradiction
 
     base = [Patch(np.array([[1, 1], [1, 0]], dtype=np.uint8))]
-    lv = H.Level([H.DenseArrangement(np.ones((3, 3), dtype=np.int64))])
+    lv = H.Level([H.Arrangement.dense(np.ones((3, 3), dtype=np.int64))])
     periodic = H.HierarchySpec(base, [lv, lv], kind="custom", anchored=True)
     pside = periodic.side(3)
     pid = maps.CandidateMap(

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from delone import cli
 from delone import hierarchy as H
 from delone.choquet import read_matrices_file, read_simplex_spec
-from delone.hierarchy import AltBottomArrangement, DenseArrangement, HierarchySpec, Level
+from delone.hierarchy import Arrangement, HierarchySpec, Level
 from delone.maps import parse_map
 from delone.patch import (
     Patch,
@@ -23,6 +23,20 @@ from delone.patch import (
     loads_pbm,
     read_points,
 )
+
+
+def _altbottom_line(arr: Arrangement) -> str | None:
+    """The one-line spelling of ``arr`` when its bands are exactly those of
+    ``Arrangement.altbottom``, the parameters read off the bottom band's
+    multiplicity and the grid's bottom row; else None."""
+    s, bottom = arr.bands[0][1], arr.to_grid()[0].tolist()
+    fields = (s, arr.cols // s, bottom[0], bottom[min(s, arr.cols - 1)])
+    try:
+        if Arrangement.altbottom(*fields).bands != arr.bands:
+            return None
+    except H.SpecError:
+        return None
+    return f"arrangement {arr.rows} {arr.cols} altbottom " + " ".join(map(str, fields))
 
 
 def _joined_dhs(spec: HierarchySpec) -> str:
@@ -41,11 +55,9 @@ def _joined_dhs(spec: HierarchySpec) -> str:
         for k in sorted(lv.meta):
             out.append(f"meta {k} {lv.meta[k]}")
         for arr in lv.arrangements:
-            if isinstance(arr, AltBottomArrangement):
-                out.append(
-                    f"arrangement {arr.rows} {arr.cols} altbottom "
-                    f"{arr.super_cells} {arr.blocks} {arr.main_id} {arr.alt_id}"
-                )
+            alt = _altbottom_line(arr)
+            if alt:
+                out.append(alt)
             else:
                 out.append(f"arrangement {arr.rows} {arr.cols}")
                 for row in arr.to_grid()[::-1]:
@@ -76,11 +88,11 @@ def dhs_specs(draw):
         if k >= 2 and draw(st.booleans()):
             s, b = draw(st.integers(1, 3)), draw(st.sampled_from([3, 5]))
             pairs = st.lists(st.integers(1, k), min_size=2, max_size=2, unique=True)
-            arrs = [AltBottomArrangement(s, b, *draw(pairs)) for _ in range(kn)]
+            arrs = [Arrangement.altbottom(s, b, *draw(pairs)) for _ in range(kn)]
         else:
             b = draw(st.integers(1, 4))
             ids = st.lists(st.integers(1, k), min_size=b * b, max_size=b * b)
-            arrs = [DenseArrangement(np.array(draw(ids), dtype=np.int64).reshape(b, b)) for _ in range(kn)]
+            arrs = [Arrangement.dense(np.array(draw(ids), dtype=np.int64).reshape(b, b)) for _ in range(kn)]
         n = arrs[0].rows
         anchor = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
         meta = draw(st.dictionaries(WORDS, VALUES, max_size=2))
@@ -88,12 +100,6 @@ def dhs_specs(draw):
         k = kn
     meta = draw(st.dictionaries(WORDS, VALUES, max_size=2))
     return HierarchySpec(base, levels, draw(WORDS), draw(st.booleans()), meta)
-
-
-def _same_arrangement(a, b) -> bool:
-    if isinstance(a, DenseArrangement):
-        return isinstance(b, DenseArrangement) and np.array_equal(a.to_grid(), b.to_grid())
-    return a == b
 
 
 @settings(max_examples=150, deadline=None)
@@ -107,7 +113,7 @@ def test_dhs_codec_round_trip(spec):
     assert [p.cells.tobytes() for p in back.base] == [p.cells.tobytes() for p in spec.base]
     for lv, lv2 in zip(spec.levels, back.levels, strict=True):
         assert (lv.anchor, lv.n_is_one, lv.meta) == (lv2.anchor, lv2.n_is_one, lv2.meta)
-        assert all(_same_arrangement(a, b) for a, b in zip(lv.arrangements, lv2.arrangements, strict=True))
+        assert tuple(lv.arrangements) == tuple(lv2.arrangements)
     for t in range(1, spec.num_levels + 1):
         assert back.popcounts(t) == spec.popcounts(t)
     with tempfile.TemporaryDirectory() as d:
@@ -133,18 +139,48 @@ def test_band_spelling_round_trip(spec):
         back = H.loads_spec(text)
         assert H.dumps_spec(back) == text
     wide = [a for lv in spec.levels for a in lv.arrangements
-            if a.rows * a.cols > 1 and not isinstance(a, AltBottomArrangement)]
+            if a.rows * a.cols > 1 and not _altbottom_line(a)]
     assert text.count(" bands ") == len(wide)
     for lv, lv2 in zip(spec.levels, back.levels, strict=True):
         assert [_tables(a) for a in lv.arrangements] == [_tables(b) for b in lv2.arrangements]
     assert H.dumps_spec(back) == H.dumps_spec(spec) == dense == _joined_dhs(spec)
 
 
+def test_altbottom_spelling_follows_the_bands():
+    """The one-line altbottom spelling is chosen from the bands: a dense
+    grid with altbottom content is written dense, and hand-written bands
+    equal to altbottom's load equal to it and are written in one line."""
+    base = [Patch(np.ones((1, 1), dtype=np.uint8))] * 3
+    dense = Arrangement.dense(Arrangement.altbottom(1, 3, 1, 2).to_grid())
+    text = H.dumps_spec(HierarchySpec(base, [Level([dense])]))
+    assert text.endswith("arrangement 3 3\n1 1 1\n1 1 1\n1 2 1\n")
+    assert H.loads_spec(text).levels[0].arrangements[0] == dense
+    head = "DHS 1\nlevel 1 patches 3\n" + "PATCH 1 1 0 0\n1\n" * 3 + "level 2 patches 1\n"
+    bands = "arrangement 10 10 bands 2\nband 2 pieces 2\n2 3 2 1 2\n1 3 2\nband 8 pieces 1\n1 3 10\n"
+    spec = H.loads_spec(head + bands)
+    assert spec.levels[0].arrangements[0] == Arrangement.altbottom(2, 5, 3, 1)
+    assert H.dumps_spec(spec).endswith("arrangement 10 10 altbottom 2 5 3 1\n")
+    # runs of one id in altbottom's shape are not spelled altbottom, which needs two ids
+    same = "arrangement 3 3 bands 2\nband 1 pieces 2\n1 1 1 1 1\n1 1 1\nband 2 pieces 1\n1 1 3\n"
+    text = H.dumps_spec(H.loads_spec(head + same))
+    assert text.endswith("arrangement 3 3\n1 1 1\n1 1 1\n1 1 1\n")
+    assert H.dumps_spec(H.loads_spec(text)) == text
+
+
+@pytest.mark.parametrize("body", ["1 01\n01 1", "01 1\n1 01", "1 1\n001 1"])
+def test_dense_body_ids_load_as_integers(body):
+    """Spellings of one id (``1``, ``01``) make one run and one band."""
+    text = f"DHS 1\nlevel 1 patches 1\nPATCH 1 1 0 0\n1\nlevel 2 patches 1\narrangement 2 2\n{body}\n"
+    spec = H.loads_spec(text)
+    assert spec.levels[0].arrangements[0] == Arrangement.dense(np.ones((2, 2), dtype=np.int64))
+    assert H.dumps_spec(spec).endswith("arrangement 2 2\n1 1\n1 1\n")
+
+
 def test_dhs_writer_covers_both_id_paths():
     # ids 0..9 go through the byte buffer, larger ids through the join
     base = [Patch(np.ones((1, 1), dtype=np.uint8))] * 12
     for ids in ([[9, 1], [2, 3]], [[10, 1], [12, 3]]):
-        spec = HierarchySpec(base, [Level([DenseArrangement(np.array(ids))])])
+        spec = HierarchySpec(base, [Level([Arrangement.dense(np.array(ids))])])
         text = H.dumps_spec(spec)
         assert text == _joined_dhs(spec)
         assert text.endswith("arrangement 2 2\n" + " ".join(map(str, ids[1])) + "\n"
@@ -161,16 +197,16 @@ def test_dense_grids_keep_the_smallest_id_dtype(tmp_path):
     spec = H.loads_spec(out.read_text())
     assert {arr.to_grid().dtype for lv in spec.levels for arr in lv.arrangements} == {np.dtype(np.uint8)}
     base = [Patch(np.ones((1, 1), dtype=np.uint8))] * 12
-    text = H.dumps_spec(HierarchySpec(base, [Level([DenseArrangement(np.array([[10, 1], [12, 3]]))])]))
+    text = H.dumps_spec(HierarchySpec(base, [Level([Arrangement.dense(np.array([[10, 1], [12, 3]]))])]))
     assert H.loads_spec(text).levels[0].arrangements[0].to_grid().dtype == np.uint8
     for ids, dtype in (([[1, 255]], np.uint8), ([[1, 256]], np.uint16), ([[1, 2**40]], np.uint64)):
-        assert DenseArrangement(np.array(ids, dtype=np.int64)).to_grid().dtype == dtype
+        assert Arrangement.dense(np.array(ids, dtype=np.int64)).to_grid().dtype == dtype
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
 def test_dense_arrangement_leaves_the_callers_array_writable(dtype):
     a = np.array([[1, 2]], dtype=dtype)
-    arr = DenseArrangement(a)
+    arr = Arrangement.dense(a)
     a[0, 0] = 3
     assert arr.to_grid().tolist() == [[1, 2]] and not arr.to_grid().flags.writeable
 

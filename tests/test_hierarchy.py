@@ -16,9 +16,8 @@ from delone import choquet, maps, nonrect, ue
 from delone.hierarchy import (
     BLOCK_ALIGNED,
     SLIDING,
-    AltBottomArrangement,
+    Arrangement,
     CapacityError,
-    DenseArrangement,
     HierarchySpec,
     Level,
 )
@@ -58,9 +57,9 @@ def test_altbottom_matches_dense_random(s, b, ids):
 
 def _check_altbottom_against_dense(s, b, ids):
     """Closed-form tallies and edges against the dense grid, recounted."""
-    alt = AltBottomArrangement(s, b, main_id=ids[0], alt_id=ids[1])
+    alt = Arrangement.altbottom(s, b, main_id=ids[0], alt_id=ids[1])
     g = alt.to_grid()
-    dense = DenseArrangement(g)
+    dense = Arrangement.dense(g)
     assert alt.counts(4) == dense.counts(4)
     assert alt.hpair_counts() == dense.hpair_counts() == _naive_tally(g[:, :-1], g[:, 1:])
     assert alt.vpair_counts() == dense.vpair_counts() == _naive_tally(g[:-1], g[1:])
@@ -92,7 +91,7 @@ def test_dense_tables_match_naive(lo, hi, data):
     ids = data.draw(st.lists(st.integers(lo, hi), min_size=rows * cols, max_size=rows * cols))
     g = np.array(ids, dtype=np.int64).reshape(rows, cols)
     g.flat[0], g.flat[-1] = lo, hi  # a grid of two or more cells spans the whole range
-    dense = DenseArrangement(g)
+    dense = Arrangement.dense(g)
     assert dense.hpair_counts() == _naive_tally(g[:, :-1], g[:, 1:])
     assert dense.vpair_counts() == _naive_tally(g[:-1], g[1:])
     assert dense.quad_counts() == _naive_tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])
@@ -146,12 +145,12 @@ def test_band_tables_match_naive(arr):
     assert [[arr.id_at(c, r) for c in range(arr.cols)] for r in range(arr.rows)] == rows
 
 
-def _kept(grid: np.ndarray) -> tuple[int, DenseArrangement]:
+def _kept(grid: np.ndarray) -> tuple[int, Arrangement]:
     """Bytes still allocated after building an arrangement from ``grid``
     and its seam tables, and the arrangement."""
     tracemalloc.start()
     try:
-        arr = DenseArrangement(grid)
+        arr = Arrangement.dense(grid)
         arr.edge("left")
         arr.quad_counts()
         return tracemalloc.get_traced_memory()[0], arr
@@ -199,7 +198,7 @@ def test_seam_tables_are_built_once_per_spec(ue3, monkeypatch):
 
 def test_dense_tallies_are_copies():
     g = np.array([[1, 2, 2], [3, 1, 2]])
-    dense = DenseArrangement(g)
+    dense = Arrangement.dense(g)
     tables = [
         (dense.hpair_counts, _naive_tally(g[:, :-1], g[:, 1:])),
         (dense.vpair_counts, _naive_tally(g[:-1], g[1:])),
@@ -224,9 +223,9 @@ def test_band_validation():
 
 def test_altbottom_validation():
     with pytest.raises(H.SpecError):
-        AltBottomArrangement(1, 4, 1, 2)  # even block count
+        Arrangement.altbottom(1, 4, 1, 2)  # even block count
     with pytest.raises(H.SpecError):
-        AltBottomArrangement(1, 3, 1, 1)  # ids equal
+        Arrangement.altbottom(1, 3, 1, 1)  # ids equal
 
 
 # ----------------------------------------------------------------------
@@ -558,8 +557,8 @@ def test_validate_passes_on_toy(nonrect3):
 
 def test_validate_flags_missing_child():
     base = [from_rows(["11", "11"]), from_rows(["11", "10"])]
-    only_ones = DenseArrangement(np.ones((2, 2), dtype=np.int64))
-    both = DenseArrangement(np.array([[1, 2], [1, 1]]))
+    only_ones = Arrangement.dense(np.ones((2, 2), dtype=np.int64))
+    both = Arrangement.dense(np.array([[1, 2], [1, 1]]))
     spec = HierarchySpec(base, [Level([only_ones, both])])
     rep = H.validate_scheme(spec)
     bad = {r.name: r for r in rep.failed()}
@@ -569,7 +568,7 @@ def test_validate_flags_missing_child():
 
 def test_validate_flags_anchor_mismatch():
     base = [from_rows(["11", "11"]), from_rows(["11", "10"])]
-    arr1 = DenseArrangement(np.array([[2, 1], [1, 1]]))  # bottom-left holds id 2
+    arr1 = Arrangement.dense(np.array([[2, 1], [1, 1]]))  # bottom-left holds id 2
     spec = HierarchySpec(base, [Level([arr1, arr1], anchor=(0, 0))], anchored=True)
     rep = H.validate_scheme(spec)
     bad = {r.name for r in rep.failed()}
@@ -578,7 +577,7 @@ def test_validate_flags_anchor_mismatch():
 
 def test_validate_flags_bad_child_id():
     base = [from_rows(["11", "11"])]
-    arr = DenseArrangement(np.array([[1, 2], [1, 1]]))  # id 2 does not exist
+    arr = Arrangement.dense(np.array([[1, 2], [1, 1]]))  # id 2 does not exist
     spec = HierarchySpec(base, [Level([arr])])
     bad = {r.name for r in H.validate_scheme(spec).failed()}
     assert "children_valid" in bad
@@ -587,17 +586,17 @@ def test_validate_flags_bad_child_id():
 def _scheme(name):
     """A spec that fails one ``validate_scheme`` row; ``name`` says how."""
     base = [from_rows(["11", "11"]), from_rows(["11", "10"])]
-    mixed = DenseArrangement(np.array([[1, 2], [1, 1]]))
+    mixed = Arrangement.dense(np.array([[1, 2], [1, 1]]))
     if name == "base origin":
         return HierarchySpec([Patch(base[0].cells, (1, 1))])
     if name == "1x1 arrangements":
-        return HierarchySpec(base, [Level([DenseArrangement(np.array([[1]]))] * 2)])
+        return HierarchySpec(base, [Level([Arrangement.dense(np.array([[1]]))] * 2)])
     if name == "child id":
         return HierarchySpec(base[:1], [Level([mixed])])
     if name == "unused child":
-        return HierarchySpec(base, [Level([DenseArrangement(np.ones((2, 2), dtype=np.int64)), mixed])])
+        return HierarchySpec(base, [Level([Arrangement.dense(np.ones((2, 2), dtype=np.int64)), mixed])])
     assert name == "anchor id"
-    bottom_left_2 = DenseArrangement(np.array([[2, 1], [1, 1]]))
+    bottom_left_2 = Arrangement.dense(np.array([[2, 1], [1, 1]]))
     return HierarchySpec(base, [Level([bottom_left_2] * 2, anchor=(0, 0))], anchored=True)
 
 
@@ -898,12 +897,12 @@ def small_specs(draw):
         if k >= 2 and draw(st.booleans()):
             s, b = draw(st.integers(1, 2)), draw(st.sampled_from([3, 5]))
             main, alt = draw(st.permutations(range(1, k + 1)))[:2]
-            arrs = [AltBottomArrangement(s, b, main, alt), AltBottomArrangement(s, b, alt, main)]
+            arrs = [Arrangement.altbottom(s, b, main, alt), Arrangement.altbottom(s, b, alt, main)]
         else:
             n = draw(st.integers(2, 4))
             ids = st.lists(st.integers(1, k), min_size=n * n, max_size=n * n)
             arrs = [
-                DenseArrangement(np.array(draw(ids)).reshape(n, n))
+                Arrangement.dense(np.array(draw(ids)).reshape(n, n))
                 for _ in range(draw(st.integers(1, 3)))
             ]
         if side * arrs[0].rows > MAX_SIDE:

@@ -229,7 +229,7 @@ def test_chain_identity_never_flags(nonrect3):
 
 def test_chain_periodic_control_never_flags():
     base = [from_rows(["11", "10"])]
-    lv = H.Level([H.DenseArrangement(np.ones((3, 3), dtype=np.int64))])
+    lv = H.Level([H.Arrangement.dense(np.ones((3, 3), dtype=np.int64))])
     spec = H.HierarchySpec(base, [lv, lv], kind="custom", anchored=True)
     side = spec.side(3)
     ident = _full_window_map(side, lambda x: x)

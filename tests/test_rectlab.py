@@ -80,36 +80,6 @@ def test_degenerate_baseline_rejected():
         R.find_regular_square(fh, grid, F(1, 10))
 
 
-def _stretch_oracle(f, grid, lam):
-    """Independent per-point re-evaluation of the two step inequalities."""
-    out = []
-    v = f.baseline_vector()
-    vsq = F(v[0] ** 2 + v[1] ** 2)
-    for k in range(1, 2 * grid.N + 1):
-        for j in range(grid.P + 1):
-            for i in range(grid.P + 1):
-                x = grid.probe(k, i, j)
-                if x not in f.images:
-                    continue
-                t = grid.probe(k, i + 1, j)
-                if not grid.in_window(t):
-                    continue
-                if t in f.images:
-                    den = grid.M // grid.P
-                elif grid.in_window((t[0] + 1, t[1])) and (t[0] + 1, t[1]) in f.images:
-                    t = (t[0] + 1, t[1])
-                    den = 1 + grid.M // grid.P
-                else:
-                    continue
-                fu, fv = f.images[x]
-                gu, gv = f.images[t]
-                lhs = F((fu - gu) ** 2 + (fv - gv) ** 2, den**2)
-                rhs = (1 + F(lam)) ** 2 * vsq / (2 * grid.M * grid.N) ** 2
-                if lhs > rhs:
-                    out.append((k, i, j))
-    return out
-
-
 def _random_grid_map(rng, grid):
     gx = [0]
     for _ in range(2 * grid.M * grid.N):
@@ -132,7 +102,7 @@ def test_no_stretch_matches_oracle_on_random_maps():
         f = _random_grid_map(rng, grid)
         lam = F(rng.randint(1, 8), 8)
         got = [(v.k, v.i, v.j) for v in R.check_no_stretch(f, grid, lam)]
-        assert got == _stretch_oracle(f, grid, lam)
+        assert got == stretch_oracle(f, grid, lam)
 
 
 # ----------------------------------------------------------------------

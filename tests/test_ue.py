@@ -119,12 +119,6 @@ def test_materialized_density_inside_bracket(ue3):
     assert dens == spec.density(top, 1)
 
 
-def test_contraction_certificate(ue3):
-    cert = ue.contraction_certificate(ue3, 1, 5)
-    assert cert.offset_bound == ue3.offset_between(1, 5)
-    assert cert.factors == tuple(ue3.level_offsets[:4])
-
-
 def test_rigorous_ue_records_bundle():
     build = build_ue_spec(None, 1, mode="rigorous", max_levels=4)
     rec = build.steps[0]
