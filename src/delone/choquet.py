@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate, groupby
+from functools import cached_property
+from itertools import groupby
 from operator import itemgetter
 from typing import Literal
 
@@ -36,7 +37,8 @@ from .hierarchy import (
     Level,
     SchemeReport,
     _check_row,
-    _imat_mul,
+    _imat_vec,
+    _products,
 )
 from .patch import Patch, PatchFormatError, _data_lines, _fields
 
@@ -48,19 +50,55 @@ class SimplexBuildError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# size sequences
+# sequences and matrices
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SizeSequences:
+class ChoquetSeq:
+    """Scale and stripe sequences, patch counts per level, and the transition
+    matrices built over them (none for the bare sequences).
+
+    q_n = p_n^2, l_n = p_{n+1}/(2 p_n) - 1 and the expansion-headroom flag
+    of each step follow from ``p``, ``r`` and ``k[0]``.
+    """
+
+    dim: int | None
     p: tuple[int, ...]
-    q: tuple[int, ...]
     r: tuple[int, ...]
-    l: tuple[int, ...]
-    headroom_ok: tuple[bool, ...]  # the expansion-headroom check per step
+    k: tuple[int, ...]
+    A: list[IntMatrix] = field(default_factory=list)
+    mode: str = "rigorous"
+
+    @cached_property
+    def q(self) -> tuple[int, ...]:
+        return tuple(v * v for v in self.p)
+
+    @cached_property
+    def l(self) -> tuple[int, ...]:
+        return tuple(b // (2 * a) - 1 for a, b in zip(self.p, self.p[1:]))
+
+    @cached_property
+    def headroom_ok(self) -> tuple[bool, ...]:
+        """The expansion-headroom check per step, for patch count k[0]."""
+        return tuple(_headroom_ok(a, b, r_n, self.k[0]) for a, b, r_n in zip(self.p, self.p[1:], self.r))
+
+    @property
+    def depth(self) -> int:
+        return len(self.p)
+
+    def product(self, n: int) -> IntMatrix:
+        """A_1 ... A_n (identity for n = 0)."""
+        return _prefix_products(self, n)[-1]
 
 
-def p_sequence(dim: int | None, n_max: int, k: int | None = None) -> SizeSequences:
+def _prefix_products(seq: ChoquetSeq, n: int) -> list[IntMatrix]:
+    """[A_1 ... A_t for t = 0..n]."""
+    if not 0 <= n <= len(seq.A):
+        raise ValueError(f"no product of {n} matrices: the sequence holds {len(seq.A)}")
+    return _products(seq.A[:n], seq.k[0])
+
+
+def p_sequence(dim: int | None, n_max: int, k: int | None = None) -> ChoquetSeq:
     """Canonical scale sequences: p_1 = max(4, d) (4 when the simplex is
     infinite-dimensional), p_{n+1} = 2 n! p_n^2, r_n = n!.
 
@@ -76,9 +114,9 @@ def p_sequence(dim: int | None, n_max: int, k: int | None = None) -> SizeSequenc
 
 
 def _grown_sizes(dim: int | None, n_max: int, ratio_cap: int | None,
-                 k: int | None) -> SizeSequences:
+                 k: int | None) -> ChoquetSeq:
     """p_1 = max(4, d), p_{n+1} = 2 n! p_n^2 (at most ratio_cap p_n when a
-    cap is given) and r_n = n!, for n_max scales."""
+    cap is given) and r_n = n!, for n_max scales, with no matrices."""
     p = [4 if dim is None else max(4, dim)]
     for n in range(1, n_max):
         p_next = 2 * math.factorial(n) * p[-1] ** 2
@@ -89,21 +127,9 @@ def _grown_sizes(dim: int | None, n_max: int, ratio_cap: int | None,
                 f"ratio cap {ratio_cap} too small for the stripe rule at step {n}"
             )
         p.append(p_next)
-    r = [math.factorial(n) for n in range(1, len(p) + 1)]
-    return _sizes(p, r, 3 if k is None else k)
-
-
-def _sizes(p: list[int], r: list[int], k: int) -> SizeSequences:
-    """The sequences over scales ``p`` and stripe counts ``r`` (one per
-    scale, extras dropped): q_n = p_n^2, l_n = p_{n+1}/(2 p_n) - 1 and the
-    expansion-headroom flag of each step for patch count k."""
-    return SizeSequences(
-        tuple(p),
-        tuple(v * v for v in p),
-        tuple(r[: len(p)]),
-        tuple(b // (2 * a) - 1 for a, b in zip(p, p[1:])),
-        tuple(_headroom_ok(a, b, r_n, k) for a, b, r_n in zip(p, p[1:], r)),
-    )
+    r = tuple(math.factorial(n) for n in range(1, len(p) + 1))
+    return ChoquetSeq(dim, tuple(p), r, (3 if k is None else k,) * len(p),
+                      mode="rigorous" if ratio_cap is None else "toy")
 
 
 def _headroom_ok(p_n: int, p_next: int, r_n: int, k: int) -> bool:
@@ -113,7 +139,7 @@ def _headroom_ok(p_n: int, p_next: int, r_n: int, k: int) -> bool:
 
 
 def toy_p_sequence(dim: int | None, n_max: int, ratio_cap: int = 128,
-                   k: int | None = None) -> SizeSequences:
+                   k: int | None = None) -> ChoquetSeq:
     """Canonical sequences with each growth ratio capped (kept even).
 
     Grids stay small enough to build at any depth; the entry floors that
@@ -124,43 +150,8 @@ def toy_p_sequence(dim: int | None, n_max: int, ratio_cap: int = 128,
     return _grown_sizes(dim, n_max, ratio_cap, k)
 
 
-# ----------------------------------------------------------------------
-# matrices
-# ----------------------------------------------------------------------
-
-@dataclass
-class ChoquetSeq:
-    """Scale/stripe sequences plus the transition matrices built over them."""
-
-    dim: int | None
-    p: tuple[int, ...]
-    q: tuple[int, ...]
-    r: tuple[int, ...]
-    l: tuple[int, ...]
-    k: tuple[int, ...]
-    A: list[IntMatrix]
-    mode: str = "rigorous"
-
-    @property
-    def depth(self) -> int:
-        return len(self.p)
-
-    def product(self, n: int) -> IntMatrix:
-        """A_1 ... A_n (identity for n = 0)."""
-        return _prefix_products(self, n)[-1]
-
-
-def _prefix_products(seq: ChoquetSeq, n: int) -> list[IntMatrix]:
-    """[A_1 ... A_t for t = 0..n], each product from the one before."""
-    if not 0 <= n <= len(seq.A):
-        raise ValueError(f"no product of {n} matrices: the sequence holds {len(seq.A)}")
-    k1 = seq.k[0]
-    eye = [[int(i == j) for j in range(k1)] for i in range(k1)]
-    return list(accumulate(seq.A[:n], _imat_mul, initial=eye))
-
-
 def make_finite_dim_matrices(
-    num_extreme_points: int, sizes: SizeSequences, mode: str = "rigorous"
+    num_extreme_points: int, sizes: ChoquetSeq, mode: str = "rigorous"
 ) -> list[IntMatrix]:
     """Integer transition matrices realizing a simplex with the given number
     of extreme points over the given sizes.
@@ -196,7 +187,7 @@ def make_finite_dim_matrices(
     return out
 
 
-def _step_entries(sizes: SizeSequences, i: int, j: int, k: int, mode: str = "rigorous") -> tuple[int, int, int | None]:
+def _step_entries(sizes: ChoquetSeq, i: int, j: int, k: int, mode: str = "rigorous") -> tuple[int, int, int | None]:
     """(ratio q_j/q_i, floor of the lower rows, dominant entry) of the step from
     scale i to scale j with k patches; the dominant entry is None when it
     falls below the floor or the stripe-and-device headroom."""
@@ -279,25 +270,15 @@ def make_choquet_seq(
     if mode == "rigorous":
         sizes = p_sequence(dim, max(depth * 3, depth + 2), k=k)
         idx = _feasible_subsequence(sizes, k, depth)
-        sub = _sizes([sizes.p[i] for i in idx], [sizes.r[i] for i in idx], k)
+        sub = ChoquetSeq(dim, tuple(sizes.p[i] for i in idx), tuple(sizes.r[i] for i in idx), (k,) * depth)
     elif mode == "toy":
         sub = toy_p_sequence(dim, depth, ratio_cap=ratio_cap, k=k)
     else:
         raise ValueError("mode must be 'rigorous' or 'toy'")
-    mats = make_finite_dim_matrices(e, sub, mode=mode)
-    return ChoquetSeq(
-        dim=dim,
-        p=sub.p,
-        q=sub.q,
-        r=sub.r,
-        l=sub.l,
-        k=tuple([k] * len(sub.p)),
-        A=mats,
-        mode=mode,
-    )
+    return replace(sub, A=make_finite_dim_matrices(e, sub, mode=mode), mode=mode)
 
 
-def _feasible_subsequence(sizes: SizeSequences, k: int, depth: int) -> list[int]:
+def _feasible_subsequence(sizes: ChoquetSeq, k: int, depth: int) -> list[int]:
     idx = [0]
     while len(idx) < depth:
         i = idx[-1]
@@ -634,8 +615,7 @@ def _parse_matrices(lines: list[str]) -> ChoquetSeq:
     for n, m in enumerate(mats):
         if len(m) != k[n]:
             raise SimplexBuildError(f"matrix {n + 1} row count disagrees with matrix {n}")
-    sz = _sizes(p, r, k[0])
-    return ChoquetSeq(dim, sz.p, sz.q, sz.r, sz.l, tuple(k), mats, mode="toy")
+    return ChoquetSeq(dim, tuple(p), tuple(r[: len(p)]), tuple(k), mats, mode="toy")
 
 
 def _positive_fields(line: str, layout: str) -> list[int]:
@@ -729,11 +709,7 @@ def measure_vectors(
         mu = [Fraction(1, qd) if j == terminal - 1 else Fraction(0) for j in range(kd)]
     out = [MeasureVector(depth, tuple(mu))]
     for n in range(depth - 1, 0, -1):
-        mat = seq.A[n - 1]
-        mu = [
-            sum((Fraction(mat[i][j]) * mu[j] for j in range(len(mu))), Fraction(0))
-            for i in range(seq.k[n - 1])
-        ]
+        mu = _imat_vec(seq.A[n - 1], mu)
         if any(v < 0 for v in mu) or sum(mu) != Fraction(1, seq.q[n - 1]):
             raise AssertionError("measure recursion left the simplex")
         out.append(MeasureVector(n, tuple(mu)))
@@ -746,11 +722,7 @@ def measure_residual(seq: ChoquetSeq, vectors: list[MeasureVector]) -> Fraction:
     worst = Fraction(0)
     by_level = {v.level: v for v in vectors}
     for n in range(min(by_level), max(by_level)):
-        mat = seq.A[n - 1]
         lhs = by_level[n].values
-        rhs = [
-            sum((Fraction(mat[i][j]) * by_level[n + 1].values[j] for j in range(len(by_level[n + 1].values))), Fraction(0))
-            for i in range(len(lhs))
-        ]
+        rhs = _imat_vec(seq.A[n - 1], by_level[n + 1].values)
         worst = max(worst, max(abs(a - b) for a, b in zip(lhs, rhs)))
     return worst

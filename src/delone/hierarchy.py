@@ -27,7 +27,7 @@ import operator
 import os
 import re
 from bisect import bisect_right
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -413,7 +413,7 @@ class HierarchySpec:
             frames.append((
                 side * lv.branching,
                 (ox - ac * side, oy - ar * side),
-                tuple(sum(c * p for c, p in zip(col, pops)) for col in counts),
+                tuple(_imat_vec(counts, pops)),
                 counts,
             ))
         vars(self).update(base=base, levels=levels, _frames=tuple(frames))
@@ -472,10 +472,7 @@ class HierarchySpec:
         self._check_level(n)
         if m > n:
             raise SpecError("need m <= n")
-        mat = [[1 if i == j else 0 for j in range(self.k(m))] for i in range(self.k(m))]
-        for t in range(m + 1, n + 1):
-            mat = _imat_mul(mat, self.step_count_matrix(t))
-        return mat
+        return _products([self.step_count_matrix(t) for t in range(m + 1, n + 1)], self.k(m))[-1]
 
     def popcounts(self, level: int) -> list[int]:
         """Occupied cells of each level patch (the base popcounts pushed up
@@ -491,6 +488,7 @@ class HierarchySpec:
 
 
 def _imat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The exact product a b of two matrices of ints (or Fractions)."""
     rows, inner, cols = len(a), len(b), len(b[0])
     if len(a[0]) != inner:
         raise SpecError("matrix shape mismatch")
@@ -498,6 +496,17 @@ def _imat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
         [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)]
         for i in range(rows)
     ]
+
+
+def _imat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    """The exact product a v of a matrix and a column vector."""
+    return [sum(x * y for x, y in zip(row, v, strict=True)) for row in a]
+
+
+def _products(mats: Sequence[list[list[int]]], k: int) -> list[list[list[int]]]:
+    """[M_1 ... M_t for t = 0..len(mats)], from the k x k identity on."""
+    eye = [[int(i == j) for j in range(k)] for i in range(k)]
+    return list(accumulate(mats, _imat_mul, initial=eye))
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -188,22 +188,16 @@ class CandidateMap:
         return CandidateMap(win, imgs)
 
 
-def identity_map(window: Window, domain: Iterable[Point] | None = None) -> CandidateMap:
-    pts = window_points(window) if domain is None else list(domain)
-    return CandidateMap(window, {p: p for p in pts})
+def identity_map(window: Window) -> CandidateMap:
+    return CandidateMap(window, {p: p for p in window_points(window)})
 
 
 class ExtendedMap:
     """Total map on a window with values in (1/2)Z^2, stored doubled:
-    ``doubled[y - y0, x - x0]`` = 2 f^(x, y).  Built from that array, or
-    from a mapping ``{point: 2 f^(point)}`` over the whole window."""
+    ``doubled[y - y0, x - x0]`` = 2 f^(x, y)."""
 
-    def __init__(self, window: Window, twice_images: Mapping[Point, Point] | np.ndarray):
-        if not isinstance(twice_images, np.ndarray):
-            x0, y0, x1, y1 = window
-            pairs = _int_pairs([twice_images[p] for p in window_points(window)])
-            twice_images = pairs.reshape(y1 - y0 + 1, x1 - x0 + 1, 2)
-        self.window, self.doubled = window, twice_images
+    def __init__(self, window: Window, doubled: np.ndarray):
+        self.window, self.doubled = window, doubled
 
     def twice(self, p: Point) -> Point:
         return tuple(self.doubled[_cell(self.window, p)].tolist())

@@ -133,7 +133,6 @@ class ConstantBundle:
     eps: Fraction
     tau: Fraction
     lam: Fraction
-    P: int
     M0: int
     N0: int
     P0: int
@@ -167,16 +166,14 @@ def rigorous_bundle(L: Rat, d: Rat, d_prime: Rat) -> ConstantBundle:
     L, d, dp = _frac(L), _frac(d), _frac(d_prime)
     lam, m_star, n_star = density_gap_constants(L, d, dp)
     eps = (d - dp) / (40 * (2 + 5 * L))
-    p0 = containment_scale(L, eps)
     return ConstantBundle(
         L=L,
         eps=eps,
         tau=eps**2 / (9 * L**2),
         lam=lam,
-        P=p0,
         M0=m_star,
         N0=n_star,
-        P0=p0,
+        P0=containment_scale(L, eps),
         ell=ell_min(L, lam),
     )
 

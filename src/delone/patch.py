@@ -284,10 +284,8 @@ def read_patch(path) -> Patch:
         return loads_patch(fh.read())
 
 
-def write_points(path, points: Iterable[Point], comment: str | None = None) -> None:
+def write_points(path, points: Iterable[Point]) -> None:
     with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
         for x, y in points:
             fh.write(f"{x} {y}\n")
 

@@ -681,6 +681,9 @@ def _bf_allow(table: np.ndarray, cls: list[list[int]], bound: int) -> list[list[
 # bounded-radius matching heuristic
 # ----------------------------------------------------------------------
 
+_PAIR_CAP = 4000  # more point pairs than this: adjacent pairs plus a sample
+
+
 @dataclass(frozen=True)
 class HeuristicResult:
     map: CandidateMap
@@ -691,8 +694,6 @@ class HeuristicResult:
 def heuristic_grid_map(
     window_pts: Sequence[Point],
     radius_budget: int,
-    window: tuple[int, int, int, int] | None = None,
-    pair_cap: int = 4000,
     target_box: tuple[int, int, int, int] | None = None,
 ) -> HeuristicResult:
     """Injective map onto lattice targets minimizing the largest displacement.
@@ -704,15 +705,15 @@ def heuristic_grid_map(
     with one, the points must pack into the box, which is how the
     compression cost of a density deficit is measured.  The distortion
     report is exact over all pairs when there are few, else over adjacent
-    pairs plus a deterministic sample.
+    pairs plus a deterministic sample.  The map's window is the points'
+    bounding box.
     """
     pts = sorted(set(window_pts))
     if not pts:
         raise ValueError("empty window")
-    if window is None:
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        window = (min(xs), min(ys), max(xs), max(ys))
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    window = (min(xs), min(ys), max(xs), max(ys))
     r = int(radius_budget)
     if target_box is not None:
         bx0, by0, bx1, by1 = target_box
@@ -756,8 +757,8 @@ def heuristic_grid_map(
         if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= 2
     ]
     pairs = all_pairs(pts)
-    if len(pairs) > pair_cap:
-        stride = len(pairs) // pair_cap + 1
+    if len(pairs) > _PAIR_CAP:
+        stride = len(pairs) // _PAIR_CAP + 1
         pairs = pairs[::stride] + adj
     report = distortion(cmap, pairs)
     return HeuristicResult(cmap, report, rsq)

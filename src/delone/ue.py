@@ -20,6 +20,7 @@ from .hierarchy import (
     Arrangement,
     HierarchySpec,
     Level,
+    _imat_mul,
     block_frequency_matrix,
     count_occurrences,
 )
@@ -195,20 +196,10 @@ def frequency_convergence_report(
     rows: list[FreqRow] = []
     for t in range(level_lo, level_hi + 1):
         cells = spec.cell_count(t)
-        if t == level_lo:
-            freq = None
-        else:
-            freq = block_frequency_matrix(spec, level_lo, t)
+        lows = None if t == level_lo else _imat_mul([base_dens], block_frequency_matrix(spec, level_lo, t))[0]
         for j in range(1, spec.k(t) + 1):
             cnt = count_occurrences(spec, needle, t, j, SLIDING, cap=cap, _memo=memo)
             dens = Fraction(cnt, cells)
-            if freq is None:
-                lo = hi = dens
-            else:
-                lo = sum(
-                    (freq[i][j - 1] * base_dens[i] for i in range(len(base_dens))),
-                    Fraction(0),
-                )
-                hi = lo + band
+            lo, hi = (dens, dens) if lows is None else (lows[j - 1], lows[j - 1] + band)
             rows.append(FreqRow(t, j, cnt, dens, lo, hi))
     return FreqReport(nid, level_lo, tuple(rows))

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -65,7 +66,7 @@ def test_validate_flags_bad_column_sum():
 
 
 def test_constructor_infeasible_sizes_rejected():
-    sizes = C.SizeSequences((4, 8), (16, 64), (1, 1), (0,), (True,))
+    sizes = C.ChoquetSeq(1, (4, 8), (1, 1), (3, 3))
     with pytest.raises(C.SimplexBuildError, match="ratio"):
         C.make_finite_dim_matrices(2, sizes, mode="rigorous")
 
@@ -100,6 +101,35 @@ def test_product_against_fraction_oracle():
                      for j in range(len(a[0]))] for i in range(len(want))]
     with pytest.raises(ValueError, match="no product of 4 matrices"):
         seq.product(len(seq.A) + 1)
+
+
+@pytest.mark.parametrize("how", ["toy e=2", "toy e=3", "toy e=4", "rigorous e=2", "matrices file"])
+def test_count_matrices_are_the_sequence_products(how, tmp_path):
+    """The spec's block counts of base patches in level-(n+1) patches are
+    A_1 ... A_n, however the sequence was made."""
+    if how == "matrices file":
+        path = tmp_path / "mats.txt"
+        path.write_text("p 4 32\nr 1\nmatrix 3 3\n1 1 1\n30 30 12\n33 33 51\n")
+        seq = C.read_matrices_file(path)
+        cb = C.build_choquet_spec(2, seq.depth, seq=seq)
+    else:
+        mode, e = how.split(" e=")
+        cb = C.build_choquet_spec(int(e), 3, mode=mode)
+    spec, seq = cb.spec, cb.seq
+    assert spec.num_levels == seq.depth
+    for n in range(seq.depth):
+        assert spec.count_matrix(1, n + 1) == seq.product(n)
+
+
+def test_sequence_record_is_frozen_and_derives_from_p():
+    seq = C.make_choquet_seq(2, 3, mode="toy", ratio_cap=8)
+    q, l = seq.q, seq.l
+    for name in ("p", "q", "A"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(seq, name, ())
+    moved = dataclasses.replace(seq, p=(4, 16, 64))
+    assert (moved.q, moved.l) == ((16, 256, 4096), (1, 1))
+    assert (seq.q, seq.l) == (q, l) == ((16, 1024, 65536), (3, 3))
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +288,7 @@ def test_separation_fails_on_singleton():
         ratio = sizes.q[n + 1] // sizes.q[n]
         fill = (ratio - 1) // 2
         mats.append([[1, 1, 1], [fill, fill, fill], [ratio - 1 - fill] * 3])
-    seq = C.ChoquetSeq(1, sizes.p, sizes.q, sizes.r, sizes.l, (3, 3, 3), mats, "toy")
+    seq = C.ChoquetSeq(1, sizes.p, sizes.r, (3, 3, 3), mats, "toy")
     with pytest.raises(C.SimplexBuildError, match="no separation"):
         C.find_separating_coordinates(seq, 3)
 
@@ -292,10 +322,7 @@ def test_density_bracketing(choq_small):
 
 def test_measure_vectors_uniform_for_flat_matrices():
     # all-ones matrices with ratio k keep the barycenter uniform at every level
-    seq = C.ChoquetSeq(
-        None, (2, 4), (4, 16), (1,), (0,), (4, 4),
-        [[[1, 1, 1, 1] for _ in range(4)]], "toy",
-    )
+    seq = C.ChoquetSeq(None, (2, 4), (1,), (4, 4), [[[1, 1, 1, 1] for _ in range(4)]], "toy")
     vecs = C.measure_vectors(seq, 2, "barycenter")
     assert all(len(set(v.values)) == 1 for v in vecs)
     assert sum(vecs[0].values) == F(1, 4)

@@ -81,7 +81,7 @@ def test_constant_bundle_invariants():
     assert b.tau == b.eps**2 / 9
     assert (1 + b.lam) ** min(b.ell, 1) > 0  # sanity; real check inside
     with pytest.raises(ValueError, match="tau"):
-        ConstantBundle(F(1), F(1, 2), F(1, 3), F(1, 10), 1, 1, 1, 1, 100)
+        ConstantBundle(F(1), F(1, 2), F(1, 3), F(1, 10), 1, 1, 1, 100)
 
 
 # ----------------------------------------------------------------------

@@ -96,7 +96,8 @@ def test_points_round_trip(tmp_path):
     sparse, _ = starting_patches()
     path = tmp_path / "pts.txt"
     pts = list(sparse.points())
-    patch.write_points(path, pts, comment="demo")
+    patch.write_points(path, pts)
+    path.write_text("# demo\n" + path.read_text())
     assert patch.read_points(path) == pts
     assert len(pts) == sparse.popcount()
 

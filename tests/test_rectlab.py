@@ -72,9 +72,7 @@ def test_single_stretch_is_witnessed():
 def test_degenerate_baseline_rejected():
     # unreachable through an injective map; the guard still fires on a raw
     # extension whose window end points collapse
-    fh = maps.ExtendedMap(
-        (0, 0, 2, 0), {(0, 0): (0, 0), (1, 0): (5, 5), (2, 0): (0, 0)}
-    )
+    fh = maps.ExtendedMap((0, 0, 2, 0), np.array([[(0, 0), (5, 5), (0, 0)]], dtype=np.int64))
     grid = GridSpec(M=1, N=1, P=1)
     with pytest.raises(ValueError, match="degenerate baseline"):
         R.find_regular_square(fh, grid, F(1, 10))
