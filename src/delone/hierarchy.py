@@ -129,13 +129,13 @@ class Edge:
         ids = {v for runs, _ in self.pieces for v, _ in runs}
         return next(iter(ids)) if len(ids) == 1 else None
 
-    def pair(self, other: "Edge") -> "Edge":
+    def pair(self, other: "Edge", cap: int | None = None) -> "Edge":
         """The line of (self id, other id) at equal positions of two lines
         of one length.
 
         A line of one id pairs with the other line's pieces as they are, so
         a periodic row stays small whatever its length.  Other lines are
-        zipped run by run (see :meth:`_runs`).
+        zipped run by run (see :meth:`_runs`), the write-out charged to ``cap``.
         """
         c = other.const
         if c is not None:
@@ -143,13 +143,13 @@ class Edge:
         c = self.const
         if c is not None:
             return Edge(tuple((tuple(((c, v), n) for v, n in runs), reps) for runs, reps in other.pieces))
-        return Edge(((_zip_runs(self._runs(), other._runs()), 1),))
+        return Edge(((_zip_runs(self._runs(cap), other._runs(cap)), 1),))
 
-    def _runs(self) -> Runs:
+    def _runs(self, cap: int | None) -> Runs:
         """The runs of the line written out.  Writing out repetitions is
-        charged to the cell cap, one cell a run."""
+        charged to ``cap``, one cell a run."""
         if any(reps > 1 for _, reps in self.pieces):
-            check_cells(sum(len(runs) * reps for runs, reps in self.pieces), "writing out a periodic line")
+            check_cells(sum(len(runs) * reps for runs, reps in self.pieces), "writing out a periodic line", cap)
         return sum((runs * reps for runs, reps in self.pieces), ())
 
 
@@ -201,6 +201,7 @@ class Arrangement:
     cols: int = field(init=False)
     _tally: dict = field(init=False, repr=False, compare=False)  # cells holding each child id
     _corners: dict = field(init=False, repr=False, compare=False)  # (col, row) -> id
+    _kept: tuple | None = field(init=False, repr=False, compare=False)  # the seam tables, once built
 
     def __post_init__(self):
         lengths, tally, rows = set(), {}, 0
@@ -219,7 +220,7 @@ class Arrangement:
         last, (low, _), (high, _) = lengths.pop() - 1, self.bands[0], self.bands[-1]
         corners = {(0, 0): low.pieces[0][0][0][0], (last, 0): low.pieces[-1][0][-1][0],
                    (0, rows - 1): high.pieces[0][0][0][0], (last, rows - 1): high.pieces[-1][0][-1][0]}
-        vars(self).update(rows=rows, cols=last + 1, _tally=tally, _corners=corners)
+        vars(self).update(rows=rows, cols=last + 1, _tally=tally, _corners=corners, _kept=None)
 
     @classmethod
     def dense(cls, grid: np.ndarray) -> "Arrangement":
@@ -277,13 +278,13 @@ class Arrangement:
         return self._edges[side]
 
     def hpair_counts(self) -> dict[tuple[int, int], int]:
-        return dict(self._tables[0])
+        return dict(self._tables()[0])
 
     def vpair_counts(self) -> dict[tuple[int, int], int]:
-        return dict(self._tables[1])
+        return dict(self._tables()[1])
 
     def quad_counts(self) -> dict[tuple[int, int, int, int], int]:
-        return dict(self._tables[2])
+        return dict(self._tables()[2])
 
     @cached_property
     def _edges(self) -> dict[str, Edge]:
@@ -292,21 +293,24 @@ class Arrangement:
                 "left": Edge(((tuple((line.at(0), m) for line, m in self.bands), 1),)),
                 "right": Edge(((tuple((line.at(last), m) for line, m in self.bands), 1),))}
 
-    @cached_property
-    def _tables(self) -> tuple[dict, dict, dict]:
-        """(hpair, vpair, quad) counts.  A band of multiplicity m holds its
-        row's steps m times, and its m - 1 inner row boundaries stack the
-        row on itself; a boundary between two bands stacks their rows (an
-        "H" seam, whose junctions are the quads)."""
+    def _tables(self, cap: int | None = None) -> tuple[dict, dict, dict]:
+        """(hpair, vpair, quad) counts, built on first use and kept.  A band
+        of multiplicity m holds its row's steps m times, and its m - 1 inner
+        row boundaries stack the row on itself; a boundary between two bands
+        stacks their rows (an "H" seam, whose junctions are the quads), any
+        write-out of the two rows charged to ``cap``."""
+        if self._kept is not None:
+            return self._kept
         bands = self.bands
         steps = [(row.steps(), m) for row, m in bands]
-        stacks = [lower.pair(upper) for (lower, _), (upper, _) in zip(bands, bands[1:])]
+        stacks = [lower.pair(upper, cap) for (lower, _), (upper, _) in zip(bands, bands[1:])]
         hpairs = _sum((p, n * m) for row, m in steps for p, n in row.items())
         vpairs = _sum(chain((((v, v), n * (m - 1)) for row, m in bands for v, n in row.tally().items()),
                             (item for stack in stacks for item in stack.tally().items())))
         quads = _sum(chain((((u, v, u, v), n * (m - 1)) for row, m in steps for (u, v), n in row.items()),
                            ((_SEAMS["H"][2](p + q), n) for stack in stacks for (p, q), n in stack.steps().items())))
-        return hpairs, vpairs, quads
+        vars(self)["_kept"] = hpairs, vpairs, quads
+        return self._kept
 
 
 def _ids(line: Edge) -> list:
@@ -683,7 +687,7 @@ def count_occurrences(
     if mode == BLOCK_ALIGNED:
         return _count_block_aligned(spec, needle, level, pid, cap)
     if mode == SLIDING:
-        return _SlidingCount(spec, needle, cap, {} if _memo is None else _memo).patch(level, pid)
+        return _SlidingCount(spec, needle, cap, {} if _memo is None else _memo).count(("n", level, pid))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -719,7 +723,8 @@ _SEAMS = {
 class _SlidingCount:
     """Memoized sliding counts of one needle over one hierarchy.
 
-    Memo keys, with t a level and a, b, pid patch ids at that level:
+    One recursion, :meth:`count`, over four kinds of key, with t a level
+    and a, b, pid patch ids at that level:
 
     * ``("n", t, pid)``: placements inside the patch;
     * ``("V", t, a, b)``: placements crossing only the vertical seam of a
@@ -729,14 +734,15 @@ class _SlidingCount:
     * ``("C", t, bl, br, tl, tr)``: placements crossing both seams of the
       2x2 junction of those four patches.
 
-    All three recursions have one shape: look the key up, recurse into the
-    children while they hold the needle (its (w-1) x (h-1) corner tiles for
-    junctions), otherwise scan one block.  A patch scans itself whole;
-    seams and junctions scan a window cut by ``_leaf`` from the small block
-    of patches they join, in true orientation, so every scan is of
-    ``needle`` itself.  Seams and junctions are only evaluated at levels
-    whose side is at least the needle's, so a placement crosses at most one
-    seam each way.
+    A key looks itself up in the memo; while the level-(t-1) children hold
+    the needle (its (w-1) x (h-1) corner tiles for a junction) it is the sum
+    of ``n`` times the count of each level-(t-1) key :meth:`_parts` yields,
+    otherwise one block is scanned (:meth:`_scan`).  A patch is its
+    children, its seams and its junctions; a seam is the line of seams
+    between a's and b's edge children, joined at 2x2 junctions; a junction
+    is the junction of the four children that touch it.  Seams and
+    junctions are only evaluated at levels whose side is at least the
+    needle's, so a placement crosses at most one seam each way.
 
     The edges and the pair and quad tallies the recursion reads are the
     arrangements' own tables, built from their bands and kept on the
@@ -747,92 +753,81 @@ class _SlidingCount:
     def __init__(self, spec: HierarchySpec, needle: Patch, cap: int | None, memo: dict):
         self.spec, self.needle, self.cap, self.memo = spec, needle, cell_cap(cap), memo
         self.w, self.h = needle.width, needle.height
+        self.reach = max(self.w, self.h)  # the needle's larger side
         self.sides = [row[0] for row in spec._frames]
         self.child_counts = [row[3] for row in spec._frames]
 
-    def _fits_children(self, t: int, n: int) -> bool:
-        """An n x n block fits inside every child of a level-t patch."""
-        return t > 1 and self.sides[t - 2] >= n
-
-    def patch(self, t: int, pid: int) -> int:
-        key = ("n", t, pid)
-        if key in self.memo:
-            return self.memo[key]
-        spec, w, h = self.spec, self.w, self.h
-        if t == 1:
-            res = scan_count(spec.base[pid - 1].cells, self.needle)
-        elif not self._fits_children(t, max(w, h)):
-            check_cells(spec.cell_count(t), f"direct scan of level {t} patch {pid}", self.cap)
-            res = scan_count(_materialize_cells(spec, t, pid, {}), self.needle)
+    def count(self, key: tuple) -> int:
+        """The count of ``key``, one of the four kinds above, memoized."""
+        memo = self.memo
+        if key in memo:
+            return memo[key]
+        kind, t, ids = key[0], key[1], key[2:]
+        if t > 1 and self.sides[t - 2] >= self.reach - (kind == "C"):
+            res = 0
+            for n, part in self._parts(kind, t, ids):
+                got = memo.get(part)  # hits are read here, without a call
+                res += n * (self.count(part) if got is None else got)
         else:
-            arr = spec.levels[t - 2].arrangements[pid - 1]
-            step = self.child_counts[t - 1][pid - 1]
-            res = sum(n * self.patch(t - 1, i) for i, n in enumerate(step, start=1) if n)
-            if w >= 2:
-                res += sum(n * self.seam("V", t - 1, a, b) for (a, b), n in arr.hpair_counts().items())
-            if h >= 2:
-                res += sum(n * self.seam("H", t - 1, a, b) for (a, b), n in arr.vpair_counts().items())
-            if w >= 2 and h >= 2:
-                res += sum(n * self.corner(t - 1, q) for q, n in arr.quad_counts().items())
-        self.memo[key] = res
+            res = self._scan(kind, t, ids)
+        memo[key] = res
         return res
 
-    def seam(self, kind: str, t: int, a: int, b: int) -> int:
-        """Placements crossing the seam between level-t patches a and b
-        (``kind`` "V": a left of b; "H": a below b).
-
-        The seam is the line of seams between a's and b's edge children,
-        joined at 2x2 junctions.  "H" swaps the roles of width and height,
-        so w and h below are the needle's extent across and along the seam;
-        the leaf cuts the strip of the c = w - 1 cells on each side of the
-        seam in true orientation.
-        """
-        key = (kind, t, a, b)
-        if key in self.memo:
-            return self.memo[key]
-        w, h = (self.w, self.h) if kind == "V" else (self.h, self.w)
-        if self._fits_children(t, max(w, h)):
-            near, far, junction = _SEAMS[kind]
-            arrs = self.spec.levels[t - 2].arrangements
-            seam = arrs[a - 1].edge(near).pair(arrs[b - 1].edge(far))
-            res = sum(n * self.seam(kind, t - 1, x, y) for (x, y), n in seam.tally().items())
-            if h >= 2:
-                res += sum(n * self.corner(t - 1, junction(p + q)) for (p, q), n in seam.steps().items())
-        else:
-            s, c = self.sides[t - 1], w - 1
-            res = (self._leaf(t, ((a, b),), s - c, 0, 2 * c, s, "vertical seam strip") if kind == "V"
-                   else self._leaf(t, ((a,), (b,)), 0, s - c, s, 2 * c, "horizontal seam strip"))
-        self.memo[key] = res
-        return res
-
-    def corner(self, t: int, quad: tuple[int, int, int, int]) -> int:
-        """Placements crossing both seams at the 2x2 junction (bl, br, tl, tr)
-        of level-t patches.  Only the four (w-1) x (h-1) tiles around the
-        junction matter: while the children hold such a tile this is the
-        junction of the four children that touch it, else the four tiles are
-        cut and scanned once."""
-        key = ("C", t, *quad)
-        if key in self.memo:
-            return self.memo[key]
-        cw, ch = self.w - 1, self.h - 1
-        if self._fits_children(t, max(cw, ch)):
-            arrs = self.spec.levels[t - 2].arrangements
-            bl, br, tl, tr = [arrs[pid - 1] for pid in quad]
+    def _parts(self, kind: str, t: int, ids: tuple) -> Iterator[tuple[int, tuple]]:
+        """(n, key) for the level-(t-1) keys that make up ``(kind, t, *ids)``."""
+        arrs, u, w, h = self.spec.levels[t - 2].arrangements, t - 1, self.w, self.h
+        if kind == "n":
+            (pid,) = ids
+            for i, n in enumerate(self.child_counts[u][pid - 1], start=1):
+                if n:
+                    yield n, ("n", u, i)
+            if w >= 2 or h >= 2:
+                hpairs, vpairs, quads = arrs[pid - 1]._tables(self.cap)
+                if w >= 2:
+                    for (a, b), n in hpairs.items():
+                        yield n, ("V", u, a, b)
+                if h >= 2:
+                    for (a, b), n in vpairs.items():
+                        yield n, ("H", u, a, b)
+                if w >= 2 and h >= 2:
+                    for q, n in quads.items():
+                        yield n, ("C", u, *q)
+        elif kind == "C":
+            bl, br, tl, tr = [arrs[pid - 1] for pid in ids]
             last = bl.rows - 1  # the top row and the right column: frames are square
-            res = self.corner(t - 1, (
-                bl.id_at(last, last), br.id_at(0, last), tl.id_at(last, 0), tr.id_at(0, 0)
-            ))
+            yield 1, ("C", u, bl.id_at(last, last), br.id_at(0, last), tl.id_at(last, 0), tr.id_at(0, 0))
         else:
-            s = self.sides[t - 1]
-            res = self._leaf(t, (quad[:2], quad[2:]), s - cw, s - ch, 2 * cw, 2 * ch, "junction block")
-        self.memo[key] = res
-        return res
+            near, far, junction = _SEAMS[kind]
+            a, b = ids
+            seam = arrs[a - 1].edge(near).pair(arrs[b - 1].edge(far), self.cap)
+            for (x, y), n in seam.tally().items():
+                yield n, (kind, u, x, y)
+            if (h if kind == "V" else w) >= 2:  # the needle's extent along the seam
+                for (p, q), n in seam.steps().items():
+                    yield n, ("C", u, *junction(p + q))
 
-    def _leaf(self, t: int, ids, x0: int, y0: int, w: int, h: int, what: str) -> int:
-        """Scan the window [x0, x0+w) x [y0, y0+h) of the block of level-t
-        patches ``ids`` (rows bottom to top), charged to the cap as ``what``."""
+    def _scan(self, kind: str, t: int, ids: tuple) -> int:
+        """Count ``(kind, t, *ids)`` on one block.  A patch scans itself
+        whole.  A seam scans the strip of the w - 1 columns (h - 1 rows) on
+        each side of it, a junction the four (w-1) x (h-1) tiles around it:
+        one window cut from the patches it joins in true orientation, so
+        every scan is of ``needle`` itself, charged to the cap first."""
+        spec = self.spec
+        if kind == "n":
+            (pid,) = ids
+            if t == 1:
+                return scan_count(spec.base[pid - 1].cells, self.needle)
+            check_cells(spec.cell_count(t), f"direct scan of level {t} patch {pid}", self.cap)
+            return scan_count(_materialize_cells(spec, t, pid, {}), self.needle)
+        s, cw, ch = self.sides[t - 1], self.w - 1, self.h - 1
+        if kind == "V":
+            rows, x0, y0, w, h, what = (ids,), s - cw, 0, 2 * cw, s, "vertical seam strip"
+        elif kind == "H":
+            rows, x0, y0, w, h, what = (ids[:1], ids[1:]), 0, s - ch, s, 2 * ch, "horizontal seam strip"
+        else:
+            rows, x0, y0, w, h, what = (ids[:2], ids[2:]), s - cw, s - ch, 2 * cw, 2 * ch, "junction block"
         check_cells(w * h, f"{what} at level {t}", self.cap)
-        return scan_count(_cut(self.spec, t, lambda col, row: ids[row][col], x0, y0, w, h), self.needle)
+        return scan_count(_cut(spec, t, lambda col, row: rows[row][col], x0, y0, w, h), self.needle)
 
 
 def block_frequency_matrix(spec: HierarchySpec, m: int, n: int) -> list[list[Fraction]]:

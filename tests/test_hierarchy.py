@@ -3,7 +3,6 @@ import itertools
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -109,21 +108,25 @@ def _runs(draw, length: int, ids) -> tuple:
     return tuple((draw(ids), b - a) for a, b in zip(bounds, bounds[1:]))
 
 
+def _band_row(draw, cols: int, ids, min_reps: int = 1) -> H.Edge:
+    """A row of ``cols`` cells: a period of 1..5 runs repeated min_reps..3
+    times, then a tail of 0..5 runs."""
+    period = draw(st.integers(1, cols // min_reps))
+    reps = draw(st.integers(min_reps, min(3, cols // period)))
+    pieces = [(_runs(draw, period, ids), reps)]
+    if cols > period * reps:
+        pieces.append((_runs(draw, cols - period * reps, ids), 1))
+    return H.Edge(tuple(pieces))
+
+
 @st.composite
 def band_arrangements(draw):
     """1..5 bands of multiplicity 1..4 over rows of a common length, each
-    row a period of 1..5 runs repeated 1..3 times, then a tail of 0..5 runs."""
+    row a :func:`_band_row`."""
     ids = st.integers(1, 4)
     cols = draw(st.integers(1, 12))
-    bands = []
-    for _ in range(draw(st.integers(1, 5))):
-        period = draw(st.integers(1, cols))
-        reps = draw(st.integers(1, min(3, cols // period)))
-        pieces = [(_runs(draw, period, ids), reps)]
-        if cols > period * reps:
-            pieces.append((_runs(draw, cols - period * reps, ids), 1))
-        bands.append((H.Edge(tuple(pieces)), draw(st.integers(1, 4))))
-    return H.Arrangement(tuple(bands))
+    return H.Arrangement(tuple((_band_row(draw, cols, ids), draw(st.integers(1, 4)))
+                               for _ in range(draw(st.integers(1, 5)))))
 
 
 @settings(max_examples=300, deadline=None)
@@ -173,26 +176,22 @@ def test_kept_seam_tables_grow_with_distinct_quads_not_cells():
     assert kept < 200 * (runs + quads)
 
 
-def _counted_property(monkeypatch, cls, name: str, calls: Counter) -> None:
-    """Count the builds of the cached property ``cls.name``."""
-    fn = getattr(cls, name).func
-    prop = cached_property(lambda self: (calls.update([name]), fn(self))[1])
-    prop.__set_name__(cls, name)
-    monkeypatch.setattr(cls, name, prop)
-
-
-def test_seam_tables_are_built_once_per_spec(ue3, monkeypatch):
+def test_seam_tables_are_built_once_per_spec(ue3):
     spec = H.loads_spec(H.dumps_spec(ue3.spec))  # fresh arrangements, no tables built yet
     arrs = [a for lv in spec.levels for a in lv.arrangements]
-    calls = Counter()
-    for name in ("_tables", "_edges"):
-        _counted_property(monkeypatch, H.Arrangement, name, calls)
+
+    def kept() -> list:
+        """Per arrangement, its edges and its seam tables, None if not built."""
+        return [(vars(a).get("_edges"), a._kept) for a in arrs]
+
+    assert kept() == [(None, None)] * len(arrs)
     top, (n1, n2) = spec.num_levels, spec.base[:2]
     first = H.count_occurrences(spec, n1, top, 1, SLIDING)
-    built = dict(calls)
-    assert 0 < built["_tables"] <= len(arrs) and 0 < built["_edges"] <= len(arrs)
+    built = kept()
+    assert any(edges is not None for edges, _ in built) and any(tables is not None for _, tables in built)
     second = H.count_occurrences(spec, n2, top, 1, SLIDING)
-    assert dict(calls) == built
+    # the second count reads the very objects the first one built, and builds no others
+    assert all(x is y for now, then in zip(kept(), built) for x, y in zip(now, then))
     assert [first, second] == [H.count_occurrences(ue3.spec, n, top, 1, SLIDING) for n in (n1, n2)]
 
 
@@ -304,7 +303,14 @@ def test_pattern_list_is_the_sorted_distinct_codes(name, level, request):
 # ----------------------------------------------------------------------
 
 CAP_PATHS = ["materialize", "direct scan", "seam strip", "horizontal seam strip", "junction block",
-             "block-aligned count", "cli export", "repetitivity", "cli repetitivity"]
+             "periodic line", "block-aligned count", "cli export", "repetitivity", "cli repetitivity"]
+
+# two 2x2 base patches under one 4x4 arrangement whose bands are the rows
+# (2 1)x2, twice, under (1 2)x2, twice, and 2x2 of that patch on top
+PERIODIC_ROWS = ("DHS 1\nlevel 1 patches 2\nPATCH 2 2 0 0\n00\n00\nPATCH 2 2 0 0\n10\n01\n"
+                 "level 2 patches 1\narrangement 4 4 bands 2\n"
+                 "band 2 pieces 1\n2 2 1 1 1\nband 2 pieces 1\n2 1 1 2 1\n"
+                 "level 3 patches 1\narrangement 2 2\n1 1\n1 1\n")
 
 
 @pytest.mark.parametrize("path", CAP_PATHS)
@@ -344,6 +350,12 @@ def test_cell_cap_on_every_path(path, tmp_path, capsys, monkeypatch):
         # four 7x7 tiles of each level-2 junction
         "junction block": (4 * 7 * 7, lambda cap: H.count_occurrences(
             spec, Patch(top[:8, :8]), 3, 1, SLIDING, cap=cap)),
+        # a 1x2 needle at level 3: the level-2 seam tables, then the seam of
+        # the level-2 patch over itself, pair the two periodic rows, written
+        # out in 4 cells (as many as the strips); each call loads the spec
+        # afresh, as tables once built are kept
+        "periodic line": (4, lambda cap: H.count_occurrences(
+            H.loads_spec(PERIODIC_ROWS), Patch(np.array([[1], [0]], np.uint8)), 3, 1, SLIDING, cap=cap)),
         "block-aligned count": (12 * 12, lambda cap: H.count_occurrences(
             spec, Patch(top[:12, :12]), 3, 1, BLOCK_ALIGNED, cap=cap)),
         "cli export": (36 * 36, command("export", "--format", "dpf", "--out", str(tmp_path / "o"))),
@@ -356,7 +368,8 @@ def test_cell_cap_on_every_path(path, tmp_path, capsys, monkeypatch):
     with pytest.raises(CapacityError, match=rf"requires {need} cells \(cap {need - 1}\)") as refused:
         run(need - 1)
     # a sliding count allocates both kinds: the refused one is named
-    assert path not in ("seam strip", "horizontal seam strip", "junction block") or path in str(refused.value)
+    assert path not in ("seam strip", "horizontal seam strip", "junction block", "periodic line") or (
+        path in str(refused.value))
     with pytest.raises(CapacityError, match=r"cells \(cap 1\)"):
         run(None)
 
@@ -888,16 +901,26 @@ def _bits(draw, rows, cols):
 
 @st.composite
 def small_specs(draw):
-    """Random hierarchies mixing dense levels (branching 2-4, 1-3 patches)
-    and alternating-bottom levels (small odd block counts)."""
+    """Random hierarchies mixing dense levels (branching 2-4, 1-3 patches),
+    alternating-bottom levels (small odd block counts) and band levels
+    (branching 3-4, 1-3 patches, bands of periodic rows)."""
     side, k = draw(st.integers(2, 4)), draw(st.integers(1, 3))
     base = [Patch(_bits(draw, side, side)) for _ in range(k)]
     levels = []
     for _ in range(draw(st.integers(1, 4))):
-        if k >= 2 and draw(st.booleans()):
+        shape = draw(st.sampled_from(["dense", "altbottom", "bands"] if k >= 2 else ["dense"]))
+        if shape == "altbottom":
             s, b = draw(st.integers(1, 2)), draw(st.sampled_from([3, 5]))
             main, alt = draw(st.permutations(range(1, k + 1)))[:2]
             arrs = [Arrangement.altbottom(s, b, main, alt), Arrangement.altbottom(s, b, alt, main)]
+        elif shape == "bands":
+            # n rows cut into bands as a line is cut into runs, each band a
+            # periodic row, so an "H" seam often pairs two periodic edges
+            n, ids = draw(st.integers(3, 4)), st.integers(1, k)
+            arrs = [
+                Arrangement(tuple((_band_row(draw, n, ids, 2), m) for _, m in _runs(draw, n, st.none())))
+                for _ in range(draw(st.integers(1, 3)))
+            ]
         else:
             n = draw(st.integers(2, 4))
             ids = st.lists(st.integers(1, k), min_size=n * n, max_size=n * n)
@@ -914,26 +937,34 @@ def small_specs(draw):
     return HierarchySpec(base, levels)
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_specs(), st.data())
-def test_sliding_recursion_equals_scan(spec, data):
+def _grids(spec) -> dict[tuple[int, int], np.ndarray]:
+    """Every patch of ``spec`` materialized, by (level, pid)."""
+    return {(t, p): H.materialize(spec, t, p).cells
+            for t in range(1, spec.num_levels + 1) for p in range(1, spec.k(t) + 1)}
+
+
+def _draw_needle(data, spec, grids) -> Patch:
+    """A rectangular needle, mostly small enough for seams several levels
+    deep, some up to 7 wide, so wider than grandchildren: cut from a top
+    patch or random."""
     top = spec.num_levels
-    grids = {
-        (t, p): H.materialize(spec, t, p).cells
-        for t in range(1, top + 1)
-        for p in range(1, spec.k(t) + 1)
-    }
-    # rectangular needles, mostly small enough for seams several levels
-    # deep, some up to 7 wide, so wider than grandchildren
     dims = st.one_of(st.integers(1, 3), st.integers(1, 7)).filter(lambda d: d <= spec.side(top))
     w, h = data.draw(dims), data.draw(dims)
     if data.draw(st.booleans()):
         src = grids[(top, data.draw(st.integers(1, spec.k(top))))]
         x = data.draw(st.integers(0, src.shape[1] - w))
         y = data.draw(st.integers(0, src.shape[0] - h))
-        needle = Patch(src[y : y + h, x : x + w].copy())
-    else:
-        needle = Patch(_bits(data.draw, h, w))
+        return Patch(src[y : y + h, x : x + w].copy())
+    return Patch(_bits(data.draw, h, w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_specs(), st.data())
+def test_sliding_recursion_equals_scan(spec, data):
+    top = spec.num_levels
+    grids = _grids(spec)
+    needle = _draw_needle(data, spec, grids)
+    w, h = needle.width, needle.height
     want = {}
     for (t, p), grid in grids.items():
         if max(w, h) <= spec.side(t):
@@ -942,6 +973,41 @@ def test_sliding_recursion_equals_scan(spec, data):
     lo = min(t for t, _ in want)
     rep = ue.frequency_convergence_report(spec, needle, lo, top)
     assert {(r.level, r.pid): r.count for r in rep.rows} == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_specs(), st.data())
+def test_every_memo_entry_equals_its_scans(spec, data):
+    """Each memo entry, not only the totals, against direct scans of the
+    materialized patches it joins, by inclusion-exclusion: a seam is the
+    scan of its two patches side by side less the scans of each, and a
+    junction the scan of its 2x2 block less its two row pairs and two
+    column pairs, plus its four patches."""
+    top = spec.num_levels
+    grids = _grids(spec)
+    needle = _draw_needle(data, spec, grids)
+    memo: dict = {}
+    for p in range(1, spec.k(top) + 1):
+        H.count_occurrences(spec, needle, top, p, SLIDING, _memo=memo)
+
+    def scan(*rows) -> int:
+        """Scan of the block of level-t patches ``rows`` (bottom row first)."""
+        return H.scan_count(np.vstack([np.hstack([grids[(t, p)] for p in row]) for row in rows]), needle)
+
+    for (kind, t, *ids), got in memo.items():
+        if kind == "n":
+            want = scan(ids)
+        elif kind == "V":
+            a, b = ids
+            want = scan((a, b)) - scan((a,)) - scan((b,))
+        elif kind == "H":
+            a, b = ids
+            want = scan((a,), (b,)) - scan((a,)) - scan((b,))
+        else:
+            bl, br, tl, tr = ids
+            want = (scan((bl, br), (tl, tr)) - scan((bl, br)) - scan((tl, tr)) - scan((bl,), (tl,))
+                    - scan((br,), (tr,)) + sum(scan((p,)) for p in ids))
+        assert got == want, (kind, t, ids)
 
 
 def _fresh_frame(spec, level):
