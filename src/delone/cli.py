@@ -221,15 +221,18 @@ def _load_target(args) -> patch.Patch:
 
 
 def cmd_export(args) -> int:
-    p = _load_target(args)
-    if args.closed:
-        p = p.closed()
-    if args.format == "pbm":
-        patch.write_pbm(args.out, p)
-    elif args.format == "points":
-        patch.write_points(args.out, p.points())
+    if args.spec and not args.closed and args.format != "points":
+        # streamed off the hierarchy a strip at a time, charged to the cap whole
+        spec = hierarchy.read_spec(args.spec)
+        hierarchy.write_window(args.out, spec, args.level, args.id, args.format, cap=args.cell_cap)
     else:
-        patch.write_patch(args.out, p)
+        p = _load_target(args)
+        if args.closed:
+            p = p.closed()
+        if args.format == "points":
+            patch.write_points(args.out, p.points())
+        else:
+            patch.write_cells(args.out, args.format, [p.cells], p.width, p.height, p.origin, p.full_boundary)
     print(f"wrote {args.out}")
     return 0
 

@@ -36,7 +36,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .patch import Patch, PatchFormatError, Point, _fields, dumps_patch, parse_patch_lines
+from .patch import (
+    Patch, PatchFormatError, Point, _fields, _strip_rows, dumps_patch, parse_patch_lines, write_cells,
+)
 
 BLOCK_ALIGNED = "block_aligned"
 SLIDING = "sliding"
@@ -192,8 +194,8 @@ class Arrangement:
     ``bands`` runs bottom to top, each a row (an :class:`Edge`) and the
     number of consecutive grid rows holding it.  The seam tables follow
     from the bands (see :meth:`_tables`); they are built on first use and
-    kept, the getters hand out copies, and they grow with bands x runs and
-    with the distinct pairs and quads, not with cells.
+    kept, and they grow with bands x runs and with the distinct pairs and
+    quads, not with cells.
     """
 
     bands: tuple[tuple[Edge, int], ...]
@@ -276,15 +278,6 @@ class Arrangement:
 
     def edge(self, side: str) -> Edge:
         return self._edges[side]
-
-    def hpair_counts(self) -> dict[tuple[int, int], int]:
-        return dict(self._tables()[0])
-
-    def vpair_counts(self) -> dict[tuple[int, int], int]:
-        return dict(self._tables()[1])
-
-    def quad_counts(self) -> dict[tuple[int, int, int, int], int]:
-        return dict(self._tables()[2])
 
     @cached_property
     def _edges(self) -> dict[str, Edge]:
@@ -536,21 +529,50 @@ def _materialize_cells(spec, level, pid, memo) -> np.ndarray:
     if level == 1:
         out = spec.base[pid - 1].cells
     else:
-        lv = spec.levels[level - 2]
-        children = [
-            _materialize_cells(spec, level - 1, i, memo)
-            for i in range(1, spec.k(level - 1) + 1)
-        ]
-        stack = np.stack(children)
-        grid = lv.arrangements[pid - 1].to_grid()
-        (rows, cols), s = grid.shape, stack.shape[1]
-        out = np.empty((rows * s, cols * s), dtype=np.uint8)
-        # one row of tiles at a time, so the output is the only full-size array
-        view = out.reshape(rows, s, cols, s)
-        for r in range(rows):
-            view[r] = stack[grid[r] - 1].transpose(1, 0, 2)
+        top = spec.side(level)
+        out = np.empty((top, top), dtype=np.uint8)
+        for block in _tile_rows(spec, level, pid, memo):
+            out[top - len(block) : top] = block
+            top -= len(block)
     memo[key] = out
     return out
+
+
+def _tile_rows(spec, level, pid, memo) -> Iterator[np.ndarray]:
+    """The cells of a level >= 2 patch, top rows first, in blocks of whole
+    rows, each inside one row of tiles and at most a strip
+    (``patch._strip_rows``) high, stored bottom row first like
+    ``Patch.cells``.  The blocks are views of one reused buffer, so a
+    reader copies or writes each one out before it asks for the next.
+    Besides ``memo``, the children stacked and that buffer are all this holds."""
+    arr, k = spec.levels[level - 2].arrangements[pid - 1], spec.k(level - 1)
+    lo, hi = arr.id_bounds()
+    if lo < 1 or hi > k:  # the take below clips, so a stray id would pass silently
+        raise SpecError(f"level {level} patch {pid} references id outside 1..{k}")
+    stack = np.stack([_materialize_cells(spec, level - 1, i, memo) for i in range(1, k + 1)], axis=1)
+    grid = arr.to_grid().astype(np.intp) - 1
+    (rows, cols), s = grid.shape, stack.shape[0]  # stack is (s, k, s): a strip of a row of tiles is one take
+    n = min(s, _strip_rows(cols * s))
+    buf = np.empty((n, cols, s), dtype=np.uint8)
+    for r in reversed(range(rows)):
+        for y in range(s, 0, -n):
+            y0 = max(0, y - n)
+            block = buf[: y - y0]
+            np.take(stack[y0:y], grid[r], axis=1, out=block, mode="clip")
+            yield block.reshape(y - y0, cols * s)
+
+
+def write_window(path, spec: HierarchySpec, level: int, pid: int, fmt: str, cap: int | None = None) -> None:
+    """Write level patch ``pid`` as ``fmt`` ("pbm" or "dpf"): the bytes
+    ``patch.write_pbm``/``write_patch`` write of :func:`materialize`, read
+    off the hierarchy a strip at a time, so neither the window nor its text
+    is ever whole in memory.  It is charged to the cap whole, as
+    ``materialize`` is, before the file is opened."""
+    spec._check_pid(level, pid)
+    check_cells(spec.cell_count(level), f"materializing level {level} patch {pid}", cap)
+    side = spec.side(level)
+    blocks = _tile_rows(spec, level, pid, {}) if level > 1 else [spec.base[pid - 1].cells]
+    write_cells(path, fmt, blocks, side, side, spec.origin(level))
 
 
 def materialize_region(
@@ -587,11 +609,6 @@ def _cut(spec, t, id_at, x0, y0, w, h) -> np.ndarray:
 # exact scans (shared by the sliding recursion and by export tooling)
 # ----------------------------------------------------------------------
 
-# cells (one byte each) of grid rows a strip of ``scan_count`` spans: about
-# a quarter of a megabyte, so a strip's planes stay in cache
-_STRIP = 1 << 18
-
-
 def scan_count(grid: np.ndarray, needle: Patch) -> int:
     """Exact-match placements of ``needle`` at every origin of ``grid``
     (0 when the needle is larger than the grid).
@@ -602,9 +619,9 @@ def scan_count(grid: np.ndarray, needle: Patch) -> int:
     needle cell is occupied and ``grid == 0`` where it is empty.  No
     arithmetic is done on cells, so nothing can overflow.
 
-    The origins are scanned in strips of ``_STRIP // W`` rows (at least
-    one), so the two planes and the accumulator are strip-sized buffers,
-    allocated once a call and refilled in place for each strip; the last
+    The origins are scanned in strips of ``patch._strip_rows(W)`` rows, so
+    the two planes and the accumulator are strip-sized buffers, allocated
+    once a call and refilled in place for each strip; the last
     strip uses a slice of them.  A grid smaller than a strip is one strip.
     """
     H, W = grid.shape
@@ -612,7 +629,7 @@ def scan_count(grid: np.ndarray, needle: Patch) -> int:
     if w > W or h > H:
         return 0
     outh, outw = H - h + 1, W - w + 1
-    rows = min(outh, max(1, _STRIP // W))
+    rows = min(outh, _strip_rows(W))
     occupied = np.empty((rows + h - 1, W), dtype=bool)
     empty = np.empty_like(occupied)
     hit = np.empty((rows, outw), dtype=bool)

@@ -167,7 +167,7 @@ class Patch:
             yield (ox + int(xs[i]), oy + int(ys[i]))
 
     def __str__(self) -> str:
-        return _text_rows(self.cells, sep=False)[:-1]
+        return str(_strip_text(self.cells, sep=False), "ascii")[:-1]
 
 
 def from_rows(rows: Iterable[str], origin: Point = (0, 0), full_boundary: bool = False) -> Patch:
@@ -212,34 +212,72 @@ def corner_density(patch: Patch, corner_side: int) -> Fraction:
 # text formats
 # ----------------------------------------------------------------------
 
-def _text_buf(cells: np.ndarray, sep: bool) -> np.ndarray:
-    """Rows of '0'/'1', top row first, each ending in a newline, as ASCII.
+# cells (one byte each) of a strip: about a quarter of a megabyte, so a
+# strip's buffers stay in cache.  ``hierarchy.scan_count`` scans, and the
+# text writers format, whole rows a strip at a time.
+_STRIP = 1 << 18
 
-    One uint8 buffer of digits, optional single-space separators and
-    newlines, so no Python code runs per cell.  Any integer cells 0..9
-    come out as their digit (``c | ord("0")`` is ``c + ord("0")`` there).
+
+def _strip_rows(width: int) -> int:
+    """Rows of ``width`` cells in one strip: at most ``_STRIP`` cells, and
+    at least one row."""
+    return max(1, _STRIP // width)
+
+
+def _strip_text(cells: np.ndarray, sep: bool, buf: np.ndarray | None = None) -> np.ndarray:
+    """Rows of '0'/'1', top row first, each ending in a newline, as ASCII
+    in ``buf[:len(cells)]`` (a new buffer when ``buf`` is None).
+
+    One add a call, so no Python code runs per cell or row: a cell c is the
+    digit ``0x30 + c``, or with ``sep`` the little-endian pair ``0x2030 + c``
+    (digit, space), whose last space a row turns into its newline.
     """
     h, w = cells.shape
-    step = 2 if sep else 1
-    buf = np.full((h, 2 * w if sep else w + 1), ord(" "), dtype=np.uint8)
-    buf[:, : step * w : step] = cells[::-1] | ord("0")
-    buf[:, -1] = ord("\n")
-    return buf
+    if buf is None:
+        buf = np.empty((h, 2 * w if sep else w + 1), dtype=np.uint8)
+    out = buf[:h]
+    if sep:
+        np.add(cells[::-1], np.uint16(0x2030), out=out.view("<u2"))
+    else:
+        np.add(cells[::-1], np.uint8(ord("0")), out=out[:, :w])
+    out[:, -1] = ord("\n")
+    return out
 
 
-def _text_rows(cells: np.ndarray, sep: bool) -> str:
-    """:func:`_text_buf` decoded to a string."""
-    return str(_text_buf(cells, sep), "ascii")
+def _head(fmt: str, width: int, height: int, origin: Point = (0, 0), full_boundary: bool = False) -> str:
+    if fmt == "pbm":
+        return f"P1\n{width} {height}\n"
+    if fmt == "dpf":
+        flag = " full_boundary" if full_boundary else ""
+        return f"PATCH {width} {height} {origin[0]} {origin[1]}{flag}\n"
+    raise ValueError(f"unknown text format {fmt!r}")
 
 
-def _dpf_head(patch: Patch) -> str:
-    flag = " full_boundary" if patch.full_boundary else ""
-    return f"PATCH {patch.width} {patch.height} {patch.origin[0]} {patch.origin[1]}{flag}\n"
+def write_cells(path, fmt: str, blocks: Iterable[np.ndarray], width: int, height: int,
+                origin: Point = (0, 0), full_boundary: bool = False) -> None:
+    """Write the ``width`` x ``height`` patch at ``origin`` as ``fmt``
+    ("pbm" or "dpf") without holding its cells or text whole.
+
+    ``blocks`` are its cells in whole rows, top block first, each stored
+    bottom row first like ``Patch.cells``.  Each block is formatted in
+    strips of at most ``_STRIP`` cells through one reused text buffer, so a
+    block may be a view that the next one overwrites.
+    """
+    sep = fmt == "pbm"
+    head = _head(fmt, width, height, origin, full_boundary).encode("ascii")
+    n = _strip_rows(width)
+    buf = np.empty((min(n, height), 2 * width if sep else width + 1), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for block in blocks:
+            for y in range(len(block), 0, -n):
+                fh.write(_strip_text(block[max(0, y - n) : y], sep, buf))
 
 
 def dumps_patch(patch: Patch) -> str:
     """Serialize to the .dpf text format (header line, then rows top-down)."""
-    return _dpf_head(patch) + _text_rows(patch.cells, sep=False)
+    head = _head("dpf", patch.width, patch.height, patch.origin, patch.full_boundary)
+    return head + str(_strip_text(patch.cells, sep=False), "ascii")
 
 
 def parse_patch_lines(lines: list[str], start: int = 0) -> tuple[Patch, int]:
@@ -267,16 +305,9 @@ def loads_patch(text: str) -> Patch:
     return patch
 
 
-def _write_text(path, head: str, buf: np.ndarray) -> None:
-    """Write a header and a text buffer as bytes, without a str copy."""
-    with open(path, "wb") as fh:
-        fh.write(head.encode("ascii"))
-        fh.write(buf)
-
-
 def write_patch(path, patch: Patch) -> None:
-    """Write :func:`dumps_patch` of ``patch``."""
-    _write_text(path, _dpf_head(patch), _text_buf(patch.cells, sep=False))
+    """Write :func:`dumps_patch` of ``patch``, a strip at a time."""
+    write_cells(path, "dpf", [patch.cells], patch.width, patch.height, patch.origin, patch.full_boundary)
 
 
 def read_patch(path) -> Patch:
@@ -295,18 +326,14 @@ def read_points(path) -> list[Point]:
         return [tuple(_fields(ln, "# #")) for ln in _data_lines(fh.read())]
 
 
-def _pbm_head(patch: Patch) -> str:
-    return f"P1\n{patch.width} {patch.height}\n"
-
-
 def dumps_pbm(patch: Patch) -> str:
     """Plain PBM ("P1"): 1 = occupied, top row first."""
-    return _pbm_head(patch) + _text_rows(patch.cells, sep=True)
+    return _head("pbm", patch.width, patch.height) + str(_strip_text(patch.cells, sep=True), "ascii")
 
 
 def write_pbm(path, patch: Patch) -> None:
-    """Write :func:`dumps_pbm` of ``patch``."""
-    _write_text(path, _pbm_head(patch), _text_buf(patch.cells, sep=True))
+    """Write :func:`dumps_pbm` of ``patch``, a strip at a time."""
+    write_cells(path, "pbm", [patch.cells], patch.width, patch.height)
 
 
 def loads_pbm(text: str) -> Patch:

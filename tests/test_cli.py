@@ -158,6 +158,25 @@ def test_export_cap_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("fmt", ["pbm", "dpf", "points"])
+def test_export_over_the_cap_writes_nothing(tmp_path, capsys, fmt):
+    # the streamed pbm/dpf writers are charged the whole window, like points,
+    # before the output file is opened
+    spec = tmp_path / "s.dhs"
+    run("gen", "--construction", "nonrect", "--depth", "1", "--out", str(spec))
+    cells = hierarchy.read_spec(spec).cell_count(2)
+    capsys.readouterr()
+    out = tmp_path / f"w.{fmt}"
+    rc = run("export", "--spec", str(spec), "--level", "2", "--id", "1", "--format", fmt,
+             "--cell-cap", str(cells - 1), "--out", str(out))
+    assert rc == 3
+    err = f"resource cap: materializing level 2 patch 1 requires {cells} cells (cap {cells - 1})\n"
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+    assert run("export", "--spec", str(spec), "--level", "2", "--id", "1", "--format", fmt,
+               "--cell-cap", str(cells), "--out", str(out)) == 0
+
+
 @pytest.mark.parametrize("cmd,extra", [("export", ("--format", "pbm", "--out", "x.pbm")),
                                        ("repetitivity", ("--r", "1"))])
 @pytest.mark.parametrize("inputs", [(), ("--spec", "s.dhs", "--patch", "p.dpf")],

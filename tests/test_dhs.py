@@ -123,7 +123,7 @@ def test_dhs_codec_round_trip(spec):
 
 
 def _tables(arr):
-    return arr.counts(12), arr.hpair_counts(), arr.vpair_counts(), arr.quad_counts(), arr.to_grid().tolist()
+    return arr.counts(12), *arr._tables(), arr.to_grid().tolist()
 
 
 @settings(max_examples=100, deadline=None)

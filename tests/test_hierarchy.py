@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
+import tempfile
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,7 @@ from delone.hierarchy import (
     HierarchySpec,
     Level,
 )
-from delone.patch import Patch, PatchFormatError, dumps_patch, from_rows
+from delone.patch import Patch, PatchFormatError, dumps_patch, dumps_pbm, from_rows
 from tests_oracles import repetitivity_oracle
 
 
@@ -60,10 +62,10 @@ def _check_altbottom_against_dense(s, b, ids):
     g = alt.to_grid()
     dense = Arrangement.dense(g)
     assert alt.counts(4) == dense.counts(4)
-    assert alt.hpair_counts() == dense.hpair_counts() == _naive_tally(g[:, :-1], g[:, 1:])
-    assert alt.vpair_counts() == dense.vpair_counts() == _naive_tally(g[:-1], g[1:])
+    assert alt._tables()[0] == dense._tables()[0] == _naive_tally(g[:, :-1], g[:, 1:])
+    assert alt._tables()[1] == dense._tables()[1] == _naive_tally(g[:-1], g[1:])
     quads = _naive_tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])
-    assert alt.quad_counts() == dense.quad_counts() == quads
+    assert alt._tables()[2] == dense._tables()[2] == quads
     lines = {"left": g[:, 0], "right": g[:, -1], "bottom": g[0], "top": g[-1]}
     for side, line in lines.items():
         steps = _naive_tally(line[:-1], line[1:])
@@ -91,9 +93,9 @@ def test_dense_tables_match_naive(lo, hi, data):
     g = np.array(ids, dtype=np.int64).reshape(rows, cols)
     g.flat[0], g.flat[-1] = lo, hi  # a grid of two or more cells spans the whole range
     dense = Arrangement.dense(g)
-    assert dense.hpair_counts() == _naive_tally(g[:, :-1], g[:, 1:])
-    assert dense.vpair_counts() == _naive_tally(g[:-1], g[1:])
-    assert dense.quad_counts() == _naive_tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])
+    assert dense._tables()[0] == _naive_tally(g[:, :-1], g[:, 1:])
+    assert dense._tables()[1] == _naive_tally(g[:-1], g[1:])
+    assert dense._tables()[2] == _naive_tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])
     for side, line in {"left": g[:, 0], "right": g[:, -1], "bottom": g[0], "top": g[-1]}.items():
         edge = dense.edge(side)
         assert edge.length == len(line)
@@ -137,9 +139,9 @@ def test_band_tables_match_naive(arr):
     g = np.array(rows)
     assert np.array_equal(arr.to_grid(), g)
     assert arr.counts(4) == [int((g == i).sum()) for i in range(1, 5)]
-    assert arr.hpair_counts() == _naive_tally(g[:, :-1], g[:, 1:])
-    assert arr.vpair_counts() == _naive_tally(g[:-1], g[1:])
-    assert arr.quad_counts() == _naive_tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])
+    assert arr._tables()[0] == _naive_tally(g[:, :-1], g[:, 1:])
+    assert arr._tables()[1] == _naive_tally(g[:-1], g[1:])
+    assert arr._tables()[2] == _naive_tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])
     for side, line in {"left": g[:, 0], "right": g[:, -1], "bottom": g[0], "top": g[-1]}.items():
         edge = arr.edge(side)
         assert edge.length == len(line)
@@ -155,7 +157,7 @@ def _kept(grid: np.ndarray) -> tuple[int, Arrangement]:
     try:
         arr = Arrangement.dense(grid)
         arr.edge("left")
-        arr.quad_counts()
+        arr._tables()
         return tracemalloc.get_traced_memory()[0], arr
     finally:
         tracemalloc.stop()
@@ -166,12 +168,12 @@ def test_kept_seam_tables_grow_with_distinct_quads_not_cells():
     # distinct quads, against 256 KiB of one-byte cells
     i = np.arange(512) // 64 % 2
     kept, blocks = _kept(1 + i[:, None] + 2 * i[None, :])
-    assert len(blocks.bands) == 8 and len(blocks.quad_counts()) == 16
+    assert len(blocks.bands) == 8 and len(blocks._tables()[2]) == 16
     assert kept < 64 * 1024
     # an id-diverse grid keeps one entry per stored run and per distinct quad
     kept, diverse = _kept(np.random.default_rng(3).integers(1, 65, size=(256, 256)))
     runs = sum(len(runs) for row, _ in diverse.bands for runs, _ in row.pieces)
-    quads = len(diverse.quad_counts())
+    quads = len(diverse._tables()[2])
     assert quads > 60_000
     assert kept < 200 * (runs + quads)
 
@@ -193,21 +195,6 @@ def test_seam_tables_are_built_once_per_spec(ue3):
     # the second count reads the very objects the first one built, and builds no others
     assert all(x is y for now, then in zip(kept(), built) for x, y in zip(now, then))
     assert [first, second] == [H.count_occurrences(ue3.spec, n, top, 1, SLIDING) for n in (n1, n2)]
-
-
-def test_dense_tallies_are_copies():
-    g = np.array([[1, 2, 2], [3, 1, 2]])
-    dense = Arrangement.dense(g)
-    tables = [
-        (dense.hpair_counts, _naive_tally(g[:, :-1], g[:, 1:])),
-        (dense.vpair_counts, _naive_tally(g[:-1], g[1:])),
-        (dense.quad_counts, _naive_tally(g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:])),
-    ]
-    for get, want in tables:
-        got = get()
-        got[next(iter(got))] += 5
-        got[(0, 0)] = 1
-        assert get() == want
 
 
 def test_band_validation():
@@ -467,7 +454,7 @@ def test_scan_count_across_strips(data):
         needle = Patch(grid[y : y + h, x : x + w])
     else:
         needle = Patch(_fill(draw, h, w))
-    with mock.patch.object(H, "_STRIP", draw(st.integers(1, 3 * gw))):
+    with mock.patch("delone.patch._STRIP", draw(st.integers(1, 3 * gw))):
         assert H.scan_count(grid, needle) == _naive_sliding(grid, needle)
 
 
@@ -1008,6 +995,58 @@ def test_every_memo_entry_equals_its_scans(spec, data):
             want = (scan((bl, br), (tl, tr)) - scan((bl, br)) - scan((tl, tr)) - scan((bl,), (tl,))
                     - scan((br,), (tr,)) + sum(scan((p,)) for p in ids))
         assert got == want, (kind, t, ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs(), st.integers(1, 400))
+def test_export_streams_what_materialize_dumps(spec, strip):
+    """``export --spec`` writes, a strip at a time off the hierarchy, the
+    bytes of ``dumps_pbm``/``dumps_patch`` of the materialized patch, at
+    every level and pid, cut out tile by tile (``materialize_region``, which
+    reads no rows of tiles); strips of ``strip`` cells cut most rows of
+    tiles into several."""
+    with tempfile.TemporaryDirectory() as d, mock.patch("delone.patch._STRIP", strip):
+        path = Path(d) / "s.dhs"
+        H.write_spec(path, spec)
+        for t in range(1, spec.num_levels + 1):
+            side = spec.side(t)
+            for p in range(1, spec.k(t) + 1):
+                window = Patch(H.materialize_region(spec, t, p, 0, 0, side, side), spec.origin(t))
+                assert window == H.materialize(spec, t, p)
+                for fmt, dumps in (("pbm", dumps_pbm), ("dpf", dumps_patch)):
+                    out = Path(d) / f"w.{fmt}"
+                    argv = ["export", "--spec", str(path), "--level", str(t), "--id", str(p), "--format", fmt]
+                    assert cli.main([*argv, "--out", str(out)]) == 0
+                    assert out.read_bytes() == dumps(window).encode(), (t, p, fmt)
+
+
+@pytest.mark.parametrize("stray", [0, 2])
+def test_materialize_refuses_a_stray_child_id(stray):
+    # a spec built in memory is not checked at load: id 0 used to wrap to
+    # the last child, and the rows of tiles are taken with clipped indices
+    base = [Patch(np.ones((2, 2), dtype=np.uint8))]
+    spec = HierarchySpec(base, [Level([Arrangement.dense(np.array([[1, stray], [1, 1]]))])])
+    with pytest.raises(H.SpecError, match=r"level 2 patch 1 references id outside 1\.\.1"):
+        H.materialize(spec, 2, 1)
+
+
+def test_wide_junctions_recurse_into_their_corner_children():
+    """Four levels of 3x3 arrangements, so a junction's four patches each
+    have children other than the corner ones, counted with every 2x2
+    needle and some 3x3 windows: every junction recurses into the junction
+    of the four children that touch it (the top-right patch's child at
+    (0, 0), its bottom-left corner) down to level 1."""
+    rng = np.random.default_rng(24)
+    base = [Patch(rng.integers(0, 2, size=(3, 3), dtype=np.uint8)) for _ in range(3)]
+    levels = [Level([Arrangement.dense(rng.integers(1, 4, size=(3, 3))) for _ in range(3)]) for _ in range(3)]
+    spec = HierarchySpec(base, levels)
+    top = spec.num_levels
+    grids = {p: H.materialize(spec, top, p).cells for p in range(1, spec.k(top) + 1)}
+    needles = [Patch(np.array(bits, dtype=np.uint8).reshape(2, 2)) for bits in itertools.product((0, 1), repeat=4)]
+    needles += [Patch(grids[1][y : y + 3, x : x + 3]) for y, x in ((0, 0), (40, 7), (13, 55))]
+    for needle in needles:
+        for p, grid in grids.items():
+            assert H.count_occurrences(spec, needle, top, p, SLIDING) == H.scan_count(grid, needle), (needle, p)
 
 
 def _fresh_frame(spec, level):

@@ -1,13 +1,15 @@
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from delone import patch
 from delone.nonrect import starting_patches
+from tests_oracles import patch_text_oracle
 
 
 def test_starting_corner_densities():
@@ -127,16 +129,6 @@ def test_subpatch_and_translation():
     assert moved.same_content(sparse)
 
 
-def _joined_rows(p: patch.Patch) -> str:
-    """The per-cell join formula the text writers once used."""
-    return "\n".join("".join("1" if v else "0" for v in row) for row in p.cells[::-1])
-
-
-def _joined_pbm(p: patch.Patch) -> str:
-    rows = [" ".join(str(int(v)) for v in row) for row in p.cells[::-1]]
-    return f"P1\n{p.width} {p.height}\n" + "\n".join(rows) + "\n"
-
-
 @st.composite
 def patches(draw):
     """Patches of random shape (1 x n and n x 1 included): random bits,
@@ -154,11 +146,10 @@ def patches(draw):
 
 @given(patches())
 def test_text_writers_match_the_join_formulas(p):
-    assert str(p) == _joined_rows(p)
-    assert patch.dumps_pbm(p) == _joined_pbm(p)
-    flag = " full_boundary" if p.full_boundary else ""
-    head = f"PATCH {p.width} {p.height} {p.origin[0]} {p.origin[1]}{flag}"
-    assert patch.dumps_patch(p) == head + "\n" + _joined_rows(p) + "\n"
+    dpf, pbm = patch_text_oracle(p, "dpf"), patch_text_oracle(p, "pbm")
+    assert str(p) == dpf.split("\n", 1)[1][:-1]
+    assert patch.dumps_pbm(p) == pbm
+    assert patch.dumps_patch(p) == dpf
     assert patch.loads_patch(patch.dumps_patch(p)) == p
     assert patch.loads_pbm(patch.dumps_pbm(p)).same_content(p)
     with tempfile.TemporaryDirectory() as d:
@@ -166,3 +157,17 @@ def test_text_writers_match_the_join_formulas(p):
             path = Path(d) / "out"
             write(path, p)
             assert path.read_bytes() == dumps(p).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(patches(), st.data())
+def test_writers_across_strips_match_the_cell_oracle(p, data):
+    """With strips of one or two rows every patch taller than two rows is
+    written in many strips through one reused buffer, the last one perhaps
+    shorter; the bytes are the oracle's, cell by cell."""
+    strip = data.draw(st.integers(1, 2 * p.width))
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(patch, "_STRIP", strip):
+        for write, fmt in ((patch.write_pbm, "pbm"), (patch.write_patch, "dpf")):
+            path = Path(d) / f"out.{fmt}"
+            write(path, p)
+            assert path.read_bytes() == patch_text_oracle(p, fmt).encode()

@@ -224,3 +224,18 @@ def brute_force_oracle(points, box):
         if best is None or value < best:
             best, witness = value, images
     return best, witness
+
+
+def patch_text_oracle(p, fmt):
+    """A patch's plain-PBM ("pbm") or .dpf ("dpf") text by the formats'
+    rules, one cell at a time: the header line(s), then the rows top row
+    first, each cell its digit ('1' occupied), PBM digits separated by one
+    space, every row ending in a newline."""
+    h, w = p.cells.shape
+    if fmt == "pbm":
+        head, sep = f"P1\n{w} {h}\n", " "
+    else:
+        flag = " full_boundary" if p.full_boundary else ""
+        head, sep = f"PATCH {w} {h} {p.origin[0]} {p.origin[1]}{flag}\n", ""
+    rows = [sep.join("1" if p.get(x, y) else "0" for x in range(w)) for y in reversed(range(h))]
+    return head + "".join(row + "\n" for row in rows)
