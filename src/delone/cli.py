@@ -230,7 +230,7 @@ def cmd_export(args) -> int:
         if args.closed:
             p = p.closed()
         if args.format == "points":
-            patch.write_points(args.out, p.points())
+            patch.write_points(args.out, p)
         else:
             patch.write_cells(args.out, args.format, [p.cells], p.width, p.height, p.origin, p.full_boundary)
     print(f"wrote {args.out}")

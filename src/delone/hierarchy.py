@@ -384,7 +384,8 @@ class HierarchySpec:
     :data:`_FrameRow` per level, is computed here, at construction.  A
     builder grows a spec with :meth:`extended`, which computes the new
     level's row only; the constructor and ``dataclasses.replace`` compute
-    every row.
+    every row.  Each new row checks the child ids of its level: one outside
+    1..k of the level below is a :class:`SpecError`.
     """
 
     base: tuple[Patch, ...]
@@ -406,7 +407,12 @@ class HierarchySpec:
         for lv in levels[len(frames) - 1 :]:
             side, (ox, oy), pops, _ = frames[-1]
             ac, ar = lv.anchor
-            counts = tuple(arr.counts(len(pops)) for arr in lv.arrangements)
+            k = len(pops)
+            for pid, arr in enumerate(lv.arrangements, start=1):
+                lo, hi = arr.id_bounds()
+                if lo < 1 or hi > k:  # counts would drop the stray cells, and a scan would clip them
+                    raise SpecError(f"level {len(frames) + 1} patch {pid} references id outside 1..{k}")
+            counts = tuple(arr.counts(k) for arr in lv.arrangements)
             frames.append((
                 side * lv.branching,
                 (ox - ac * side, oy - ar * side),
@@ -546,9 +552,6 @@ def _tile_rows(spec, level, pid, memo) -> Iterator[np.ndarray]:
     reader copies or writes each one out before it asks for the next.
     Besides ``memo``, the children stacked and that buffer are all this holds."""
     arr, k = spec.levels[level - 2].arrangements[pid - 1], spec.k(level - 1)
-    lo, hi = arr.id_bounds()
-    if lo < 1 or hi > k:  # the take below clips, so a stray id would pass silently
-        raise SpecError(f"level {level} patch {pid} references id outside 1..{k}")
     stack = np.stack([_materialize_cells(spec, level - 1, i, memo) for i in range(1, k + 1)], axis=1)
     grid = arr.to_grid().astype(np.intp) - 1
     (rows, cols), s = grid.shape, stack.shape[0]  # stack is (s, k, s): a strip of a row of tiles is one take
@@ -609,43 +612,96 @@ def _cut(spec, t, id_at, x0, y0, w, h) -> np.ndarray:
 # exact scans (shared by the sliding recursion and by export tooling)
 # ----------------------------------------------------------------------
 
+# grids of at most this many cells are scanned as one Python int; packed
+# words scanned by numpy overtake it near 300^2 cells
+_INT_CELLS = 1 << 16
+
+
 def scan_count(grid: np.ndarray, needle: Patch) -> int:
     """Exact-match placements of ``needle`` at every origin of ``grid``
     (0 when the needle is larger than the grid).
 
-    A placement matches when occupied AND unoccupied cells agree.  One
-    boolean accumulator over the placement origins is ANDed with the grid
-    shifted by each needle offset, tested against ``grid != 0`` where the
-    needle cell is occupied and ``grid == 0`` where it is empty.  No
-    arithmetic is done on cells, so nothing can overflow.
+    A placement matches when occupied AND unoccupied cells agree.  The grid
+    is packed into bit planes, the occupied cells (``grid != 0``) and the
+    empty ones.  A mask of placement origins is ANDed, for each needle
+    cell, with the plane of that cell's value shifted back by the cell's
+    offset, and the matches are its set bits.  Only bitwise operations and
+    popcounts are done, so nothing can overflow.
 
-    The origins are scanned in strips of ``patch._strip_rows(W)`` rows, so
-    the two planes and the accumulator are strip-sized buffers, allocated
-    once a call and refilled in place for each strip; the last
-    strip uses a slice of them.  A grid smaller than a strip is one strip.
+    A grid of at most ``_INT_CELLS`` cells is one Python int, bit y*W + x,
+    so each needle cell is one shift and one AND.  A larger grid goes
+    through :func:`_scan_words`.
     """
     H, W = grid.shape
     w, h = needle.width, needle.height
     if w > W or h > H:
         return 0
+    if H * W > _INT_CELLS:
+        return _scan_words(grid, needle)
+    occupied = int.from_bytes(np.packbits(grid, axis=None, bitorder="little").tobytes(), "little")
+    empty = occupied ^ ((1 << H * W) - 1)
+    # the origins: a row of W - w + 1 ones, doubled up to cover every
+    # origin row; origins past them are cleared by the planes, which end
+    # at bit H*W
+    hit, n = (1 << W - w + 1) - 1, 1
+    while n < H - h + 1:
+        hit |= hit << n * W
+        n *= 2
+    for dy, row in enumerate(needle.cells.tolist()):
+        for dx, bit in enumerate(row):
+            hit &= (occupied if bit else empty) >> (dy * W + dx)
+    return hit.bit_count()
+
+
+def _scan_words(grid: np.ndarray, needle: Patch) -> int:
+    """:func:`scan_count` of a grid past ``_INT_CELLS`` cells, in strips of
+    rows packed little-endian into uint64 words, bit x of a row being bit
+    x % 64 of its word x // 64.  Each row carries one zero slack word, so
+    the carry of the last word a shift reads is always there.
+
+    Per strip and needle column dx, each plane needed is shifted by dx bits
+    once, and the needle cells of that column AND rows dy.. of it into the
+    origin words.  A strip holds ``patch._strip_rows(8 * words)`` origin
+    rows, so each of its five buffers, allocated once a call, is at most
+    about a strip of bytes; the last strip uses a slice of them.
+    """
+    H, W = grid.shape
+    w, h = needle.width, needle.height
     outh, outw = H - h + 1, W - w + 1
-    rows = min(outh, _strip_rows(W))
-    occupied = np.empty((rows + h - 1, W), dtype=bool)
+    words, out = (W + 63) // 64 + 1, (outw + 63) // 64  # words a row, words of origins a row
+    rows = min(outh, _strip_rows(8 * words))
+    occupied = np.zeros((rows + h - 1, words), dtype="<u8")
     empty = np.empty_like(occupied)
-    hit = np.empty((rows, outw), dtype=bool)
-    cells = needle.cells.tolist()
+    shifted = np.empty((rows + h - 1, out), dtype="<u8")
+    carry = np.empty_like(shifted)
+    hit = np.empty((rows, out), dtype="<u8")
+    last = np.uint64((1 << (outw - 1) % 64 + 1) - 1)  # the origins of a row's last origin word
+    cols = needle.cells.T.tolist()
     total = 0
     for y in range(0, outh, rows):
         n = min(rows, outh - y)
         if n < rows:  # the last strip is shorter
-            occupied, empty, hit = occupied[: n + h - 1], empty[: n + h - 1], hit[:n]
-        np.not_equal(grid[y : y + n + h - 1], 0, out=occupied)
-        np.logical_not(occupied, out=empty)
-        hit.fill(True)
-        for dy, row in enumerate(cells):
-            for dx, bit in enumerate(row):
-                hit &= (occupied if bit else empty)[dy : dy + n, dx : dx + outw]
-        total += int(np.count_nonzero(hit))
+            m = n + h - 1
+            occupied, empty, shifted, carry, hit = occupied[:m], empty[:m], shifted[:m], carry[:m], hit[:n]
+        packed = np.packbits(grid[y : y + n + h - 1], axis=1, bitorder="little")
+        occupied.view(np.uint8)[:, : packed.shape[1]] = packed
+        np.invert(occupied, out=empty)
+        hit.fill(~np.uint64(0))
+        hit[:, -1] = last
+        for dx, col in enumerate(cols):
+            q, s = divmod(dx, 64)
+            for bit, plane in ((1, occupied), (0, empty)):
+                if bit not in col:
+                    continue
+                tap = plane[:, q : q + out]
+                if s:
+                    np.right_shift(tap, np.uint64(s), out=shifted)
+                    np.left_shift(plane[:, q + 1 : q + out + 1], np.uint64(64 - s), out=carry)
+                    tap = np.bitwise_or(shifted, carry, out=shifted)
+                for dy, b in enumerate(col):
+                    if b == bit:
+                        hit &= tap[dy : dy + n]
+        total += int(np.bitwise_count(hit).sum())
     return total
 
 
@@ -895,9 +951,10 @@ def validate_scheme(spec: HierarchySpec) -> SchemeReport:
     """Structural validation of the nesting/tiling properties of a hierarchy.
 
     Checks, per level: the frames nest and contain the origin; sides grow;
-    every arrangement is a square grid over valid child ids; every child id
-    is used in every arrangement; and, for anchored specs, patch 1 restricted
-    to the anchor cell is patch 1 of the level below.
+    every arrangement is a square grid (over valid child ids, as in every
+    :class:`HierarchySpec`); every child id is used in every arrangement;
+    and, for anchored specs, patch 1 restricted to the anchor cell is patch
+    1 of the level below.
     """
     levels = list(enumerate(spec.levels, start=2))
 
@@ -909,14 +966,6 @@ def validate_scheme(spec: HierarchySpec) -> SchemeReport:
                 pside, (pox, poy), _, _ = spec._frames[t - 2]
                 if not (ox <= pox and oy <= poy and ox + side >= pox + pside and oy + side >= poy + pside):
                     yield f"level {t} frame does not contain level {t-1}"
-
-    def children_valid():
-        for t, lv in levels:
-            kp = spec.k(t - 1)
-            for j, arr in enumerate(lv.arrangements, start=1):
-                lo, hi = arr.id_bounds()
-                if lo < 1 or hi > kp:
-                    yield f"level {t} patch {j} references id outside 1..{kp}"
 
     def anchor_chain():
         for t, lv in levels:
@@ -935,7 +984,7 @@ def validate_scheme(spec: HierarchySpec) -> SchemeReport:
             if len({(a.rows, a.cols) for a in lv.arrangements}) != 1
             or lv.branching != lv.arrangements[0].cols
         )),
-        _check_row("children_valid", children_valid()),
+        _check_row("children_valid", ()),  # a spec with a stray child id cannot be built
         _check_row("all_children_used", (
             f"level {t} patch {j} never uses child {i}"
             for t in range(2, spec.num_levels + 1)
@@ -964,9 +1013,11 @@ def estimate_repetitivity(patch: Patch, r: int, cap: int | None = None) -> int |
     it spans (K = R - r + 1) holds one of its occurrences. Each pattern's
     occurrences form a boolean mask; a sliding OR of width K along both
     axes marks the blocks holding one, so the test is boolean throughout
-    and counts nothing. Each pattern's own smallest R is searched by
-    bisection above the largest R found so far: a window that holds the
-    pattern at side R still holds it at every larger side.
+    and counts nothing. A window that holds a pattern at side R still holds
+    it at every larger side, so each pattern that the largest R found so
+    far, ``best``, does not serve is tried at ``best`` + 1, + 2, + 4, ...
+    (at most side - r), and its own smallest R is bisected in the last gap:
+    the tests grow with log R, not with log side.
 
     The distinct codes come in ascending order.  For r <= 4 (uint16 codes)
     they are read off a presence table of all 2^(r^2) codes, with no sort;
@@ -994,9 +1045,15 @@ def estimate_repetitivity(patch: Patch, r: int, cap: int | None = None) -> int |
         here = codes == code
         if _blocks_hold(here, best - r + 1):
             continue
-        if not _blocks_hold(here, top - r + 1):
-            return None
-        lo, hi = best + 1, top
+        fail, step = best, 1
+        while True:
+            probe = min(best + step, top)
+            if _blocks_hold(here, probe - r + 1):
+                break
+            if probe == top:
+                return None
+            fail, step = probe, 2 * step
+        lo, hi = fail + 1, probe
         while lo < hi:
             mid = (lo + hi) // 2
             if _blocks_hold(here, mid - r + 1):

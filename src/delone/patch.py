@@ -161,10 +161,9 @@ class Patch:
     def points(self) -> Iterator[Point]:
         """Absolute coordinates of occupied cells, bottom-up then left-right."""
         ox, oy = self.origin
-        ys, xs = np.nonzero(self.cells)
-        order = np.lexsort((xs, ys))
-        for i in order:
-            yield (ox + int(xs[i]), oy + int(ys[i]))
+        ys, xs = np.nonzero(self.cells)  # in (y, x) order
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            yield (ox + x, oy + y)
 
     def __str__(self) -> str:
         return str(_strip_text(self.cells, sep=False), "ascii")[:-1]
@@ -315,10 +314,18 @@ def read_patch(path) -> Patch:
         return loads_patch(fh.read())
 
 
-def write_points(path, points: Iterable[Point]) -> None:
+def write_points(path, patch: Patch) -> None:
+    """The occupied cells of ``patch`` as points, one ``x y`` line each in
+    the order of :meth:`Patch.points`: a row of cells is one join of its x
+    strings, formatted once a call, on the row's line end."""
+    ox, oy = patch.origin
+    xs = [str(ox + x) for x in range(patch.width)]
     with open(path, "w") as fh:
-        for x, y in points:
-            fh.write(f"{x} {y}\n")
+        for y, row in enumerate(patch.cells, start=oy):
+            taken = np.flatnonzero(row).tolist()
+            if taken:
+                end = f" {y}\n"
+                fh.write(end.join([xs[i] for i in taken]) + end)
 
 
 def read_points(path) -> list[Point]:

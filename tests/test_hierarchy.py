@@ -444,7 +444,9 @@ def test_scan_count_property(data):
 @given(st.data())
 def test_scan_count_across_strips(data):
     """With strips a few bytes long every grid spans many strips, and the
-    needles (h >= 2) straddle each strip edge."""
+    needles (h >= 2) straddle each strip edge.  These grids are small
+    enough for the one-int path, so the word path, the one that strips,
+    is forced."""
     draw = data.draw
     gh, gw = draw(st.integers(2, 12)), draw(st.integers(1, 12))
     grid = _fill(draw, gh, gw)
@@ -454,8 +456,51 @@ def test_scan_count_across_strips(data):
         needle = Patch(grid[y : y + h, x : x + w])
     else:
         needle = Patch(_fill(draw, h, w))
-    with mock.patch("delone.patch._STRIP", draw(st.integers(1, 3 * gw))):
+    with mock.patch.object(H, "_INT_CELLS", 0), mock.patch("delone.patch._STRIP", draw(st.integers(1, 64))):
         assert H.scan_count(grid, needle) == _naive_sliding(grid, needle)
+
+
+def test_scan_count_wide_needles():
+    """Needles 64 or more wide shift by whole words as well as bits."""
+    rng = np.random.default_rng(5)
+    grid = (rng.random((4, 300)) < 0.95).astype(np.uint8)
+    for w in (63, 64, 65, 100, 128, 129, 200):
+        for x in (0, 37, 300 - w):
+            needle = Patch(grid[1:3, x : x + w])
+            want = _naive_sliding(grid, needle)
+            for cells in (0, 2**40):
+                with mock.patch.object(H, "_INT_CELLS", cells):
+                    assert H.scan_count(grid, needle) == want, (w, x, cells)
+
+
+# grid widths at and next to the ends of 64-bit words
+WORD_EDGES = [1, 2, 63, 64, 65, 127, 128, 129]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_scan_count_on_both_paths(data):
+    """The one-int path (``_INT_CELLS`` patched to 2^40) and the word path
+    (patched to 0, with strips of one to a few rows) both equal the naive
+    loops: on widths around word ends, with needles up to 8 wide, so every
+    bit shift of the word path carries, and all-empty and all-full needles."""
+    draw = data.draw
+    gw = draw(st.sampled_from(WORD_EDGES) | st.integers(1, 140))
+    gh = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = (rng.random((gh, gw)) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))).astype(np.uint8)
+    h, w = draw(st.integers(1, min(4, gh))), draw(st.integers(1, min(8, gw)))
+    kind = draw(st.sampled_from(["cut", "bits", "empty", "full"]))
+    if kind == "cut":
+        y, x = draw(st.integers(0, gh - h)), draw(st.integers(0, gw - w))
+        needle = Patch(grid[y : y + h, x : x + w])
+    else:
+        needle = Patch(_fill(draw, h, w) if kind == "bits" else np.full((h, w), kind == "full", dtype=np.uint8))
+    want = _naive_sliding(grid, needle)
+    strip = draw(st.integers(1, 100))
+    for cells in (0, 2**40):
+        with mock.patch.object(H, "_INT_CELLS", cells), mock.patch("delone.patch._STRIP", strip):
+            assert H.scan_count(grid, needle) == want, cells
 
 
 def test_scan_count_matches_naive_loops():
@@ -575,14 +620,6 @@ def test_validate_flags_anchor_mismatch():
     assert "anchor_chain" in bad
 
 
-def test_validate_flags_bad_child_id():
-    base = [from_rows(["11", "11"])]
-    arr = Arrangement.dense(np.array([[1, 2], [1, 1]]))  # id 2 does not exist
-    spec = HierarchySpec(base, [Level([arr])])
-    bad = {r.name for r in H.validate_scheme(spec).failed()}
-    assert "children_valid" in bad
-
-
 def _scheme(name):
     """A spec that fails one ``validate_scheme`` row; ``name`` says how."""
     base = [from_rows(["11", "11"]), from_rows(["11", "10"])]
@@ -591,8 +628,6 @@ def _scheme(name):
         return HierarchySpec([Patch(base[0].cells, (1, 1))])
     if name == "1x1 arrangements":
         return HierarchySpec(base, [Level([Arrangement.dense(np.array([[1]]))] * 2)])
-    if name == "child id":
-        return HierarchySpec(base[:1], [Level([mixed])])
     if name == "unused child":
         return HierarchySpec(base, [Level([Arrangement.dense(np.ones((2, 2), dtype=np.int64)), mixed])])
     assert name == "anchor id"
@@ -636,7 +671,6 @@ WITNESSES = [
     # (validator input, row, ok, witness)
     ("base origin", "contains_origin", False, "level 1 frame [1,2]^2 misses the origin"),
     ("1x1 arrangements", "sides_grow", False, "level 2 branching 1 < 2"),
-    ("child id", "children_valid", False, "level 2 patch 1 references id outside 1..1"),
     ("unused child", "all_children_used", False, "level 2 patch 1 never uses child 2"),
     ("anchor id", "anchor_chain", False, "level 2 anchor cell (0, 0) holds id 2, not 1"),
     (("toy", "p1"), "start_scale", False, "p_1 = 5, expected 4"),
@@ -756,6 +790,53 @@ def repetitivity_cases(draw):
 def test_repetitivity_property(case):
     p, r = case
     assert H.estimate_repetitivity(p, r) == repetitivity_oracle(p.cells, r)
+
+
+def _probed(p: Patch, r: int) -> tuple[int | None, list[int]]:
+    """``estimate_repetitivity(p, r)`` and the block sides K it tested."""
+    probes, hold = [], H._blocks_hold
+
+    def probe(mask, K):
+        probes.append(K)
+        return hold(mask, K)
+
+    with mock.patch.object(H, "_blocks_hold", probe):
+        return H.estimate_repetitivity(p, r), probes
+
+
+@settings(max_examples=250, deadline=None)
+@given(repetitivity_cases())
+def test_repetitivity_search_grows_with_the_radius(case):
+    """The search gallops up from the radius found, so no block it tests is
+    wider than twice the answer's, K = R - r + 1."""
+    p, r = case
+    got, probes = _probed(p, r)
+    assert got == repetitivity_oracle(p.cells, r)
+    if got is not None:
+        assert max(probes) <= 2 * (got - r + 1)
+
+
+@pytest.mark.parametrize("side", [3, 4, 9, 12, 13])
+def test_repetitivity_at_the_largest_window(side):
+    """One occupied cell at (1, 1) lies in every window of side - 1 and not
+    in every window of side - 2, so R is exactly side - r, the largest side
+    tried; at (0, 0) it lies in no window that misses that corner, so no
+    side works."""
+    cells = np.zeros((side, side), dtype=np.uint8)
+    cells[1, 1] = 1
+    assert H.estimate_repetitivity(Patch(cells), 1) == repetitivity_oracle(cells, 1) == side - 1
+    cells = np.roll(cells, (-1, -1), axis=(0, 1))
+    assert H.estimate_repetitivity(Patch(cells), 1) is repetitivity_oracle(cells, 1) is None
+
+
+def test_repetitivity_search_on_a_large_window(ue3):
+    """On the 972^2 level-6 window the radii are 10 and 13, and the widest
+    block tested stays within twice theirs, far below side - 2r + 1 = 971."""
+    window = H.materialize(ue3.spec, 6, 1)
+    for r, want in ((1, 10), (2, 13)):
+        got, probes = _probed(window, r)
+        assert got == want
+        assert max(probes) <= 2 * (want - r + 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1022,12 +1103,23 @@ def test_export_streams_what_materialize_dumps(spec, strip):
 
 @pytest.mark.parametrize("stray", [0, 2])
 def test_materialize_refuses_a_stray_child_id(stray):
-    # a spec built in memory is not checked at load: id 0 used to wrap to
-    # the last child, and the rows of tiles are taken with clipped indices
+    """A spec built in memory is not read through the .dhs loader; a stray
+    child id in it would drop cells from ``popcounts`` and break counts and
+    scans.  It is refused when the spec is built, on each of the three
+    construction paths, so it never reaches ``materialize``."""
     base = [Patch(np.ones((2, 2), dtype=np.uint8))]
-    spec = HierarchySpec(base, [Level([Arrangement.dense(np.array([[1, stray], [1, 1]]))])])
-    with pytest.raises(H.SpecError, match=r"level 2 patch 1 references id outside 1\.\.1"):
-        H.materialize(spec, 2, 1)
+    good = Level([Arrangement.dense(np.ones((2, 2), dtype=np.int64))])
+    bad = Level([Arrangement.dense(np.array([[1, stray], [1, 1]]))])
+    below = HierarchySpec(base, [good])
+    builds = [
+        lambda: HierarchySpec(base, [bad]),
+        lambda: dataclasses.replace(below, levels=(bad,)),
+        lambda: HierarchySpec(base).extended(bad),
+        lambda: below.extended(bad),
+    ]
+    for level, build in zip([2, 2, 2, 3], builds):
+        with pytest.raises(H.SpecError, match=rf"level {level} patch 1 references id outside 1\.\.1"):
+            H.materialize(build(), level, 1)
 
 
 def test_wide_junctions_recurse_into_their_corner_children():

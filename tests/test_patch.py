@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from delone import patch
 from delone.nonrect import starting_patches
-from tests_oracles import patch_text_oracle
+from tests_oracles import patch_text_oracle, points_text_oracle
 
 
 def test_starting_corner_densities():
@@ -98,7 +98,7 @@ def test_points_round_trip(tmp_path):
     sparse, _ = starting_patches()
     path = tmp_path / "pts.txt"
     pts = list(sparse.points())
-    patch.write_points(path, pts)
+    patch.write_points(path, sparse)
     path.write_text("# demo\n" + path.read_text())
     assert patch.read_points(path) == pts
     assert len(pts) == sparse.popcount()
@@ -157,6 +157,18 @@ def test_text_writers_match_the_join_formulas(p):
             path = Path(d) / "out"
             write(path, p)
             assert path.read_bytes() == dumps(p).encode()
+
+
+@given(patches(), st.sampled_from([0, 2**63, -(2**64) - 7]), st.sampled_from([0, 2**63 + 1, -(2**70)]))
+def test_points_writer_matches_the_point_loop(p, dx, dy):
+    """The points text, a row of cells a join, is the one-line-a-point
+    loop's, byte for byte, also at origins past int64."""
+    p = p.translated(dx, dy)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "out.points"
+        patch.write_points(path, p)
+        assert path.read_bytes() == points_text_oracle(p).encode()
+        assert patch.read_points(path) == list(p.points())
 
 
 @settings(max_examples=200, deadline=None)

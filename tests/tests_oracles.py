@@ -239,3 +239,12 @@ def patch_text_oracle(p, fmt):
         head, sep = f"PATCH {w} {h} {p.origin[0]} {p.origin[1]}{flag}\n", ""
     rows = [sep.join("1" if p.get(x, y) else "0" for x in range(w)) for y in reversed(range(h))]
     return head + "".join(row + "\n" for row in rows)
+
+
+def points_text_oracle(p):
+    """A patch's points text as the writer once made it: the occupied cells
+    sorted by (y, x), one ``f"{x} {y}"`` line a point."""
+    ox, oy = p.origin
+    ys, xs = np.nonzero(p.cells)
+    order = np.lexsort((xs, ys))
+    return "".join(f"{ox + int(xs[i])} {oy + int(ys[i])}\n" for i in order)
