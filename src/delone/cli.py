@@ -239,8 +239,10 @@ def cmd_export(args) -> int:
 
 def cmd_stats(args) -> int:
     spec = hierarchy.read_spec(args.spec)
+    if args.level is not None:
+        spec.side(args.level)  # an out-of-range level exits 2 before any output
     print("level\tside\tpatches\tid\tpoints\tdensity")
-    levels = [args.level] if args.level else range(1, spec.num_levels + 1)
+    levels = range(1, spec.num_levels + 1) if args.level is None else [args.level]
     for t in levels:
         pops = spec.popcounts(t)
         for pid in range(1, spec.k(t) + 1):

@@ -193,9 +193,13 @@ class Arrangement:
 
     ``bands`` runs bottom to top, each a row (an :class:`Edge`) and the
     number of consecutive grid rows holding it.  The seam tables follow
-    from the bands (see :meth:`_tables`); they are built on first use and
-    kept, and they grow with bands x runs and with the distinct pairs and
-    quads, not with cells.
+    from the bands: the arrangement's own (see :meth:`_tables`) and its
+    seam with each partner it is laid beside (see :meth:`_seam`).  They are
+    built on first use and kept on the object, so a spec that shares one
+    object among its levels (as :func:`loads_spec` does for repeated
+    arrangements) builds them once per distinct arrangement and per pair.
+    They grow with bands x runs and with the distinct pairs and quads, not
+    with cells.
     """
 
     bands: tuple[tuple[Edge, int], ...]
@@ -204,6 +208,7 @@ class Arrangement:
     _tally: dict = field(init=False, repr=False, compare=False)  # cells holding each child id
     _corners: dict = field(init=False, repr=False, compare=False)  # (col, row) -> id
     _kept: tuple | None = field(init=False, repr=False, compare=False)  # the seam tables, once built
+    _seams: dict = field(init=False, repr=False, compare=False)  # (kind, id(partner)) -> kept seam
 
     def __post_init__(self):
         lengths, tally, rows = set(), {}, 0
@@ -222,7 +227,7 @@ class Arrangement:
         last, (low, _), (high, _) = lengths.pop() - 1, self.bands[0], self.bands[-1]
         corners = {(0, 0): low.pieces[0][0][0][0], (last, 0): low.pieces[-1][0][-1][0],
                    (0, rows - 1): high.pieces[0][0][0][0], (last, rows - 1): high.pieces[-1][0][-1][0]}
-        vars(self).update(rows=rows, cols=last + 1, _tally=tally, _corners=corners, _kept=None)
+        vars(self).update(rows=rows, cols=last + 1, _tally=tally, _corners=corners, _kept=None, _seams={})
 
     @classmethod
     def dense(cls, grid: np.ndarray) -> "Arrangement":
@@ -304,6 +309,23 @@ class Arrangement:
                            ((_SEAMS["H"][2](p + q), n) for stack in stacks for (p, q), n in stack.steps().items())))
         vars(self)["_kept"] = hpairs, vpairs, quads
         return self._kept
+
+    def _seam(self, kind: str, other: "Arrangement", cap: int | None = None) -> tuple:
+        """``(other, pairs, quads)`` of the ``kind`` seam with ``other`` laid
+        right of ("V") or above ("H") this arrangement, built on first use
+        and kept, keyed by the partner's identity (the entry holds the
+        partner, so no other object takes its id).  ``pairs`` are the
+        (id, id) tallies along the paired edges, ``quads`` the 2x2
+        junctions between consecutive pairs; the write-out of the two edges
+        is charged to ``cap``, as in :meth:`_tables`."""
+        got = self._seams.get((kind, id(other)))
+        if got is None:
+            near, far, junction = _SEAMS[kind]
+            seam = self.edge(near).pair(other.edge(far), cap)
+            got = self._seams[kind, id(other)] = (
+                other, list(seam.tally().items()), [(junction(p + q), n) for (p, q), n in seam.steps().items()]
+            )
+        return got
 
 
 def _ids(line: Edge) -> list:
@@ -821,10 +843,13 @@ class _SlidingCount:
     junctions are only evaluated at levels whose side is at least the
     needle's, so a placement crosses at most one seam each way.
 
-    The edges and the pair and quad tallies the recursion reads are the
-    arrangements' own tables, built from their bands and kept on the
-    arrangement objects, so they are built once per spec object whatever
-    the needle, memo or number of counts; only the memo is per needle.
+    The edges, the pair and quad tallies of a patch and the kept seam of
+    each pair of patches that the recursion reads are the arrangements'
+    own tables (:meth:`Arrangement._tables` and :meth:`Arrangement._seam`),
+    built from their bands and kept on the arrangement objects.  So they
+    are built once per distinct arrangement object, and per pair of them,
+    whatever the level, needle, memo or number of counts; only the memo is
+    per needle.  The count that builds a table is charged its write-out.
     """
 
     def __init__(self, spec: HierarchySpec, needle: Patch, cap: int | None, memo: dict):
@@ -874,14 +899,13 @@ class _SlidingCount:
             last = bl.rows - 1  # the top row and the right column: frames are square
             yield 1, ("C", u, bl.id_at(last, last), br.id_at(0, last), tl.id_at(last, 0), tr.id_at(0, 0))
         else:
-            near, far, junction = _SEAMS[kind]
             a, b = ids
-            seam = arrs[a - 1].edge(near).pair(arrs[b - 1].edge(far), self.cap)
-            for (x, y), n in seam.tally().items():
+            _, pairs, quads = arrs[a - 1]._seam(kind, arrs[b - 1], self.cap)
+            for (x, y), n in pairs:
                 yield n, (kind, u, x, y)
             if (h if kind == "V" else w) >= 2:  # the needle's extent along the seam
-                for (p, q), n in seam.steps().items():
-                    yield n, ("C", u, *junction(p + q))
+                for q, n in quads:
+                    yield n, ("C", u, *q)
 
     def _scan(self, kind: str, t: int, ids: tuple) -> int:
         """Count ``(kind, t, *ids)`` on one block.  A patch scans itself
@@ -1180,6 +1204,11 @@ def loads_spec(text: str) -> HierarchySpec:
     not add up (:func:`_parse_bands`); a child id outside 1..k of the level
     below; and the structural errors of the constructors (frames not
     square, even ``blocks``, ...).
+
+    Arrangements with the same text (header and body lines) load as one
+    object, parsed once, so a spec that repeats an arrangement at many
+    levels builds its seam tables once; each occurrence is still checked
+    against the k of its own level.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     try:
@@ -1210,6 +1239,7 @@ def _parse_spec(lines: list[str]) -> HierarchySpec:
 
     base: list[Patch] = []
     levels: list[Level] = []
+    shared: dict[str, list] = {}  # see _shared_arrangement
     while i < len(lines):
         t, kk = _fields(lines[i], "level # patches #")
         if t != len(levels) + 1 + bool(base):
@@ -1237,7 +1267,7 @@ def _parse_spec(lines: list[str]) -> HierarchySpec:
                 lmeta[parts[1]] = parts[2] if len(parts) > 2 else ""
                 i += 1
             elif parts[0] == "arrangement":
-                arr, i = _parse_arrangement(lines, i)
+                arr, i = _shared_arrangement(lines, i, shared)
                 lo, hi = arr.id_bounds()
                 if lo < 1 or hi > kp:
                     raise PatchFormatError(
@@ -1255,6 +1285,23 @@ def _parse_spec(lines: list[str]) -> HierarchySpec:
 
 # a dense body line: decimal ids separated by single spaces
 _ID_LINE = re.compile(r"[0-9]+(?: [0-9]+)*")
+
+
+def _shared_arrangement(lines: list[str], i: int, shared: dict[str, list]) -> tuple[Arrangement, int]:
+    """The arrangement whose header is ``lines[i]``, and the next index: the
+    object an earlier parse made from the same lines, or a new parse.
+
+    ``shared`` maps a header line to the (lines, arrangement) of each parse
+    under it.  Those are the lines the parse read, and the same lines parse
+    the same again, so a match is the arrangement itself.  Lines are
+    compared, not hashed: a dense body is long, and a comparison stops at
+    its first differing line."""
+    for text, arr in shared.get(lines[i], ()):
+        if lines[i : i + len(text)] == text:
+            return arr, i + len(text)
+    arr, end = _parse_arrangement(lines, i)
+    shared.setdefault(lines[i], []).append((lines[i:end], arr))
+    return arr, end
 
 
 def _parse_arrangement(lines: list[str], i: int) -> tuple[Arrangement, int]:

@@ -201,6 +201,90 @@ def test_bad_cell_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert run("constants", "--L", "1", "--eps", "1") == 0  # allocates no cells
 
 
+# ----------------------------------------------------------------------
+# one cell cap, read per call; a bad cap exits 2
+# ----------------------------------------------------------------------
+
+def test_the_per_call_cap_comes_before_the_default(tmp_path, capsys, monkeypatch):
+    """``--cell-cap`` passes an export that a lower ``DELONE_CELL_CAP``
+    would refuse, and refuses a block-aligned count (exit 3); a cap that is
+    not a positive integer, from either, exits 2, and a command that
+    allocates no cells never reads it."""
+    monkeypatch.delenv("DELONE_CELL_CAP", raising=False)
+    spec, needle = str(tmp_path / "n.dhs"), str(tmp_path / "n2.dpf")
+    assert run("gen", "--construction", "nonrect", "--depth", "1", "--blocks", "7", "--out", spec) == 0
+    export = ("export", "--spec", spec, "--level", "2", "--id", "1")
+    assert run(*export, "--format", "dpf", "--out", needle) == 0
+    monkeypatch.setenv("DELONE_CELL_CAP", "100")
+    assert run(*export, "--format", "pbm", "--cell-cap", "1000000", "--out", str(tmp_path / "a.pbm")) == 0
+    monkeypatch.delenv("DELONE_CELL_CAP")
+    capsys.readouterr()
+    count = ("count", "--spec", spec, "--needle", needle, "--level", "2", "--id", "1", "--mode", "block_aligned")
+    assert run(*count, "--cell-cap", "100") == 3
+    assert capsys.readouterr() == (
+        "", "resource cap: block-aligned count of level 2 patches requires 3600 cells (cap 100)\n")
+    monkeypatch.setenv("DELONE_CELL_CAP", "abc")
+    assert run(*export, "--format", "pbm", "--out", str(tmp_path / "b.pbm")) == 2
+    assert capsys.readouterr() == ("", "error: DELONE_CELL_CAP must be a positive integer, not 'abc'\n")
+    monkeypatch.delenv("DELONE_CELL_CAP")
+    assert run(*export, "--format", "pbm", "--cell-cap", "-5", "--out", str(tmp_path / "c.pbm")) == 2
+    assert capsys.readouterr() == ("", "error: the cell cap must be a positive integer, not '-5'\n")
+    monkeypatch.setenv("DELONE_CELL_CAP", "abc")
+    assert run("constants", "--L", "1", "--eps", "1") == 0
+
+
+@pytest.mark.parametrize("height, width, need, what", [
+    # sides 4, 12, 36: an 8x8 needle counted at level 3 cuts 4 * 7 * 7 = 196
+    # cells of junction tiles at level 2, its largest allocation
+    (8, 8, 196, "junction block"),
+    # an 8-high, 2-wide needle cuts horizontal seam strips of 12 * 2 * 7 =
+    # 168 cells at level 2, in true orientation, its largest allocation
+    (8, 2, 168, "horizontal seam strip"),
+], ids=["junction", "horizontal-seam"])
+def test_a_sliding_count_is_refused_one_cell_below_its_need(tmp_path, capsys, height, width, need, what):
+    spec, needle = tmp_path / "t.dhs", tmp_path / "n.dpf"
+    assert run("gen", "--construction", "nonrect", "--depth", "1", "--ell", "2", "--blocks", "1",
+               "--out", str(spec)) == 0
+    top = hierarchy.materialize(hierarchy.read_spec(spec), 3, 1).cells
+    patch.write_patch(needle, patch.Patch(top[:height, :width].copy()))
+    capsys.readouterr()
+    count = ("count", "--spec", str(spec), "--needle", str(needle), "--level", "3", "--id", "1")
+    assert run(*count, "--cell-cap", str(need - 1)) == 3
+    assert capsys.readouterr() == ("", f"resource cap: {what} at level 2 requires {need} cells (cap {need - 1})\n")
+    assert run(*count, "--cell-cap", str(need)) == 0
+    assert int(capsys.readouterr().out) == hierarchy.scan_count(top, patch.read_patch(needle))
+
+
+def test_a_periodic_pair_is_charged_to_the_per_call_cap(tmp_path, capsys, monkeypatch):
+    """A 4x4 arrangement of band rows (2 1)x2 under (1 2)x2: pairing them
+    writes out 4 cells, charged to ``--cell-cap``, not to ``DELONE_CELL_CAP``."""
+    (tmp_path / "p.dhs").write_text(
+        "DHS 1\nlevel 1 patches 2\nPATCH 2 2 0 0\n00\n00\nPATCH 2 2 0 0\n10\n01\nlevel 2 patches 1\n"
+        "arrangement 4 4 bands 2\nband 2 pieces 1\n2 2 1 1 1\nband 2 pieces 1\n2 1 1 2 1\n")
+    (tmp_path / "p.dpf").write_text("PATCH 2 1 0 0\n10\n")
+    monkeypatch.setenv("DELONE_CELL_CAP", "3")
+    count = ("count", "--spec", str(tmp_path / "p.dhs"), "--needle", str(tmp_path / "p.dpf"),
+             "--level", "2", "--id", "1")
+    assert run(*count, "--cell-cap", "1000000") == 0
+    assert capsys.readouterr() == ("14\n", "")
+    assert run(*count, "--cell-cap", "3") == 3
+    assert capsys.readouterr() == ("", "resource cap: writing out a periodic line requires 4 cells (cap 3)\n")
+
+
+@pytest.mark.parametrize("level", ["0", "-1", "top + 1"])
+def test_stats_refuses_a_level_outside_the_spec_before_any_output(tmp_path, capsys, level):
+    spec = tmp_path / "n.dhs"
+    assert run("gen", "--construction", "nonrect", "--depth", "1", "--out", str(spec)) == 0
+    top = hierarchy.read_spec(spec).num_levels
+    level = str(top + 1) if level == "top + 1" else level
+    capsys.readouterr()
+    assert run("stats", "--spec", str(spec), "--level", level) == 2
+    assert capsys.readouterr() == ("", f"error: level {level} outside 1..{top}\n")
+    assert run("stats", "--spec", str(spec), "--level", str(top)) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 1 + hierarchy.read_spec(spec).k(top) and all(r.startswith(f"{top}\t") for r in rows[1:])
+
+
 def test_count_and_freq(tmp_path, capsys):
     out = tmp_path / "ue.dhs"
     run("gen", "--construction", "ue", "--depth", "1", "--out", str(out))

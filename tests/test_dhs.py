@@ -378,6 +378,23 @@ def test_out_of_range_child_id_is_named():
         H.loads_spec(text)
 
 
+@pytest.mark.parametrize("arrangement, ones", [
+    ("arrangement 2 2\n1 2\n2 1", "arrangement 2 2\n1 1\n1 1"),
+    ("arrangement 3 3 altbottom 1 3 1 2", "arrangement 3 3\n1 1 1\n1 1 1\n1 1 1"),
+    ("arrangement 2 2 bands 1\nband 2 pieces 1\n1 1 1 2 1", "arrangement 2 2\n1 1\n1 1"),
+], ids=["dense", "altbottom", "bands"])
+def test_a_shared_arrangement_is_checked_at_each_level(arrangement, ones):
+    """The same arrangement text at levels 2 and 4 loads as one object, but
+    at level 4, over the one patch of level 3, its id 2 is still refused."""
+    head = "DHS 1\nlevel 1 patches 2\nPATCH 1 1 0 0\n1\nPATCH 1 1 0 0\n0\n"
+    good = f"{head}level 2 patches 2\n{arrangement}\n{arrangement}\nlevel 3 patches 1\n{ones}\n"
+    spec = H.loads_spec(good)
+    first, second = spec.levels[0].arrangements
+    assert first is second
+    with pytest.raises(PatchFormatError, match=r"^level 4 arrangement 1: child id 2 outside 1\.\.1$"):
+        H.loads_spec(f"{good}level 4 patches 1\n{arrangement}\n")
+
+
 def test_empty_id_is_a_body_error():
     # "12  1" has the separators and the byte count of a valid row of three
     with pytest.raises(PatchFormatError, match="not 3 rows of 3 ids"):

@@ -186,14 +186,20 @@ def test_seam_tables_are_built_once_per_spec(ue3):
         """Per arrangement, its edges and its seam tables, None if not built."""
         return [(vars(a).get("_edges"), a._kept) for a in arrs]
 
-    assert kept() == [(None, None)] * len(arrs)
+    def seams() -> dict:
+        """Every kept seam of a pair of arrangements, by (arrangement, kind, partner)."""
+        return {(id(a), *key): seam for a in arrs for key, seam in a._seams.items()}
+
+    assert kept() == [(None, None)] * len(arrs) and seams() == {}
     top, (n1, n2) = spec.num_levels, spec.base[:2]
     first = H.count_occurrences(spec, n1, top, 1, SLIDING)
-    built = kept()
+    built, paired = kept(), seams()
     assert any(edges is not None for edges, _ in built) and any(tables is not None for _, tables in built)
+    assert {kind for _, kind, _ in paired} == {"V", "H"}
     second = H.count_occurrences(spec, n2, top, 1, SLIDING)
     # the second count reads the very objects the first one built, and builds no others
     assert all(x is y for now, then in zip(kept(), built) for x, y in zip(now, then))
+    assert seams().keys() == paired.keys() and all(seams()[key] is seam for key, seam in paired.items())
     assert [first, second] == [H.count_occurrences(ue3.spec, n, top, 1, SLIDING) for n in (n1, n2)]
 
 
@@ -1078,6 +1084,46 @@ def test_every_memo_entry_equals_its_scans(spec, data):
         assert got == want, (kind, t, ids)
 
 
+@st.composite
+def repeated_specs(draw):
+    """One level laid on itself as often as the side allows: k base patches
+    and k dense or band arrangements over ids 1..k, so every level shares
+    the same arrangement objects and the seam tables they keep."""
+    side, k = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    base = [Patch(_bits(draw, side, side)) for _ in range(k)]
+    n, ids = draw(st.integers(2, 4)), st.integers(1, k)
+    if draw(st.booleans()):
+        arrs = [Arrangement.dense(np.array(draw(st.lists(ids, min_size=n * n, max_size=n * n))).reshape(n, n))
+                for _ in range(k)]
+    else:
+        arrs = [Arrangement(tuple((_band_row(draw, n, ids, 2), m) for _, m in _runs(draw, n, st.none())))
+                for _ in range(k)]
+    reps = 1
+    while side * n ** (reps + 1) <= MAX_SIDE:
+        reps += 1
+    return HierarchySpec(base, (Level(arrs),) * draw(st.integers(2, reps)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_specs(), st.data())
+def test_shared_arrangements_count_as_their_own_copies(spec, data):
+    """Sliding counts on a spec whose levels share arrangement objects
+    equal those on the same spec with every arrangement its own object,
+    and both equal scans of the materialized patches."""
+    own = HierarchySpec(spec.base, [Level([Arrangement(a.bands) for a in lv.arrangements]) for lv in spec.levels])
+    assert len({id(a) for lv in own.levels for a in lv.arrangements}) == spec.k(1) * len(own.levels)
+    grids = _grids(spec)
+    top = spec.num_levels
+    dims = st.integers(2, 5).filter(lambda d: d <= spec.side(top))
+    w, h = data.draw(dims), data.draw(dims)
+    needle = Patch(grids[(top, 1)][:h, :w].copy()) if data.draw(st.booleans()) else Patch(_bits(data.draw, h, w))
+    for (t, p), grid in grids.items():
+        if max(w, h) <= spec.side(t):
+            want = H.scan_count(grid, needle)
+            assert H.count_occurrences(spec, needle, t, p, SLIDING) == want, (t, p)
+            assert H.count_occurrences(own, needle, t, p, SLIDING) == want, (t, p)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_specs(), st.integers(1, 400))
 def test_export_streams_what_materialize_dumps(spec, strip):
@@ -1261,6 +1307,37 @@ def test_rigorous_two_by_two_counts_cover_the_top_level(kind):
                for bits in itertools.product((0, 1), repeat=4)]
     total = sum(H.count_occurrences(spec, nd, top, 1, SLIDING) for nd in needles)
     assert total == (side - 1) ** 2
+
+
+# (builder, arrangements, distinct arrangements) of specs whose .dhs the loader shares
+SHARED = {
+    "rigorous-nonrect-1": (RIGOROUS["nonrect"], 128, 4),
+    "rigorous-ue-1": (RIGOROUS["ue"], 128, 6),
+    "ue-toy-5": (lambda: ue.build_ue_spec(None, 5, mode="toy").spec, 20, 4),
+    "choquet-toy-4": (lambda: choquet.build_choquet_spec(2, 4, mode="toy", ratio_cap=128).spec, 9, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_repeated_arrangements_load_as_one_object(name):
+    build, count, distinct = SHARED[name]
+    text = H.dumps_spec(build())
+    spec = H.loads_spec(text)
+    arrs = [a for lv in spec.levels for a in lv.arrangements]
+    assert len(arrs) == count and len({id(a) for a in arrs}) == distinct
+    assert H.dumps_spec(spec) == text
+
+
+def test_kept_seams_grow_with_distinct_pairs_not_levels():
+    """A top-level count on the loaded rigorous ue spec (65 levels) keeps
+    at most one seam per kind and distinct pair of arrangement objects."""
+    spec = H.loads_spec(H.dumps_spec(RIGOROUS["ue"]()))
+    needle = Patch(np.array([[1, 0, 1], [1, 1, 1], [1, 0, 1]], dtype=np.uint8))
+    H.count_occurrences(spec, needle, spec.num_levels, 1, SLIDING)
+    arrs = {id(a): a for lv in spec.levels for a in lv.arrangements}
+    pairs = {(id(a), id(b)) for lv in spec.levels for a in lv.arrangements for b in lv.arrangements}
+    kept = sum(len(a._seams) for a in arrs.values())
+    assert len(pairs) < spec.num_levels and 0 < kept <= 2 * len(pairs)
 
 
 def _all_needles(w, h):
