@@ -61,11 +61,29 @@ def _frac_pair(text: str) -> tuple[Fraction, Fraction]:
 
 
 def _show(x: Fraction, limit: int = 48) -> str:
-    """Exact rational when short, decimal approximation otherwise."""
-    s = str(x)
-    if len(s) <= limit:
-        return s
-    return f"~{float(x):.12g} ({len(str(x.numerator))}/{len(str(x.denominator))} digits)"
+    """Exact rational when ``str(x)`` is at most ``limit`` characters,
+    decimal approximation otherwise, with the lengths of ``str`` of the
+    numerator (sign included) and the denominator.  Those lengths come
+    from :func:`_digits`, so a long value never goes through ``str`` and a
+    short one goes through it once."""
+    len_num = _digits(abs(x.numerator)) + (x < 0)
+    len_den = _digits(x.denominator)
+    if len_num + (x.denominator != 1) * (1 + len_den) <= limit:
+        return str(x)
+    return f"~{float(x):.12g} ({len_num}/{len_den} digits)"
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of an integer n >= 0, without ``str``.  With b
+    bits, n has k = floor((b-1) log10 2) + 1 or k + 1 digits; k is taken
+    with a rational just under log10 2, so it is never above the count,
+    and comparisons with 10^k, 10^(k+1), ... (one multiplication a step)
+    decide."""
+    k = (max(n.bit_length(), 1) - 1) * 3010299956639811 // 10**16 + 1
+    power = 10**k
+    while n >= power:
+        k, power = k + 1, power * 10
+    return k
 
 
 def _schedule_from(args, depth: int) -> nonrect.LSchedule:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .hierarchy import Arrangement, HierarchySpec, Level
 from .maps import CandidateMap
@@ -117,12 +117,28 @@ def ell_min(L: Rat, lam: Rat) -> int:
 
 
 def n_min(n_star: int, d1: Rat, d2: Rat, d1p: Rat, d2p: Rat) -> int:
-    """Smallest even N >= 2 max(N*/2, 1/(d2-d2'), 1/(d1'-d1))."""
-    d1, d2, d1p, d2p = map(_frac, (d1, d2, d1p, d2p))
-    if not (d2 > d2p > d1p > d1):
+    """Smallest even N >= 2 max(N*/2, 1/(d2-d2'), 1/(d1'-d1)).
+
+    A thin wrapper of :func:`_n_min_counts`: d1 and d2 are put over one
+    denominator, their product."""
+    d1, d2 = _frac(d1), _frac(d2)
+    return _n_min_counts(n_star, d1.numerator * d2.denominator, d2.numerator * d1.denominator,
+                         d1.denominator * d2.denominator, _frac(d1p), _frac(d2p))
+
+
+def _n_min_counts(n_star: int, c1: int, c2: int, cells: int, d1p: Fraction, d2p: Fraction) -> int:
+    """:func:`n_min` for the densities d1 = c1/cells and d2 = c2/cells
+    (cells > 0), in integers.  With d' = p/q, 1/(d2-d2') is
+    cells q / (c2 q - p cells) and 1/(d1'-d1) is cells q / (p cells - c1 q),
+    so the order checks cross-multiply and the bounds are ceiling
+    divisions: no Fraction of cell-sized integers is formed, nor reduced by
+    a gcd."""
+    p1, q1, p2, q2 = d1p.numerator, d1p.denominator, d2p.numerator, d2p.denominator
+    above = c2 * q2 - p2 * cells  # cells q2 (d2 - d2')
+    below = p1 * cells - c1 * q1  # cells q1 (d1' - d1)
+    if not (above > 0 and d2p > d1p and below > 0):
         raise ValueError("need d2 > d2' > d1' > d1")
-    bound = max(Fraction(n_star, 2), 1 / (d2 - d2p), 1 / (d1p - d1))
-    return 2 * math.ceil(bound)
+    return 2 * max(-(-n_star // 2), -(-cells * q2 // above), -(-cells * q1 // below))
 
 
 @dataclass(frozen=True)
@@ -219,24 +235,27 @@ def gap_targets(d1: Rat, d2: Rat) -> tuple[Fraction, Fraction]:
 
 
 def alternation_level(m: int, P_star: int, N: int, n_is_one: bool = False,
-                      meta: dict | None = None) -> Level:
+                      meta: dict | None = None, *, _shared: dict | None = None) -> Level:
     """One construction level: patch 1 alternates 2s into its bottom band,
     patch 2 swaps the roles.  Both extreme bottom blocks repeat the main id,
-    so the bottom-left corner of each output restricts to its own input."""
+    so the bottom-left corner of each output restricts to its own input.
+
+    ``_shared`` is a dict local to one build, keyed by (super-block side,
+    blocks): a level whose two arrangements an earlier level of the build
+    made takes those objects, as :func:`~delone.hierarchy.loads_spec` does
+    for repeated text, so their seam tables are built once per build."""
     s = m * P_star
     blocks = 2 * N + 1
     md = dict(meta or {})
     md.setdefault("kind", "alt")
     md.update({"m": str(m), "P_star": str(P_star), "N": str(N)})
-    return Level(
-        [
+    shared = {} if _shared is None else _shared
+    if (s, blocks) not in shared:
+        shared[s, blocks] = (
             Arrangement.altbottom(s, blocks, main_id=1, alt_id=2),
             Arrangement.altbottom(s, blocks, main_id=2, alt_id=1),
-        ],
-        anchor=(0, 0),
-        n_is_one=n_is_one,
-        meta=md,
-    )
+        )
+    return Level(shared[s, blocks], anchor=(0, 0), n_is_one=n_is_one, meta=md)
 
 
 def _check_step_inputs(q1: Patch, q2: Patch) -> int:
@@ -361,16 +380,28 @@ def _build_steps(
     params: BuildParams | None,
     max_levels: int,
     gaps: tuple[Rat, Rat] | None = None,
-    closing: Callable[[], Level] | None = None,
+    closing: Level | None = None,
 ) -> NonrectBuild:
     """The step loop of :func:`build_delone_spec`, shared with the mixed
-    construction: ``closing`` (when given) makes the level appended after
+    construction: ``closing`` (when given) is the level appended after
     each step's alternation levels, and the level budget reserves it.
-    Target brackets are only checked on steps that end in alternation."""
+    Target brackets are only checked on steps that end in alternation.
+
+    The build costs what its distinct content costs.  A rigorous
+    iteration takes its N and m from the level's integer popcounts, cell
+    count and side (:func:`_n_min_counts`, :func:`_smallest_odd_at_least`),
+    never from Fractions of cell-sized integers; only the few densities of
+    the step records are Fractions.  Levels with the same (super-block
+    side, blocks) share their arrangement objects, through a dict local to
+    this build (see :func:`alternation_level`), and every step appends the
+    same ``closing`` level."""
     if depth < 1:
         raise ValueError("depth must be positive")
     if len(schedule.values) < depth:
         raise ValueError("schedule shorter than depth")
+    for step in sorted(schedule.n1_steps):
+        if not 1 <= step <= depth:
+            raise ValueError(f"N=1 step {step} outside the steps 1..{depth}")
     if mode not in ("toy", "rigorous"):
         raise ValueError("mode must be 'toy' or 'rigorous'")
     params = params or BuildParams()
@@ -380,6 +411,7 @@ def _build_steps(
     records: list[StepRecord] = []
     budget = max_levels
     reserved = 0 if closing is None else 1
+    shared: dict = {}  # see alternation_level
     for step in range(1, depth + 1):
         L = schedule[step]
         top = spec.num_levels
@@ -413,10 +445,9 @@ def _build_steps(
         for it in range(stored):
             if bundle is not None:
                 cur = spec.num_levels
-                cd1, cd2 = spec.density(cur, 1), spec.density(cur, 2)
-                m_half = spec.side(cur) // 2
-                m_it = _smallest_odd_at_least(Fraction(bundle.M0, 2 * p_star * m_half))
-                n_it = n_min(bundle.N0, cd1, cd2, d1p, d2p)
+                c1, c2 = spec.popcounts(cur)
+                m_it = _smallest_odd_at_least(bundle.M0, 2 * p_star * (spec.side(cur) // 2))
+                n_it = _n_min_counts(bundle.N0, c1, c2, spec.cell_count(cur), d1p, d2p)
             else:
                 m_it, n_it = m, n_blocks
             if it == 0:
@@ -424,11 +455,11 @@ def _build_steps(
             spec = spec.extended(
                 alternation_level(
                     m_it, p_star, n_it, n_is_one=n_is_one,
-                    meta={"step": str(step), "L": str(L)},
+                    meta={"step": str(step), "L": str(L)}, _shared=shared,
                 )
             )
         if closing is not None:
-            spec = spec.extended(closing())
+            spec = spec.extended(closing)
         budget -= stored + reserved
         bracket_ok = None
         newtop = spec.num_levels
@@ -448,8 +479,9 @@ def _build_steps(
     return NonrectBuild(spec, records)
 
 
-def _smallest_odd_at_least(x: Fraction) -> int:
-    n = max(1, math.ceil(x))
+def _smallest_odd_at_least(num: int, den: int) -> int:
+    """The smallest odd positive integer >= num/den (den > 0)."""
+    n = max(1, -(-num // den))
     return n if n % 2 else n + 1
 
 

@@ -124,10 +124,12 @@ def build_ue_spec(
 
     Every appended level's count matrix is verified to be of the symmetric
     bistochastic form (the two outputs of each sub-step use the same block
-    counts with roles swapped); the build fails loudly if not.
+    counts with roles swapped); the build fails loudly if not.  Every step
+    closes with the same mixing level object, so its two arrangements are
+    built once per build.
     """
     schedule = counting_schedule(depth) if schedule is None else schedule
-    build = _build_steps("ue", schedule, depth, mode, params, max_levels, closing=mix_level)
+    build = _build_steps("ue", schedule, depth, mode, params, max_levels, closing=mix_level())
     spec = build.spec
     offsets = [step_offset(spec.step_count_matrix(t)) for t in range(2, spec.num_levels + 1)]
     return UEBuild(spec, offsets, build.steps)

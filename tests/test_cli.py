@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delone import cli, hierarchy, patch
 from delone.nonrect import starting_patches
@@ -108,6 +109,26 @@ def test_gen_zero_valued_flags_are_usage_errors(tmp_path, capsys, flags, err):
     assert rc == 2
     assert err in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("construction,flags,step", [
+    ("nonrect", ("--n1-steps", "5"), 5),
+    ("nonrect", ("--n1-steps", "0"), 0),
+    ("ue", ("--n1-steps", "1,2"), 2),
+    ("nonrect", ("--params", "N1_steps=5"), 5),
+], ids=["past-depth", "zero", "ue-one-past", "param-file"])
+def test_gen_n1_step_outside_the_depth_is_a_usage_error(tmp_path, capsys, construction, flags, step):
+    """A step outside 1..depth exits 2 with one line naming it, writing
+    neither the descriptor nor the ledger."""
+    if flags[0] == "--params":
+        (tmp_path / "p.cfg").write_text(flags[1] + "\n")
+        flags = ("--params", str(tmp_path / "p.cfg"))
+    out = tmp_path / "z.dhs"
+    rc = run("gen", "--construction", construction, "--depth", "1", *flags, "--out", str(out))
+    assert rc == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err == f"error: N=1 step {step} outside the steps 1..1\n"
+    assert not out.exists() and not (tmp_path / "z.ledger.txt").exists()
 
 
 def test_gen_param_file(tmp_path):
@@ -231,6 +252,27 @@ def test_the_per_call_cap_comes_before_the_default(tmp_path, capsys, monkeypatch
     assert capsys.readouterr() == ("", "error: the cell cap must be a positive integer, not '-5'\n")
     monkeypatch.setenv("DELONE_CELL_CAP", "abc")
     assert run("constants", "--L", "1", "--eps", "1") == 0
+
+
+# ----------------------------------------------------------------------
+# a malformed descriptor and unread gen flags exit 2
+# ----------------------------------------------------------------------
+
+_BAD_DHS = "DHS 1\nlevel 1 patches 1\nPATCH 1 1 0 0\n1\nlevel 2 patches 1\narrangement 2 2\n1 1\n1 7\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("stats", "--spec", "bad.dhs"),
+    ("gen", "--construction", "choquet", "--depth", "2", "--blocks", "3", "--out", "x.dhs"),
+    ("gen", "--construction", "ue", "--depth", "1", "--d1p", "3/4", "--d2p", "7/8", "--out", "y.dhs"),
+], ids=["child-id-past-k", "choquet-blocks", "ue-targets"])
+def test_a_malformed_descriptor_and_unread_gen_flags_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.dhs").write_text(_BAD_DHS)
+    assert run(*argv) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.dhs"]
 
 
 @pytest.mark.parametrize("height, width, need, what", [
@@ -765,3 +807,50 @@ def test_help_matches_a_freshly_built_parser(capsys):
     assert run("constants", "--L", "1", "--eps", "1/2", "--P", "1") == 0
     capsys.readouterr()
     assert helps(cli.build_parser()) == helps(cli.build_parser.__wrapped__())
+
+
+# ----------------------------------------------------------------------
+# ledger values: _show against the str-based formula
+# ----------------------------------------------------------------------
+
+def _show_by_str(x, limit=48):
+    """The formula ``_show`` had: convert, measure, convert the parts again."""
+    s = str(x)
+    if len(s) <= limit:
+        return s
+    return f"~{float(x):.12g} ({len(str(x.numerator))}/{len(str(x.denominator))} digits)"
+
+
+def _with_digits(n):
+    return st.integers(10 ** (n - 1) if n > 1 else 0, 10**n - 1)
+
+
+@st.composite
+def _ledger_values(draw):
+    """Rationals of 1-3,000 digits a part, either sign, integral or not,
+    the quotient inside the float range."""
+    den = draw(st.one_of(st.just(1), st.integers(1, 3000).flatmap(_with_digits).filter(bool)))
+    cap = min(3000, len(str(den)) + 300)
+    num = draw(st.integers(1, cap).flatmap(_with_digits))
+    return F(num if draw(st.booleans()) else -num, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ledger_values())
+def test_show_equals_the_str_formula(x):
+    assert cli._show(x) == _show_by_str(x)
+
+
+@pytest.mark.parametrize("length", [1, 2, 4, 46, 47, 48, 49, 50])
+def test_show_at_the_48_character_boundary(length):
+    """Integral, negative and fractional values whose ``str`` is ``length``
+    characters long (10^a - 1 is prime to 10^b)."""
+    values = [F(10 ** (length - 1)), F(10**length - 1)]
+    if length >= 2:
+        values.append(F(-(10 ** (length - 2))))
+    for sign in (1, -1)[: max(0, length - 3)]:  # str is [-]a digits, a slash and b + 1 digits
+        a = (length - 2 - (sign < 0)) // 2
+        values.append(F(sign * (10**a - 1), 10 ** (length - 2 - (sign < 0) - a)))
+    for x in values:
+        assert len(str(x)) == length, x
+        assert cli._show(x) == _show_by_str(x), x

@@ -1110,7 +1110,7 @@ def test_shared_arrangements_count_as_their_own_copies(spec, data):
     """Sliding counts on a spec whose levels share arrangement objects
     equal those on the same spec with every arrangement its own object,
     and both equal scans of the materialized patches."""
-    own = HierarchySpec(spec.base, [Level([Arrangement(a.bands) for a in lv.arrangements]) for lv in spec.levels])
+    own = _own_objects(spec)
     assert len({id(a) for lv in own.levels for a in lv.arrangements}) == spec.k(1) * len(own.levels)
     grids = _grids(spec)
     top = spec.num_levels
@@ -1318,26 +1318,55 @@ SHARED = {
 }
 
 
+def _objects(spec):
+    arrs = [a for lv in spec.levels for a in lv.arrangements]
+    return len(arrs), len({id(a) for a in arrs})
+
+
+def _own_objects(spec):
+    """``spec`` with every arrangement rebuilt as its own object."""
+    return HierarchySpec(spec.base, [Level([Arrangement(a.bands) for a in lv.arrangements], lv.anchor,
+                                           lv.n_is_one, lv.meta) for lv in spec.levels],
+                         spec.kind, spec.anchored, spec.meta)
+
+
 @pytest.mark.parametrize("name", sorted(SHARED))
 def test_repeated_arrangements_load_as_one_object(name):
+    """Built and loaded, a spec holds one object per distinct arrangement."""
     build, count, distinct = SHARED[name]
-    text = H.dumps_spec(build())
+    built = build()
+    text = H.dumps_spec(built)
     spec = H.loads_spec(text)
-    arrs = [a for lv in spec.levels for a in lv.arrangements]
-    assert len(arrs) == count and len({id(a) for a in arrs}) == distinct
+    assert _objects(built) == _objects(spec) == (count, distinct)
     assert H.dumps_spec(spec) == text
 
 
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_built_loaded_and_unshared_specs_count_alike(name):
+    """Sliding counts of every 2x2 needle, at the top level and the one
+    below, agree on the built spec, its loaded form and its unshared copy."""
+    built = SHARED[name][0]()
+    forms = [built, H.loads_spec(H.dumps_spec(built)), _own_objects(built)]
+    assert _objects(forms[2])[1] == _objects(built)[0]
+    top = built.num_levels
+    for nd in _all_needles(2, 2):
+        for t in (top - 1, top):
+            counts = [[H.count_occurrences(f, nd, t, p, SLIDING) for p in range(1, f.k(t) + 1)] for f in forms]
+            assert counts[0] == counts[1] == counts[2], (t, nd)
+
+
 def test_kept_seams_grow_with_distinct_pairs_not_levels():
-    """A top-level count on the loaded rigorous ue spec (65 levels) keeps
-    at most one seam per kind and distinct pair of arrangement objects."""
-    spec = H.loads_spec(H.dumps_spec(RIGOROUS["ue"]()))
+    """A top-level count on the rigorous ue spec (65 levels), built and
+    loaded, keeps at most one seam per kind and distinct pair of
+    arrangement objects."""
+    built = RIGOROUS["ue"]()
     needle = Patch(np.array([[1, 0, 1], [1, 1, 1], [1, 0, 1]], dtype=np.uint8))
-    H.count_occurrences(spec, needle, spec.num_levels, 1, SLIDING)
-    arrs = {id(a): a for lv in spec.levels for a in lv.arrangements}
-    pairs = {(id(a), id(b)) for lv in spec.levels for a in lv.arrangements for b in lv.arrangements}
-    kept = sum(len(a._seams) for a in arrs.values())
-    assert len(pairs) < spec.num_levels and 0 < kept <= 2 * len(pairs)
+    for spec in (built, H.loads_spec(H.dumps_spec(built))):
+        H.count_occurrences(spec, needle, spec.num_levels, 1, SLIDING)
+        arrs = {id(a): a for lv in spec.levels for a in lv.arrangements}
+        pairs = {(id(a), id(b)) for lv in spec.levels for a in lv.arrangements for b in lv.arrangements}
+        kept = sum(len(a._seams) for a in arrs.values())
+        assert len(pairs) < spec.num_levels and 0 < kept <= 2 * len(pairs)
 
 
 def _all_needles(w, h):

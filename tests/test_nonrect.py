@@ -1,10 +1,13 @@
 from fractions import Fraction as F
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delone import hierarchy as H
-from delone import maps
+from delone import maps, nonrect
 from delone.nonrect import (
     BuildParams,
     ConstantBundle,
@@ -74,6 +77,48 @@ def test_n_min_values():
     assert n_min(2, 0, 1, F(1, 100), F(99, 100)) == 200
     with pytest.raises(ValueError):
         n_min(4, F(1, 2), 1, F(1, 3), F(2, 3))
+
+
+def _n_min_by_fractions(n_star, d1, d2, d1p, d2p):
+    """The Fraction formula the step rule had."""
+    if not (d2 > d2p > d1p > d1):
+        raise ValueError("need d2 > d2' > d1' > d1")
+    return 2 * math.ceil(max(F(n_star, 2), 1 / (d2 - d2p), 1 / (d1p - d1)))
+
+
+_fracs = st.fractions(min_value=-2, max_value=2, max_denominator=10**6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 10**30), st.integers(0, 10**40), st.integers(0, 10**40),
+       st.integers(0, 10**40), st.integers(0, 10**20), _fracs, _fracs, st.booleans())
+def test_integer_step_rule_equals_the_fraction_formula(cells, c1, c2, gap, n_star, d1p, d2p, between):
+    """On counts over one cell count, and through the Fraction wrapper;
+    ``between`` puts the targets strictly inside the densities, so both
+    the value and the out-of-order message are reached."""
+    d1, d2 = F(c1, cells), F(c2, cells)
+    if between:
+        c2 = c1 + gap + 3
+        d1, d2 = F(c1, cells), F(c2, cells)
+        d1p, d2p = d1 + (d2 - d1) * F(1, 3), d2 - (d2 - d1) * F(1, 3)
+    try:
+        want = _n_min_by_fractions(n_star, d1, d2, d1p, d2p)
+    except ValueError as exc:
+        for call in (lambda: nonrect._n_min_counts(n_star, c1, c2, cells, d1p, d2p),
+                     lambda: n_min(n_star, d1, d2, d1p, d2p)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(exc)
+        return
+    assert nonrect._n_min_counts(n_star, c1, c2, cells, d1p, d2p) == want
+    assert n_min(n_star, d1, d2, d1p, d2p) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+def test_integer_m_rule_equals_the_fraction_formula(num, den):
+    n = max(1, math.ceil(F(num, den)))
+    assert nonrect._smallest_odd_at_least(num, den) == (n if n % 2 else n + 1)
 
 
 def test_constant_bundle_invariants():
