@@ -31,7 +31,7 @@ from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain, compress, groupby
 from typing import Iterator
 
 import numpy as np
@@ -1208,15 +1208,60 @@ def loads_spec(text: str) -> HierarchySpec:
     Arrangements with the same text (header and body lines) load as one
     object, parsed once, so a spec that repeats an arrangement at many
     levels builds its seam tables once; each occurrence is still checked
-    against the k of its own level.
+    against the k of its own level.  The lines come from :func:`_lines`,
+    which shares a line equal to the one before it.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    return _load(text[i : i + _BLOCK] for i in range(0, len(text), _BLOCK))
+
+
+def _load(blocks: Iterable[str]) -> HierarchySpec:
+    """The spec in the text made of ``blocks``, cut into lines by :func:`_lines`."""
+    lines = _lines(blocks)  # a read error is raised as it is
     try:
         return _parse_spec(lines)
     except PatchFormatError:
         raise
     except ValueError as exc:  # SpecError and the patch checks
         raise PatchFormatError(str(exc)) from None
+
+
+# the characters of a block of :func:`_lines`
+_BLOCK = 1 << 16
+# the ASCII characters other than "\n" at which str.splitlines cuts
+_ODD_BREAKS = "\v\f\r\x1c\x1d\x1e"
+
+
+def _lines(blocks: Iterable[str]) -> list[str]:
+    """The non-blank lines of the text ``"".join(blocks)``, cut where
+    ``str.splitlines`` cuts.
+
+    Each block (``_BLOCK`` characters from the loaders) is cut on its own,
+    its unfinished last line carried into the next, so the whole text is
+    never held.  A line equal to the one before it is stored as that same
+    object, so a dense body of few distinct rows is held as those rows and
+    references to them."""
+    lines: list[str] = []
+    tail = ""
+    for block in blocks:
+        if block.isascii() and not any(c in block for c in _ODD_BREAKS):
+            got = block.split("\n")
+            end = got.pop()
+        else:  # the last line is unfinished unless the block ends in a break
+            got = block.splitlines()
+            end = got.pop() if block[-1].splitlines()[0] else ""
+        if got:
+            got[0], tail = tail + got[0], end
+        else:
+            tail += end
+        got = list(filter(str.strip, got))
+        if got and lines and got[0] == lines[-1]:
+            got[0] = lines[-1]
+        for i in compress(range(1, len(got)), map(operator.eq, got, got[1:])):
+            got[i] = got[i - 1]
+        lines += got
+    if tail.strip():
+        lines.append(lines[-1] if lines and tail == lines[-1] else tail)
+    return lines
 
 
 def _parse_spec(lines: list[str]) -> HierarchySpec:
@@ -1356,5 +1401,6 @@ def _parse_bands(lines: list[str], i: int) -> tuple[Arrangement, int]:
 
 
 def read_spec(path) -> HierarchySpec:
+    """:func:`loads_spec` of the file at ``path``, read a block at a time."""
     with open(path) as fh:
-        return loads_spec(fh.read())
+        return _load(iter(lambda: fh.read(_BLOCK), ""))

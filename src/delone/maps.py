@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -444,22 +443,61 @@ def dumps_map(f: CandidateMap) -> str:
     return "\n".join(["%d %d -> %d %d"] * len(rows)) % tuple(rows.ravel().tolist()) + "\n"
 
 
-_MAP_LINE = r"[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*->[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*"
-# a whole map text of plain lines: ASCII digits, blanks and tabs, no comments
-_MAP_TEXT = re.compile(rf"(?:(?:{_MAP_LINE}|[ \t]*)\n)*(?:{_MAP_LINE}|[ \t]*)")
+# the class of each byte of a plain map text, as a bytes.translate table;
+# any other byte (comments, "+", "_", "\r") sends the text to the line
+# reader
+_OTHER, _BLANK, _NEWLINE, _DIGIT, _DASH, _GT = range(6)
+_MAP_BYTES = bytearray([_OTHER]) * 256
+_MAP_BYTES[ord(" ")] = _MAP_BYTES[ord("\t")] = _BLANK
+_MAP_BYTES[ord("\n")] = _NEWLINE
+_MAP_BYTES[ord("0") : ord("9") + 1] = bytes([_DIGIT]) * 10
+_MAP_BYTES[ord("-")] = _DASH
+_MAP_BYTES[ord(">")] = _GT
 
 
 def _text_pairs(text: str):
-    """(sources, images) of a plain map text, in two whole-text passes, or
-    None when ``text`` is not plain or repeats a source point."""
-    if not _MAP_TEXT.fullmatch(text):
+    """(sources, images) of a plain map text, or None when ``text`` is not
+    plain or repeats a source point.
+
+    A plain text is lines ``x y -> u v`` of decimal integers, each with an
+    optional ``-``, and lines of blanks, split at ``"\\n"``, with blanks
+    and tabs around the fields.  It is checked and decoded in numpy passes
+    over its bytes: every ``-`` is a sign before a digit or starts ``->``,
+    every ``>`` follows a ``-``, no sign follows a digit, and the tokens
+    (numbers and arrows) of each line that has any are number, number,
+    arrow, number, number.  A text with a value past 18 digits is read as
+    Python ints."""
+    if not text.isascii():
         return None
-    tokens = text.replace("->", " ").split()
-    try:
-        quads = np.array(tokens, dtype=np.int64)
-    except OverflowError:
-        quads = np.array([int(t) for t in tokens], dtype=object)
-    quads = quads.reshape(-1, 4)
+    raw = ("\n" + text + "\n").encode()
+    padded = np.frombuffer(raw.translate(_MAP_BYTES), dtype=np.uint8)
+    prev, cls, nxt = padded[:-2], padded[1:-1], padded[2:]  # each byte's class, and its neighbours'
+    digit, dash, gt, newline = cls == _DIGIT, cls == _DASH, cls == _GT, cls == _NEWLINE
+    sign = dash & (nxt == _DIGIT)
+    if ((cls == _OTHER) | dash & ~sign & (nxt != _GT) | gt & (prev != _DASH) | sign & (prev == _DIGIT)).any():
+        return None
+    first = digit & (prev != _DIGIT)  # the first digit of each number
+    marks = np.flatnonzero(first | gt | newline)
+    token = ~newline[marks]
+    if np.count_nonzero(token) % 5:
+        return None
+    line = np.cumsum(~token)[token].reshape(-1, 5)  # the line of each token, five a row
+    arrow = gt[marks[token]].reshape(-1, 5)
+    if ((arrow != (False, False, True, False, False)).any()
+            or (line[:, 0] != line[:, 4]).any() or (line[1:, 0] == line[:-1, 4]).any()):
+        return None
+    starts, ends = np.flatnonzero(first), np.flatnonzero(digit & (nxt != _DIGIT)) + 1
+    width = ends - starts
+    if width.max(initial=0) > 18:
+        values = np.array([int(t) for t in text.replace("->", " ").split()], dtype=object)
+    else:
+        at = np.flatnonzero(digit)
+        place = np.repeat(ends - 1, width) - at  # the power of ten of each digit
+        digits = np.frombuffer(raw, dtype=np.uint8)[1:-1][at] - ord("0")
+        values = np.add.reduceat(digits * np.take(10 ** np.arange(19, dtype=np.int64), place),
+                                 np.cumsum(width) - width)
+        values[prev[starts] == _DASH] *= -1
+    quads = values.reshape(-1, 4)
     src = _int_pairs(quads[:, :2])
     return None if _repeats(src) else (src, _int_pairs(quads[:, 2:]))
 

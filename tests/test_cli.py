@@ -451,8 +451,8 @@ def test_gen_choquet_malformed_simplex_spec(tmp_path, capsys, line):
     rc = run("gen", "--construction", "choquet", "--depth", "2",
              "--simplex-spec", str(tmp_path / "simplex.cfg"), "--out", str(tmp_path / "x.dhs"))
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and repr(line) in err
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and repr(line) in err
 
 
 @pytest.mark.parametrize("bad,line", [("p 4 32", "p 4 x"), ("r 1", "r one"),
@@ -476,8 +476,8 @@ def test_gen_choquet_non_positive_scale_exits_2(tmp_path, capsys, good, line):
     rc = run("gen", "--construction", "choquet", "--depth", "2",
              "--simplex-spec", str(tmp_path / "simplex.cfg"), "--out", str(tmp_path / "x.dhs"))
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and repr(line) in err
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and repr(line) in err
 
 
 @pytest.mark.parametrize("construction,line", [("nonrect", "blocks=3"), ("choquet", "ratio_cap=64"),
@@ -514,8 +514,8 @@ def test_needle_with_an_empty_full_boundary_cell_exits_2(tmp_path, capsys):
     rc = run("count", "--spec", str(spec), "--needle", str(tmp_path / "bad.dpf"),
              "--level", "1", "--id", "1")
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "full_boundary" in err
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "full_boundary" in err
 
 
 def test_repetitivity_patch_input(tmp_path, capsys):
@@ -854,3 +854,132 @@ def test_show_at_the_48_character_boundary(length):
     for x in values:
         assert len(str(x)) == length, x
         assert cli._show(x) == _show_by_str(x), x
+
+
+# ----------------------------------------------------------------------
+# malformed loader input exits 2; repetitivity charges its code arrays to
+# the cap
+# ----------------------------------------------------------------------
+
+_BAND_HEAD = "DHS 1\nlevel 1 patches 2\nPATCH 1 1 0 0\n1\nPATCH 1 1 0 0\n0\nlevel 2 patches 1\n"
+# a multiplicity below 1, multiplicities or runs that do not add up, a
+# child id outside 1..k, a missing or an extra field
+_BAD_BANDS = {
+    "multiplicity-zero": "band 0 pieces 1\n1 1 1 2 2\nband 3 pieces 1\n1 1 3",
+    "multiplicities-short": "band 1 pieces 1\n1 1 1 2 2\nband 1 pieces 1\n1 1 3",
+    "runs-short": "band 1 pieces 1\n1 1 1 2 1\nband 2 pieces 1\n1 1 3",
+    "child-id-past-k": "band 1 pieces 1\n1 1 1 3 2\nband 2 pieces 1\n1 1 3",
+    "run-missing-its-length": "band 1 pieces 1\n1 1 1 2\nband 2 pieces 1\n1 1 3",
+    "extra-field": "band 1 pieces 1 1\n1 1 1 2 2\nband 2 pieces 1\n1 1 3",
+}
+
+
+@pytest.fixture(scope="module")
+def loader_inputs(tmp_path_factory):
+    """The inputs of the malformed-loader checks, in one directory."""
+    d = tmp_path_factory.mktemp("loader")
+    assert run("gen", "--construction", "nonrect", "--depth", "1", "--out", str(d / "n.dhs")) == 0
+    (d / "ok.dpf").write_text("PATCH 2 2 0 0\n11\n10\n")
+    (d / "unread.cfg").write_text("blocks=3\n")
+    (d / "band.dhs").write_text(
+        f"{_BAND_HEAD}arrangement 3 3 bands 2\nband 1 pieces 1\n1 1 1 2 2\nband 2 pieces 1\n1 1 3\n")
+    for name, bad in _BAD_BANDS.items():
+        (d / f"{name}.dhs").write_text(f"{_BAND_HEAD}arrangement 3 3 bands 2\n{bad}\n")
+    return d
+
+
+_COUNT = ("count", "--spec", "n.dhs", "--needle", "ok.dpf")
+_LOADER_ERRORS = {
+    "id-0-at-level-2": (*_COUNT, "--level", "2", "--id", "0"),
+    "id-3-at-level-1": (*_COUNT, "--level", "1", "--id", "3"),
+    "id-3-at-level-1-block-aligned": (*_COUNT, "--level", "1", "--id", "3", "--mode", "block_aligned"),
+    "unread-param": ("gen", "--construction", "nonrect", "--depth", "1", "--params", "unread.cfg",
+                     "--out", "u.dhs"),
+    **{f"band-{name}": ("stats", "--spec", f"{name}.dhs") for name in _BAD_BANDS},
+}
+
+
+@pytest.mark.parametrize("argv", _LOADER_ERRORS.values(), ids=_LOADER_ERRORS.keys())
+def test_malformed_loader_input_exits_2(loader_inputs, capsys, monkeypatch, argv):
+    monkeypatch.chdir(loader_inputs)
+    before = sorted(loader_inputs.iterdir())
+    assert run(*argv) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("error: ") and got.err.count("\n") == 1
+    assert sorted(loader_inputs.iterdir()) == before
+
+
+def test_the_band_fixture_of_the_malformed_ones_loads(loader_inputs, capsys):
+    """Rows 1 2 2 once and 1 1 1 twice: 7 of the 9 cells hold patch 1."""
+    assert run("stats", "--spec", str(loader_inputs / "band.dhs")) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2\t3\t1\t1\t7\t7/9"
+
+
+def test_repetitivity_charges_its_code_arrays_to_the_cap(tmp_path, capsys, monkeypatch):
+    """The level-5 window is 324^2 cells: it exports under a cap of 300000,
+    but its 2-byte codes take 6 bytes a cell, so repetitivity exits 3."""
+    spec = str(tmp_path / "ue3.dhs")
+    assert run("gen", "--construction", "ue", "--depth", "3", "--mode", "toy", "--out", spec) == 0
+    monkeypatch.setenv("DELONE_CELL_CAP", "300000")
+    assert run("export", "--spec", spec, "--level", "5", "--id", "1", "--format", "pbm",
+               "--out", str(tmp_path / "w.pbm")) == 0
+    capsys.readouterr()
+    assert run("repetitivity", "--spec", spec, "--level", "5", "--id", "1", "--r", "2") == 3
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("resource cap: ") and got.err.count("\n") == 1
+
+
+# ----------------------------------------------------------------------
+# exact values past 4,300 digits
+# ----------------------------------------------------------------------
+
+def _tower(n: str, levels: int) -> str:
+    """A descriptor over a 1x1 base patch ``1``: each level an n x n
+    arrangement of the one patch below, spelt as one band."""
+    text = "DHS 1\nlevel 1 patches 1\nPATCH 1 1 0 0\n1\n"
+    for t in range(2, levels + 1):
+        text += f"level {t} patches 1\narrangement {n} {n} bands 1\nband {n} pieces 1\n1 1 {n}\n"
+    return text
+
+
+def _powers(zeros: int, coefficients) -> str:
+    """The decimal digits of sum c_i 10^(zeros+1)i: the coefficients
+    c_i of a power of 10^(zeros+1) + 1, from the top, each under 10."""
+    return "1" + "".join("0" * zeros + str(c) for c in coefficients)
+
+
+def test_a_band_tower_prints_its_exact_sides_and_counts(tmp_path, capsys):
+    """N = 10^2200 + 1: level 3 is N^2 (4,401 digits) a side and holds
+    N^4 (8,801 digits) points, printed whole; a 1x1 needle counts N^4."""
+    n = _powers(2199, [1])
+    (tmp_path / "t.dhs").write_text(_tower(n, 3))
+    (tmp_path / "one.dpf").write_text("PATCH 1 1 0 0\n1\n")
+    n2, n4 = _powers(2199, [2, 1]), _powers(2199, [4, 6, 4, 1])
+    assert run("stats", "--spec", str(tmp_path / "t.dhs")) == 0
+    assert capsys.readouterr() == (
+        f"level\tside\tpatches\tid\tpoints\tdensity\n1\t1\t1\t1\t1\t1\n2\t{n}\t1\t1\t{n2}\t1\n3\t{n2}\t1\t1\t{n4}\t1\n",
+        "")
+    assert run("count", "--spec", str(tmp_path / "t.dhs"), "--needle", str(tmp_path / "one.dpf"),
+               "--level", "3", "--id", "1") == 0
+    assert capsys.readouterr() == (f"{n4}\n", "")
+
+
+def test_a_field_past_4300_digits_loads(tmp_path, capsys):
+    n = _powers(4399, [1])  # 10^4400 + 1
+    (tmp_path / "t.dhs").write_text(_tower(n, 2))
+    assert run("stats", "--spec", str(tmp_path / "t.dhs"), "--level", "2") == 0
+    assert capsys.readouterr() == (f"level\tside\tpatches\tid\tpoints\tdensity\n2\t{n}\t1\t1\t{_powers(4399, [2, 1])}\t1\n",
+                                   "")
+
+
+def test_stats_of_a_rigorous_ue_depth_3_build_prints_every_level(tmp_path, capsys):
+    """65 levels whose top popcount has 4,301 digits: a header and 130 rows."""
+    spec = str(tmp_path / "u.dhs")
+    assert run("gen", "--construction", "ue", "--depth", "3", "--n1-steps", "1,2", "--mode", "rigorous",
+               "--out", spec) == 0
+    capsys.readouterr()
+    assert run("stats", "--spec", spec) == 0
+    out, err = capsys.readouterr()
+    rows = out.splitlines()
+    assert err == "" and len(rows) == 131 and rows[-1].startswith("65\t")
+    assert len(rows[-1].split("\t")[4]) == 4301

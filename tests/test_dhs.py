@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +24,7 @@ from delone.patch import (
     loads_pbm,
     read_points,
 )
+from tests_oracles import loads_spec_oracle, spec_lines_oracle
 
 
 def _altbottom_line(arr: Arrangement) -> str | None:
@@ -453,6 +455,141 @@ def _check_mutation(data, valid: str, garbage) -> None:
         path = Path(d) / "m.dhs"
         path.write_text(text)
         assert cli.main(["stats", "--spec", str(path)]) == want
+
+
+# ----------------------------------------------------------------------
+# the block reader against the whole-text loader
+# ----------------------------------------------------------------------
+
+# a body of repeated rows, the same arrangement twice at level 2, and a
+# band spelling
+REPEATS = """DHS 1
+level 1 patches 2
+PATCH 1 1 0 0
+1
+PATCH 1 1 0 0
+0
+level 2 patches 3
+arrangement 4 4
+1 2 1 2
+1 2 1 2
+1 2 1 2
+2 2 2 2
+arrangement 4 4
+1 2 1 2
+1 2 1 2
+1 2 1 2
+2 2 2 2
+arrangement 4 4 bands 2
+band 2 pieces 1
+1 1 2 2 2
+band 2 pieces 1
+1 2 4
+level 3 patches 1
+arrangement 3 3
+1 1 1
+3 3 3
+3 3 3
+"""
+
+_BREAKS = ["\n", "\n", "\r\n", "\r", "\v", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", " "]
+_LINE_TEXT = st.lists(st.one_of(st.sampled_from(["1 2", "1 2", "ab", " ", "\t", "é", "\xa0", *_BREAKS]),
+                                st.text(max_size=3)), max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LINE_TEXT, st.integers(1, 64))
+def test_block_lines_are_the_non_blank_splitlines(text, block):
+    got = H._lines(text[i : i + block] for i in range(0, len(text), block))
+    assert got == spec_lines_oracle(text)
+    assert all(a is b for a, b in zip(got, got[1:]) if a == b)
+
+
+def _arrangement_ids(spec: HierarchySpec) -> list[int]:
+    """For each arrangement of ``spec``, level by level, the index of the
+    first arrangement that is the same object."""
+    arrs = [a for lv in spec.levels for a in lv.arrangements]
+    return [next(j for j, b in enumerate(arrs) if b is a) for a in arrs]
+
+
+def _outcome(load, *args):
+    try:
+        spec = load(*args)
+    except PatchFormatError as exc:
+        return "error", str(exc)
+    return H.dumps_spec(spec), _arrangement_ids(spec)
+
+
+@st.composite
+def _descriptor_texts(draw):
+    """A valid descriptor with some of its lines dropped, repeated or
+    edited, blank lines put in, and its line breaks spelt "\\n", "\\r\\n" or
+    "\\x0c", some inside the lines."""
+    lines = draw(st.sampled_from([REPEATS, VALID, VALID_BANDS])).split("\n")[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "dup", "blank", "token", "break"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "dup":
+            lines.insert(i, lines[i])
+        elif edit == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t", "  \t"])))
+        elif edit == "token":
+            toks = lines[i].split(" ")
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(_GARBAGE)
+            lines[i] = " ".join(toks)
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:j] + draw(st.sampled_from(["\r\n", "\x0c", "\r"])) + lines[i][j:]
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\x0c"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(ln + end for ln, end in zip(lines, ends))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_descriptor_texts(), st.integers(1, 64))
+def test_loads_spec_loads_as_the_whole_text_loader(text, block):
+    """The same spec with the same shared arrangements, or the same error."""
+    with mock.patch.object(H, "_BLOCK", block):
+        assert _outcome(H.loads_spec, text) == _outcome(loads_spec_oracle, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_descriptor_texts(), st.integers(1, 64))
+def test_read_spec_reads_as_the_whole_text_loader(text, block):
+    """A file read in text mode, its "\\r\\n" and "\\r" read as newlines."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.dhs"
+        path.write_bytes(text.encode())
+        with open(path) as fh:
+            want = _outcome(loads_spec_oracle, fh.read())
+        with mock.patch.object(H, "_BLOCK", block):
+            assert _outcome(H.read_spec, path) == want
+
+
+def test_repeated_body_rows_load_as_one_string_each():
+    lines = H._lines([REPEATS[:60], REPEATS[60:]])
+    assert lines == spec_lines_oracle(REPEATS)
+    rows = [ln for ln in lines if ln == "1 2 1 2"]
+    assert len(rows) == 6 and len({id(r) for r in rows}) == 2
+
+
+def test_a_dense_rigorous_descriptor_loads_at_the_cost_of_its_distinct_rows(tmp_path):
+    """The rigorous choquet depth-2 descriptor (6 MB, three 1024x1024 dense
+    bodies of 15 distinct rows) loads with a traced peak under 2 MB, where
+    holding its text and every line took over 12 MB."""
+    path = tmp_path / "c.dhs"
+    assert cli.main(["gen", "--construction", "choquet", "--depth", "2", "--mode", "rigorous",
+                     "--out", str(path)]) == 0
+    assert path.stat().st_size > 6 * 10**6
+    tracemalloc.start()
+    try:
+        spec = H.read_spec(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert H.dumps_spec(spec) == path.read_text()
 
 
 # ----------------------------------------------------------------------

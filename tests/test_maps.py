@@ -2,10 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from delone import maps
-from tests_oracles import dumps_map_oracle, extension_certificate_oracle, map_text_oracle
+from tests_oracles import dumps_map_oracle, extension_certificate_oracle, map_text_oracle, plain_map_oracle
 from delone.hierarchy import CapacityError
 from delone.maps import CandidateMap, MapInvariantError
 from delone.patch import PatchFormatError
@@ -286,3 +286,52 @@ def test_map_text_loads_as_the_line_oracle_reads_it(case):
     except PatchFormatError as exc:
         got = "error", str(exc)
     assert got == map_text_oracle(text, window)
+
+
+_DIGITS = st.sampled_from([1, 9, 18, 19, 24]).flatmap(
+    lambda n: st.integers(10 ** (n - 1), 10**n - 1).map(str))  # 1-digit to 24-digit values
+_MAP_PIECE = st.one_of(_DIGITS, st.sampled_from(["0", "-", "->", ">", " ", "\t", "\n", "\n", "#", "+", "\r", "é"]))
+
+
+def _lexed(text):
+    """The values of ``maps._text_pairs(text)``, row by row, or None."""
+    got = maps._text_pairs(text)
+    return None if got is None else [v for row in zip(*(a.tolist() for a in got)) for p in row for v in p]
+
+
+def _lexed_by_oracle(text):
+    values = plain_map_oracle(text)
+    if values is None or len({tuple(values[i : i + 2]) for i in range(0, len(values), 4)}) < len(values) // 4:
+        return None  # not plain, or a repeated source point
+    return values
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_MAP_PIECE, max_size=30).map("".join))
+def test_map_lexer_reads_the_map_alphabet_as_the_oracle_does(text):
+    assert _lexed(text) == _lexed_by_oracle(text)
+
+
+@st.composite
+def _plain_map_texts(draw):
+    """Lines ``x y -> u v`` with 1- to 24-digit values, optional signs and
+    the blanks the format allows, at times with a byte put in or taken out
+    (a sign right after a digit, two lines run into one)."""
+    value = st.tuples(st.sampled_from(["", "-"]), _DIGITS).map("".join)
+    lines = [f"{draw(_EDGE)}{draw(value)}{draw(_BLANK)}{draw(value)}{draw(_ARROW)}{draw(value)}"
+             f"{draw(_BLANK)}{draw(value)}{draw(_EDGE)}" if draw(st.integers(0, 4)) else draw(_EDGE)
+             for _ in range(draw(st.integers(0, 5)))]
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    for edit in draw(st.lists(st.sampled_from(["put", "take"]), max_size=2)):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(_MAP_PIECE) + text[i:] if edit == "put" else text[:i] + text[i + 1 :]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_plain_map_texts(), _map_texts().map(lambda case: case[0])))
+@example("1-2 -> 3 4")  # a sign right after a digit
+@example("0 0 -> 1 1 2 2 -> 3 3")  # two lines run into one
+@example("0 0 -> 1 1\n2 2\n-> 3 3")  # one line split in two
+def test_map_lexer_reads_map_texts_as_the_oracle_does(text):
+    assert _lexed(text) == _lexed_by_oracle(text)

@@ -248,3 +248,35 @@ def points_text_oracle(p):
     ys, xs = np.nonzero(p.cells)
     order = np.lexsort((xs, ys))
     return "".join(f"{ox + int(xs[i])} {oy + int(ys[i])}\n" for i in order)
+
+
+_PLAIN_MAP_LINE = r"[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*->[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*"
+# a whole map text of plain lines: ASCII digits, blanks and tabs, no comments
+PLAIN_MAP_TEXT = re.compile(rf"(?:(?:{_PLAIN_MAP_LINE}|[ \t]*)\n)*(?:{_PLAIN_MAP_LINE}|[ \t]*)")
+
+
+def plain_map_oracle(text):
+    """The values of a plain map text, in order, by the regular expression
+    of its lines and a whitespace split; None when the text is not plain."""
+    if not PLAIN_MAP_TEXT.fullmatch(text):
+        return None
+    return [int(t) for t in text.replace("->", " ").split()]
+
+
+def spec_lines_oracle(text):
+    """The non-blank lines of a .dhs text, as the whole text's splitlines."""
+    return [ln for ln in text.splitlines() if ln.strip()]
+
+
+def loads_spec_oracle(text):
+    """A .dhs text loaded as the whole-text loader did: one list of its
+    non-blank lines, each its own string, parsed by ``_parse_spec``."""
+    from delone import hierarchy
+    from delone.patch import PatchFormatError
+
+    try:
+        return hierarchy._parse_spec(spec_lines_oracle(text))
+    except PatchFormatError:
+        raise
+    except ValueError as exc:
+        raise PatchFormatError(str(exc)) from None
