@@ -482,18 +482,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # exact values have no digit limit
+    # exact values have no digit limit while a command runs; the caller's
+    # limit is put back after it
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        return args.fn(args)
-    except CapacityError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        ap = build_parser()
+        args = ap.parse_args(argv)
+        try:
+            return args.fn(args)
+        except CapacityError as exc:
+            print(f"resource cap: {exc}", file=sys.stderr)
+            return 3
+        except (ValueError, KeyError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

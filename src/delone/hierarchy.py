@@ -1227,8 +1227,6 @@ def _load(blocks: Iterable[str]) -> HierarchySpec:
 
 # the characters of a block of :func:`_lines`
 _BLOCK = 1 << 16
-# the ASCII characters other than "\n" at which str.splitlines cuts
-_ODD_BREAKS = "\v\f\r\x1c\x1d\x1e"
 
 
 def _lines(blocks: Iterable[str]) -> list[str]:
@@ -1243,12 +1241,9 @@ def _lines(blocks: Iterable[str]) -> list[str]:
     lines: list[str] = []
     tail = ""
     for block in blocks:
-        if block.isascii() and not any(c in block for c in _ODD_BREAKS):
-            got = block.split("\n")
-            end = got.pop()
-        else:  # the last line is unfinished unless the block ends in a break
-            got = block.splitlines()
-            end = got.pop() if block[-1].splitlines()[0] else ""
+        got = block.splitlines()
+        # the last line is unfinished unless the block ends in a break
+        end = got.pop() if block[-1].splitlines()[0] else ""
         if got:
             got[0], tail = tail + got[0], end
         else:

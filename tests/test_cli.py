@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -983,3 +984,23 @@ def test_stats_of_a_rigorous_ue_depth_3_build_prints_every_level(tmp_path, capsy
     rows = out.splitlines()
     assert err == "" and len(rows) == 131 and rows[-1].startswith("65\t")
     assert len(rows[-1].split("\t")[4]) == 4301
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+@pytest.mark.parametrize("argv", [["stats", "--spec", "t.dhs"], ["stats", "--spec", "missing.dhs"],
+                                  ["stats", "--level", "x"]], ids=["ok", "error", "usage"])
+def test_the_callers_digit_limit_is_back_after_main(tmp_path, capsys, monkeypatch, argv):
+    """The limit is lifted only while a command runs, also when it exits 2
+    or argparse exits: a program that calls main keeps its own guard."""
+    (tmp_path / "t.dhs").write_text(_tower(_powers(4399, [1]), 2))
+    monkeypatch.chdir(tmp_path)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        try:
+            run(*argv)
+        except SystemExit:
+            pass
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
