@@ -333,13 +333,24 @@ def _ids(line: Edge) -> list:
     return [v for runs, reps in line.pieces for v, n in runs * reps for _ in range(n)]
 
 
-def _row_bands(rows, read=iter) -> tuple[tuple[Edge, int], ...]:
+def _row_bands(rows, read=list) -> tuple[tuple[Edge, int], ...]:
     """The bands of ``rows``, bottom row first, a run of equal rows a band;
-    ``read`` gives one row's ids, as anything ``int`` takes, once a run of
-    equal rows; runs and bands merge on the ids (``1`` and ``01`` are one)."""
-    lines = ((Edge(((tuple((v, len(list(run))) for v, run in groupby(map(int, read(row)))), 1),)), len(list(same)))
-             for row, same in groupby(rows))
+    ``read`` gives one row's ids as a list of anything ``int`` takes, once a
+    run of equal rows, and :func:`_runs` cuts them with one ``int`` a run,
+    so a dense body line costs its runs, not its ids; runs and bands merge
+    on the ints (``1`` and ``01`` are one)."""
+    lines = ((Edge(((_runs(read(row)), 1),)), len(list(same))) for row, same in groupby(rows))
     return tuple((line, sum(m for _, m in same)) for line, same in groupby(lines, operator.itemgetter(0)))
+
+
+def _runs(ids: list) -> tuple[tuple[int, int], ...]:
+    """(id, length) of the runs of equal ints in the nonempty ``ids``: the
+    starts of the pieces of equal ids as given, one ``int`` a piece, and of
+    those the starts whose int differs from the piece before."""
+    starts = [*compress(range(len(ids)), map(operator.ne, ids, [None, *ids])), len(ids)]
+    vals = [int(ids[a]) for a in starts[:-1]]
+    keep = [*compress(range(len(vals)), map(operator.ne, vals, [None, *vals])), len(vals)]
+    return tuple((vals[a], starts[b] - starts[a]) for a, b in zip(keep, keep[1:]))
 
 
 def _altbottom_bands(s: int, blocks: int, main_id: int, alt_id: int) -> tuple[tuple[Edge, int], ...]:
@@ -1234,20 +1245,26 @@ def _lines(blocks: Iterable[str]) -> list[str]:
     ``str.splitlines`` cuts.
 
     Each block (``_BLOCK`` characters from the loaders) is cut on its own,
-    its unfinished last line carried into the next, so the whole text is
-    never held.  A line equal to the one before it is stored as that same
-    object, so a dense body of few distinct rows is held as those rows and
-    references to them."""
+    after the unfinished last line of the block before it, so the whole
+    text is never held.  A line equal to the one before it is stored as
+    that same object, so a dense body of few distinct rows is held as those
+    rows and references to them.  The copies of the last line stored, each
+    ending in ``"\\n"``, are first taken off the head of a block by
+    comparing them, not cutting them, so a body's runs of equal rows cost
+    a comparison each; ``splitlines`` cuts what is left."""
     lines: list[str] = []
     tail = ""
     for block in blocks:
-        got = block.splitlines()
-        # the last line is unfinished unless the block ends in a break
-        end = got.pop() if block[-1].splitlines()[0] else ""
-        if got:
-            got[0], tail = tail + got[0], end
-        else:
-            tail += end
+        text, i = tail + block, 0
+        if lines:
+            last = lines[-1]
+            unit = last + "\n"
+            while text.startswith(unit, i):
+                lines.append(last)
+                i += len(unit)
+        got = text[i:].splitlines()
+        # the last line is unfinished unless the text ends in a break
+        tail = got.pop() if got and text[-1].splitlines()[0] else ""
         got = list(filter(str.strip, got))
         if got and lines and got[0] == lines[-1]:
             got[0] = lines[-1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -39,7 +40,15 @@ def _fields(line: str, layout: str) -> list[int]:
         try:
             return [int(g) for g in m.groups()]
         except ValueError:
-            pass
+            # a decimal field fails only past the int/str digit limit (none before 3.11)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            for g in m.groups():
+                digits = g[1:] if g[0] in "+-" else g
+                if digits.isdecimal() and len(digits) > limit > 0:
+                    raise PatchFormatError(
+                        f"a field of {len(digits)} digits in {layout!r} is past this process's int/str "
+                        f"digit limit of {limit} (sys.get_int_max_str_digits())"
+                    ) from None
     raise PatchFormatError(f"expected {layout!r}, got {line!r}")
 
 

@@ -931,6 +931,52 @@ def test_repetitivity_charges_its_code_arrays_to_the_cap(tmp_path, capsys, monke
 
 
 # ----------------------------------------------------------------------
+# strip-mined scans of a 972^2 window agree with the seam recursion
+# ----------------------------------------------------------------------
+
+def test_strip_mined_scans_of_a_972_window_agree_with_the_seam_recursion(ue3, monkeypatch):
+    """Each base needle scanned in packed words, and with ``_INT_CELLS``
+    raised so the window is one Python int, counts what the seam
+    recursion counts."""
+    spec = ue3.spec
+    window = hierarchy.materialize(spec, 6, 1).cells
+    assert window.shape == (972, 972) and window.size > 3 * patch._STRIP
+    assert window.size > hierarchy._INT_CELLS  # scanned in packed words
+    for needle in spec.base:
+        got = hierarchy.scan_count(window, needle)
+        with monkeypatch.context() as m:
+            m.setattr(hierarchy, "_INT_CELLS", 1 << 40)
+            whole = hierarchy.scan_count(window, needle)
+        assert got == whole == hierarchy.count_occurrences(spec, needle, 6, 1)
+
+
+@pytest.fixture(scope="module")
+def ue3_dhs(tmp_path_factory):
+    spec = str(tmp_path_factory.mktemp("ue3") / "ue3.dhs")
+    assert run("gen", "--construction", "ue", "--depth", "3", "--mode", "toy", "--out", spec) == 0
+    return spec
+
+
+def test_repetitivity_at_r_5_takes_the_sorted_pattern_list(ue3_dhs, capsys):
+    """r = 5 codes are uint64: the command runs and prints one radius."""
+    capsys.readouterr()
+    assert run("repetitivity", "--spec", ue3_dhs, "--level", "5", "--id", "1", "--r", "5") == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.strip().isdecimal() and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("level", ["5", "6"])
+def test_the_galloping_search_gives_the_bisection_radii(ue3_dhs, capsys, level):
+    """The radii the bisection from side - r gave, for r = 1, 2 and 4."""
+    got = []
+    for r in ("1", "2", "4"):
+        capsys.readouterr()
+        assert run("repetitivity", "--spec", ue3_dhs, "--level", level, "--id", "1", "--r", r) == 0
+        got.append(capsys.readouterr().out)
+    assert got == ["10\n", "13\n", "99\n"]
+
+
+# ----------------------------------------------------------------------
 # exact values past 4,300 digits
 # ----------------------------------------------------------------------
 
@@ -971,6 +1017,28 @@ def test_a_field_past_4300_digits_loads(tmp_path, capsys):
     assert run("stats", "--spec", str(tmp_path / "t.dhs"), "--level", "2") == 0
     assert capsys.readouterr() == (f"level\tside\tpatches\tid\tpoints\tdensity\n2\t{n}\t1\t1\t{_powers(4399, [2, 1])}\t1\n",
                                    "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_a_field_past_the_digit_limit_is_named_outside_main(tmp_path, capsys):
+    """Under the default limit a library load names the field's digits and
+    the limit, where it said ``expected 'arrangement # # bands #'``; main
+    still loads the descriptor."""
+    text = _tower(_powers(4399, [1]), 2)  # a side of 4,401 digits
+    (tmp_path / "t.dhs").write_text(text)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for load, arg in ((hierarchy.loads_spec, text), (hierarchy.read_spec, tmp_path / "t.dhs")):
+            with pytest.raises(patch.PatchFormatError) as exc:
+                load(arg)
+            assert str(exc.value) == ("a field of 4401 digits in 'arrangement # # bands #' is past this process's "
+                                      "int/str digit limit of 4300 (sys.get_int_max_str_digits())")
+        assert run("stats", "--spec", str(tmp_path / "t.dhs"), "--level", "2") == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.splitlines()[-1].startswith("2\t1" + "0" * 4399 + "1\t")
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_stats_of_a_rigorous_ue_depth_3_build_prints_every_level(tmp_path, capsys):

@@ -24,7 +24,7 @@ from delone.patch import (
     loads_pbm,
     read_points,
 )
-from tests_oracles import loads_spec_oracle, spec_lines_oracle
+from tests_oracles import loads_spec_oracle, row_runs_oracle, spec_lines_oracle
 
 
 def _altbottom_line(arr: Arrangement) -> str | None:
@@ -503,6 +503,48 @@ def test_block_lines_are_the_non_blank_splitlines(text, block):
     got = H._lines(text[i : i + block] for i in range(0, len(text), block))
     assert got == spec_lines_oracle(text)
     assert all(a is b for a, b in zip(got, got[1:]) if a == b)
+
+
+@st.composite
+def _runs_text(draw):
+    """A text of runs of 1-200 copies of one line, each copy ended by one
+    break spelling, among distinct and blank lines; and a block size of
+    1-64 or about the repeated line's length."""
+    line = draw(st.sampled_from(["1 2", "1 2 1 2", "ab", " 1", "é 1", "\xa0x"]) | st.text(max_size=6))
+    parts = draw(st.lists(st.one_of(
+        st.builds(lambda n, end: (line + end) * n, st.integers(1, 200), st.sampled_from(_BREAKS)),
+        st.sampled_from(["", " ", "\t", "1 2", "ab", line, line + "x", *_BREAKS]),
+        st.text(max_size=3)), min_size=1, max_size=8))
+    block = draw(st.integers(1, 64) | st.integers(-1, 1).map(lambda d: max(1, len(line) + 1 + d)))
+    return "".join(parts), block
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs_text())
+def test_runs_of_a_repeated_line_load_as_the_non_blank_splitlines(case):
+    """The lines ``loads_spec`` cuts, its ``_BLOCK`` patched, are the
+    oracle's, and each run of equal lines is one object."""
+    text, block = case
+    with mock.patch.object(H, "_BLOCK", block), mock.patch.object(H, "_parse_spec", lambda lines: lines):
+        got = H.loads_spec(text)
+    assert got == spec_lines_oracle(text)
+    assert all(a is b for a, b in zip(got, got[1:]) if a == b)
+
+
+_IDS = ["0", "00", "1", "01", "001", "2", "02", "10", "7"]
+
+
+@given(st.lists(st.sampled_from(_IDS), min_size=1, max_size=60))
+def test_a_row_is_cut_into_the_runs_of_its_ints(ids):
+    assert H._runs(ids) == row_runs_oracle(ids)
+    assert H._runs([int(v) for v in ids]) == row_runs_oracle(ids)
+
+
+@pytest.mark.parametrize("ids", [["7"], ["1"] * 1024, ["1", "2"] * 512, ["1", "01", "001", "2", "02"],
+                                 ["0", "00", "1"], ["2", "1", "1", "2"]],
+                         ids=["one-id", "all-equal", "alternating", "leading-zeros", "zeros", "inner-run"])
+def test_row_runs_of_the_edge_cases(ids):
+    assert H._runs(ids) == row_runs_oracle(ids)
 
 
 def _arrangement_ids(spec: HierarchySpec) -> list[int]:

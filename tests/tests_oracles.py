@@ -268,6 +268,13 @@ def spec_lines_oracle(text):
     return [ln for ln in text.splitlines() if ln.strip()]
 
 
+def row_runs_oracle(ids):
+    """(id, length) of the runs of equal ints in a row's ids, as the loader
+    read them before it cut rows on their text: ``int`` of every id, then
+    a groupby."""
+    return tuple((v, len(list(run))) for v, run in itertools.groupby(map(int, ids)))
+
+
 def loads_spec_oracle(text):
     """A .dhs text loaded as the whole-text loader did: one list of its
     non-blank lines, each its own string, parsed by ``_parse_spec``."""
