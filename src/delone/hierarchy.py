@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 import os
-import re
 from bisect import bisect_right
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import InitVar, dataclass, field
@@ -549,45 +548,71 @@ def _products(mats: Sequence[list[list[int]]], k: int) -> list[list[list[int]]]:
 # materialization
 # ----------------------------------------------------------------------
 
-def materialize(
-    spec: HierarchySpec,
-    level: int,
-    pid: int,
-    cap: int | None = None,
-) -> Patch:
+def materialize(spec: HierarchySpec, level: int, pid: int, cap: int | None = None) -> Patch:
     """Bit-exact expansion of the arrangement recursion into a patch."""
+    return Patch(_cells(spec, level, pid, cap), spec.origin(level))
+
+
+def write_window(path, spec: HierarchySpec, level: int, pid: int, fmt: str, cap: int | None = None) -> None:
+    """Write level patch ``pid`` as ``fmt`` ("pbm" or "dpf"): the bytes of
+    :func:`materialize`'s patch, written from :func:`_window_rows` a strip
+    at a time, so only the children's stack and two strip-sized buffers are
+    held, never the window or its text.  It is charged to the cap whole, as
+    ``materialize`` is, before the stack is built or the file opened."""
+    side = spec.side(level)
+    write_cells(path, fmt, _window_rows(spec, level, pid, cap), side, side, spec.origin(level))
+
+
+def _cells(spec, level, pid, cap, what: str = "materializing") -> np.ndarray:
+    """The cells of level patch ``pid``: :func:`_window_rows` written into one array."""
+    blocks, side = _window_rows(spec, level, pid, cap, what), spec.side(level)
+    return blocks[0] if level == 1 else _fill(np.empty((side, side), dtype=np.uint8), blocks)
+
+
+def _window_rows(spec, level, pid, cap, what: str = "materializing") -> Iterable[np.ndarray]:
+    """Level patch ``pid`` in blocks of whole rows, top block first: its
+    base cells, or :func:`_tile_rows` off the level below's stack.  The pid
+    is checked and the cells charged to the cap, as ``f"{what} level
+    {level} patch {pid}"``, before any array is allocated."""
     spec._check_pid(level, pid)
-    check_cells(spec.cell_count(level), f"materializing level {level} patch {pid}", cap)
-    return Patch(_materialize_cells(spec, level, pid, {}), spec.origin(level))
-
-
-def _materialize_cells(spec, level, pid, memo) -> np.ndarray:
-    key = (level, pid)
-    if key in memo:
-        return memo[key]
+    check_cells(spec.cell_count(level), f"{what} level {level} patch {pid}", cap)
     if level == 1:
-        out = spec.base[pid - 1].cells
-    else:
-        top = spec.side(level)
-        out = np.empty((top, top), dtype=np.uint8)
-        for block in _tile_rows(spec, level, pid, memo):
-            out[top - len(block) : top] = block
-            top -= len(block)
-    memo[key] = out
+        return [spec.base[pid - 1].cells]
+    return _tile_rows(_level_stack(spec, level - 1), spec.levels[level - 2].arrangements[pid - 1])
+
+
+def _level_stack(spec, t: int) -> np.ndarray:
+    """All k patches of level ``t`` as one (side, k, side) array, patch i at
+    ``[:, i - 1]``: the base stacked, then each level's tiles taken from the
+    level below, which is dropped once the level above it is built."""
+    stack = np.stack([p.cells for p in spec.base], axis=1)
+    for lv in spec.levels[: t - 1]:
+        # rebinding ``below`` first frees the level under it before the next one is allocated
+        below, side = stack, stack.shape[0] * lv.branching
+        stack = np.empty((side, len(lv.arrangements), side), dtype=np.uint8)
+        for i, arr in enumerate(lv.arrangements):
+            _fill(stack[:, i], _tile_rows(below, arr))
+    return stack
+
+
+def _fill(out: np.ndarray, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """``out`` with the blocks of whole rows written in, top block first."""
+    top = len(out)
+    for block in blocks:
+        out[top - len(block) : top] = block
+        top -= len(block)
     return out
 
 
-def _tile_rows(spec, level, pid, memo) -> Iterator[np.ndarray]:
-    """The cells of a level >= 2 patch, top rows first, in blocks of whole
-    rows, each inside one row of tiles and at most a strip
-    (``patch._strip_rows``) high, stored bottom row first like
-    ``Patch.cells``.  The blocks are views of one reused buffer, so a
-    reader copies or writes each one out before it asks for the next.
-    Besides ``memo``, the children stacked and that buffer are all this holds."""
-    arr, k = spec.levels[level - 2].arrangements[pid - 1], spec.k(level - 1)
-    stack = np.stack([_materialize_cells(spec, level - 1, i, memo) for i in range(1, k + 1)], axis=1)
+def _tile_rows(stack: np.ndarray, arr: Arrangement) -> Iterator[np.ndarray]:
+    """The cells ``arr`` lays out from the (s, k, s) ``stack`` of its
+    children, top rows first, in blocks of whole rows, each inside one row
+    of tiles and at most a strip (``patch._strip_rows``) high, stored bottom
+    row first like ``Patch.cells``.  The blocks are views of one reused
+    buffer, so a reader copies or writes each one out before it asks for
+    the next."""
     grid = arr.to_grid().astype(np.intp) - 1
-    (rows, cols), s = grid.shape, stack.shape[0]  # stack is (s, k, s): a strip of a row of tiles is one take
+    (rows, cols), s = grid.shape, stack.shape[0]  # a strip of a row of tiles is one take
     n = min(s, _strip_rows(cols * s))
     buf = np.empty((n, cols, s), dtype=np.uint8)
     for r in reversed(range(rows)):
@@ -596,19 +621,6 @@ def _tile_rows(spec, level, pid, memo) -> Iterator[np.ndarray]:
             block = buf[: y - y0]
             np.take(stack[y0:y], grid[r], axis=1, out=block, mode="clip")
             yield block.reshape(y - y0, cols * s)
-
-
-def write_window(path, spec: HierarchySpec, level: int, pid: int, fmt: str, cap: int | None = None) -> None:
-    """Write level patch ``pid`` as ``fmt`` ("pbm" or "dpf"): the bytes
-    ``patch.write_pbm``/``write_patch`` write of :func:`materialize`, read
-    off the hierarchy a strip at a time, so neither the window nor its text
-    is ever whole in memory.  It is charged to the cap whole, as
-    ``materialize`` is, before the file is opened."""
-    spec._check_pid(level, pid)
-    check_cells(spec.cell_count(level), f"materializing level {level} patch {pid}", cap)
-    side = spec.side(level)
-    blocks = _tile_rows(spec, level, pid, {}) if level > 1 else [spec.base[pid - 1].cells]
-    write_cells(path, fmt, blocks, side, side, spec.origin(level))
 
 
 def materialize_region(
@@ -750,12 +762,8 @@ def aligned_block_counts(grid: np.ndarray, spec: HierarchySpec, m: int) -> list[
         raise SpecError("grid is not block aligned at that level")
     check_cells(spec.cell_count(m), f"block-aligned count of level {m} patches")
     tiles = grid.reshape(H // s, s, W // s, s).transpose(0, 2, 1, 3)
-    out = []
-    memo: dict = {}
-    for i in range(1, spec.k(m) + 1):
-        ref = _materialize_cells(spec, m, i, memo)
-        out.append(int(np.all(tiles == ref, axis=(2, 3)).sum()))
-    return out
+    stack = _level_stack(spec, m)
+    return [int(np.all(tiles == stack[:, i], axis=(2, 3)).sum()) for i in range(spec.k(m))]
 
 
 # ----------------------------------------------------------------------
@@ -808,12 +816,8 @@ def _count_block_aligned(spec, needle, level, pid, cap) -> int:
     if m is None:
         raise SpecError(f"no hierarchy level has side {needle.width}")
     check_cells(spec.cell_count(m), f"block-aligned count of level {m} patches", cap)
-    memo: dict = {}
-    matching = [
-        i
-        for i in range(1, spec.k(m) + 1)
-        if np.array_equal(_materialize_cells(spec, m, i, memo), needle.cells)
-    ]
+    stack = _level_stack(spec, m)
+    matching = [i for i in range(1, spec.k(m) + 1) if np.array_equal(stack[:, i - 1], needle.cells)]
     if not matching:
         return 0
     mat = spec.count_matrix(m, level)
@@ -929,8 +933,7 @@ class _SlidingCount:
             (pid,) = ids
             if t == 1:
                 return scan_count(spec.base[pid - 1].cells, self.needle)
-            check_cells(spec.cell_count(t), f"direct scan of level {t} patch {pid}", self.cap)
-            return scan_count(_materialize_cells(spec, t, pid, {}), self.needle)
+            return scan_count(_cells(spec, t, pid, self.cap, "direct scan of"), self.needle)
         s, cw, ch = self.sides[t - 1], self.w - 1, self.h - 1
         if kind == "V":
             rows, x0, y0, w, h, what = (ids,), s - cw, 0, 2 * cw, s, "vertical seam strip"
@@ -1152,11 +1155,11 @@ def _or_runs(a: np.ndarray, K: int) -> np.ndarray:
 # descriptor file (.dhs)
 # ----------------------------------------------------------------------
 
-def _spec_chunks(spec: HierarchySpec) -> Iterator[bytes]:
+def _spec_chunks(spec: HierarchySpec, cap: int) -> Iterator[bytes]:
     """The .dhs text of ``spec`` as encoded chunks, each ending in a newline.
 
     An arrangement whose bands are exactly :meth:`Arrangement.altbottom`'s is
-    one line.  Any other arrangement whose grid the cell cap admits is
+    one line.  Any other arrangement whose grid the cell cap ``cap`` admits is
     written dense, a line of ids per row, top row first.  A grid past the
     cap is written as its bands: a ``band`` line each, then a line per piece
     of its row, the repetitions and then each run's id and length.
@@ -1180,7 +1183,7 @@ def _spec_chunks(spec: HierarchySpec) -> Iterator[bytes]:
             alt = _altbottom_fields(arr)
             if alt:
                 yield line(f"arrangement {arr.rows} {arr.cols} altbottom {' '.join(map(str, alt))}")
-            elif arr.rows * arr.cols <= cell_cap():
+            elif arr.rows * arr.cols <= cap:
                 yield line(f"arrangement {arr.rows} {arr.cols}")
                 for row, m in reversed(arr.bands):
                     yield line(" ".join(map(str, _ids(row)))) * m
@@ -1194,13 +1197,15 @@ def _spec_chunks(spec: HierarchySpec) -> Iterator[bytes]:
 
 def dumps_spec(spec: HierarchySpec) -> str:
     """The .dhs descriptor text of ``spec``."""
-    return b"".join(_spec_chunks(spec)).decode()
+    return b"".join(_spec_chunks(spec, cell_cap())).decode()
 
 
 def write_spec(path, spec: HierarchySpec) -> None:
-    """Write :func:`dumps_spec` of ``spec``, one encoded chunk at a time."""
+    """Write :func:`dumps_spec` of ``spec``, one encoded chunk at a time;
+    the cap is read before the file is opened."""
+    chunks = _spec_chunks(spec, cell_cap())
     with open(path, "wb") as fh:
-        for chunk in _spec_chunks(spec):
+        for chunk in chunks:
             fh.write(chunk)
 
 
@@ -1340,10 +1345,6 @@ def _parse_spec(lines: list[str]) -> HierarchySpec:
     return HierarchySpec(base, levels, kind, anchored, meta)
 
 
-# a dense body line: decimal ids separated by single spaces
-_ID_LINE = re.compile(r"[0-9]+(?: [0-9]+)*")
-
-
 def _shared_arrangement(lines: list[str], i: int, shared: dict[str, list]) -> tuple[Arrangement, int]:
     """The arrangement whose header is ``lines[i]``, and the next index: the
     object an earlier parse made from the same lines, or a new parse.
@@ -1380,8 +1381,8 @@ def _parse_arrangement(lines: list[str], i: int) -> tuple[Arrangement, int]:
         raise PatchFormatError("truncated arrangement body")
 
     def read(text: str) -> list[str]:  # each distinct line is checked and read once, into runs
-        ids = text.split(" ")
-        if len(ids) != cols or not _ID_LINE.fullmatch(text):
+        ids = text.split(" ")  # decimal ids separated by single spaces
+        if len(ids) != cols or not (all(ids) and text.isascii() and "".join(ids).isdigit()):
             raise PatchFormatError(f"arrangement body is not {rows} rows of {cols} ids")
         return ids
 

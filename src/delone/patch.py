@@ -319,8 +319,10 @@ def write_patch(path, patch: Patch) -> None:
 
 
 def read_patch(path) -> Patch:
+    """The patch of a .dpf file, or of a plain PBM one, told by its "P1"."""
     with open(path) as fh:
-        return loads_patch(fh.read())
+        text = fh.read()
+    return (loads_pbm if text.lstrip()[:2] == "P1" else loads_patch)(text)
 
 
 def write_points(path, patch: Patch) -> None:
@@ -345,11 +347,6 @@ def read_points(path) -> list[Point]:
 def dumps_pbm(patch: Patch) -> str:
     """Plain PBM ("P1"): 1 = occupied, top row first."""
     return _head("pbm", patch.width, patch.height) + str(_strip_text(patch.cells, sep=True), "ascii")
-
-
-def write_pbm(path, patch: Patch) -> None:
-    """Write :func:`dumps_pbm` of ``patch``, a strip at a time."""
-    write_cells(path, "pbm", [patch.cells], patch.width, patch.height)
 
 
 def loads_pbm(text: str) -> Patch:

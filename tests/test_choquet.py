@@ -406,12 +406,18 @@ def test_more_extreme_points_build_and_separate(e):
     assert len(level1) == e
 
 
-def test_rigorous_hierarchy_depth_two_builds_and_validates():
+def test_rigorous_hierarchy_depth_two_builds_and_validates(tmp_path, capsys):
     cb = C.build_choquet_spec(2, 2, mode="rigorous")
     assert cb.spec.levels[0].branching == 1024
     assert H.validate_scheme(cb.spec).ok
     assert C.validate_choquet_seq(cb.seq).ok
     assert cb.spec.step_count_matrix(2) == cb.seq.A[0]
+    text = H.dumps_spec(cb.spec)
+    assert H.dumps_spec(H.loads_spec(text)) == text
+    (tmp_path / "c2.dhs").write_text(text)
+    assert cli.main(["stats", "--spec", str(tmp_path / "c2.dhs")]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split("\t")[4] for row in rows] == [str(n) for t in (1, 2) for n in cb.spec.popcounts(t)]
 
 
 def test_rigorous_hierarchy_depth_three_builds_and_validates(tmp_path, capsys):
@@ -423,6 +429,7 @@ def test_rigorous_hierarchy_depth_three_builds_and_validates(tmp_path, capsys):
     assert cli.main(argv) == 0
     assert "arrangement 474989023199232 474989023199232 bands 6\n" in out.read_text()
     spec = H.read_spec(out)
+    assert H.dumps_spec(spec) == out.read_text()
     assert H.validate_scheme(spec).ok
     seq = C.make_choquet_seq(2, 3, mode="rigorous")
     assert spec.side(3) == seq.p[2] and [spec.step_count_matrix(t) for t in (2, 3)] == seq.A

@@ -1,6 +1,7 @@
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,7 +39,7 @@ def test_gen_choquet_writes_k_ledger(tmp_path):
 
 @pytest.mark.parametrize("e", [3, 4])
 @pytest.mark.parametrize("mode, depth", [("toy", "2"), ("rigorous", "3")])
-def test_gen_choquet_more_extreme_points(tmp_path, e, mode, depth):
+def test_gen_choquet_more_extreme_points(tmp_path, capsys, e, mode, depth):
     out = tmp_path / "c.dhs"
     rc = run("gen", "--construction", "choquet", "--extreme-points", str(e),
              "--depth", depth, "--mode", mode, "--out", str(out))
@@ -47,6 +48,30 @@ def test_gen_choquet_more_extreme_points(tmp_path, e, mode, depth):
     assert "FAIL" not in ledger and "check all_children_used: pass" in ledger
     spec = hierarchy.read_spec(out)
     assert spec.k(1) == e + 1 and spec.num_levels == int(depth)
+    _stats_and_count(tmp_path, capsys, out, spec)
+
+
+_N2 = "PATCH 2 2 0 0\n11\n10\n"
+
+
+def _stats_and_count(tmp_path, capsys, path, spec):
+    """``stats`` prints a row per level and patch, and ``count`` of a 2x2
+    needle in the top patch 1 prints one count; returns that count."""
+    (tmp_path / "n2.dpf").write_text(_N2)
+    capsys.readouterr()
+    top = spec.num_levels
+    assert run("stats", "--spec", str(path)) == 0
+    assert run("count", "--spec", str(path), "--needle", str(tmp_path / "n2.dpf"),
+               "--level", str(top), "--id", "1") == 0
+    out, err = capsys.readouterr()
+    *rows, count = out.splitlines()
+    assert err == ""
+    assert rows[0] == "level\tside\tpatches\tid\tpoints\tdensity"
+    want = [(t, spec.side(t), spec.k(t), pid, spec.popcounts(t)[pid - 1], spec.density(t, pid))
+            for t in range(1, top + 1) for pid in range(1, spec.k(t) + 1)]
+    assert rows[1:] == ["\t".join(map(str, row)) for row in want]
+    assert 0 <= int(count) <= (spec.side(top) - 1) ** 2
+    return int(count)
 
 
 def test_gen_rigorous_ledger_constants(tmp_path):
@@ -221,6 +246,15 @@ def test_bad_cell_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert run(*export) == 2
     assert "DELONE_CELL_CAP must be a positive integer" in capsys.readouterr().err
     assert run("constants", "--L", "1", "--eps", "1") == 0  # allocates no cells
+
+
+def test_gen_under_a_bad_cap_writes_no_file(tmp_path, capsys, monkeypatch):
+    """The descriptor writer reads the cap before it opens the file."""
+    monkeypatch.setenv("DELONE_CELL_CAP", "abc")
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "--construction", "ue", "--depth", "2", "--mode", "toy", "--out", "u.dhs") == 2
+    assert capsys.readouterr() == ("", "error: DELONE_CELL_CAP must be a positive integer, not 'abc'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -421,7 +455,7 @@ def test_unknown_rational_rejected():
     assert exc.value.code == 2
 
 
-def test_gen_choquet_user_matrices(tmp_path):
+def test_gen_choquet_user_matrices(tmp_path, capsys):
     (tmp_path / "mats.txt").write_text(
         "p 4 32\nr 1\nmatrix 3 3\n1 1 1\n30 30 12\n33 33 51\n"
     )
@@ -430,9 +464,12 @@ def test_gen_choquet_user_matrices(tmp_path):
     rc = run("gen", "--construction", "choquet", "--depth", "2",
              "--simplex-spec", str(tmp_path / "simplex.cfg"), "--out", str(out))
     assert rc == 0
+    assert "FAIL" not in (tmp_path / "user.ledger.txt").read_text()
     spec = hierarchy.read_spec(out)
     assert spec.num_levels == 2 and spec.k(1) == 3
     assert spec.step_count_matrix(2)[1] == [30, 30, 12]
+    assert _stats_and_count(tmp_path, capsys, out, spec) == hierarchy.scan_count(
+        hierarchy.materialize(spec, 2, 1).cells, patch.loads_patch(_N2))
 
 
 @pytest.mark.parametrize("header", ["matrix 3", "matrix 0 3", "dim"])
@@ -529,6 +566,41 @@ def test_repetitivity_patch_input(tmp_path, capsys):
     rc = run("repetitivity", "--patch", str(dpf), "--r", "1")
     assert rc == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_repetitivity_past_r_8_exits_2(tmp_path, capsys):
+    """Codes of r = 9 would need more than 64 bits."""
+    cells = np.zeros((27, 27), dtype=np.uint8)
+    cells[:, 0::2] = 1
+    patch.write_patch(tmp_path / "w.dpf", patch.Patch(cells))
+    assert run("repetitivity", "--patch", str(tmp_path / "w.dpf"), "--r", "8") == 0
+    assert capsys.readouterr() == ("9\n", "")
+    assert run("repetitivity", "--patch", str(tmp_path / "w.dpf"), "--r", "9") == 2
+    assert capsys.readouterr() == ("", "error: pattern side above 8 is not supported\n")
+
+
+def test_patch_and_needle_read_what_export_writes(ue3_dhs, tmp_path, capsys):
+    """``--patch`` and ``--needle`` take the PBM ``export`` writes as they
+    take its .dpf: the same radius and the same counts."""
+    got = {}
+    for fmt in ("pbm", "dpf"):
+        window, needle = str(tmp_path / f"w.{fmt}"), str(tmp_path / f"n.{fmt}")
+        for level, out in ((4, window), (2, needle)):
+            assert run("export", "--spec", ue3_dhs, "--level", str(level), "--id", "1", "--format", fmt,
+                       "--out", out) == 0
+        capsys.readouterr()
+        assert run("repetitivity", "--patch", window, "--r", "2") == 0
+        for mode in ("sliding", "block_aligned"):
+            assert run("count", "--spec", ue3_dhs, "--needle", needle, "--level", "4", "--id", "1",
+                       "--mode", mode) == 0
+        assert run("freq", "--spec", ue3_dhs, "--needle", needle, "--level-from", "3", "--level-to", "4") == 0
+        got[fmt] = capsys.readouterr()
+    spec = hierarchy.read_spec(ue3_dhs)
+    window, needle = hierarchy.materialize(spec, 4, 1), hierarchy.materialize(spec, 2, 1)
+    want = [hierarchy.estimate_repetitivity(window, 2), hierarchy.scan_count(window.cells, needle),
+            hierarchy.aligned_block_counts(window.cells, spec, 2)[0]]
+    assert got["pbm"] == got["dpf"] and got["pbm"].err == ""
+    assert got["pbm"].out.splitlines()[:3] == [str(v) for v in want]
 
 
 def test_suite_all_wiring():

@@ -24,7 +24,7 @@ from delone.patch import (
     loads_pbm,
     read_points,
 )
-from tests_oracles import loads_spec_oracle, row_runs_oracle, spec_lines_oracle
+from tests_oracles import dense_row_oracle, loads_spec_oracle, row_runs_oracle, spec_lines_oracle
 
 
 def _altbottom_line(arr: Arrangement) -> str | None:
@@ -146,6 +146,15 @@ def test_band_spelling_round_trip(spec):
     for lv, lv2 in zip(spec.levels, back.levels, strict=True):
         assert [_tables(a) for a in lv.arrangements] == [_tables(b) for b in lv2.arrangements]
     assert H.dumps_spec(back) == H.dumps_spec(spec) == dense == _joined_dhs(spec)
+
+
+@pytest.mark.parametrize("construction", ["ue", "nonrect"])
+def test_the_depth_3_toy_descriptors_spell_altbottom_in_six_lines(tmp_path, construction):
+    out = tmp_path / f"{construction}3.dhs"
+    assert cli.main(["gen", "--construction", construction, "--depth", "3", "--mode", "toy", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert sum("altbottom" in ln for ln in text.splitlines()) == 6
+    assert H.dumps_spec(H.read_spec(out)) == text
 
 
 def test_altbottom_spelling_follows_the_bands():
@@ -545,6 +554,28 @@ def test_a_row_is_cut_into_the_runs_of_its_ints(ids):
                          ids=["one-id", "all-equal", "alternating", "leading-zeros", "zeros", "inner-run"])
 def test_row_runs_of_the_edge_cases(ids):
     assert H._runs(ids) == row_runs_oracle(ids)
+
+
+# ids, and tokens a digit test or ``int`` could take for one: other digits,
+# signs, underscores, blanks, and none at all (two spaces in a row)
+_ROW_TOKENS = st.one_of(st.sampled_from(_IDS), st.text(
+    st.sampled_from(list("0123_+-a\t\x0b ") + ["\u0663", "\u00b2", "\uff11"]), max_size=2))
+
+
+@settings(max_examples=300)
+@given(st.lists(_ROW_TOKENS, min_size=1, max_size=6), st.sampled_from([0, 0, 0, 1, -1]))
+def test_a_dense_row_loads_as_its_regular_expression_reads_it(tokens, off):
+    """A dense body line loads when the regular expression of the format
+    matches it and it holds ``cols`` ids, into the runs of those ids, and
+    is refused otherwise."""
+    text, cols = " ".join(tokens), max(1, len(tokens) + off)
+    want = dense_row_oracle(text, cols)
+    try:
+        arr, _ = H._parse_arrangement([f"arrangement 1 {cols}", text], 0)
+    except PatchFormatError:
+        assert want is None
+    else:
+        assert want is not None and arr.bands == ((H.Edge(((row_runs_oracle(want), 1),)), 1),)
 
 
 def _arrangement_ids(spec: HierarchySpec) -> list[int]:

@@ -259,6 +259,36 @@ def test_materialize_peak_is_one_byte_a_cell(choq_big):
     assert peak < 1.1 * cells.size
 
 
+def test_windows_peak_at_a_few_times_their_charge(tmp_path):
+    """Ten random 64x64 base patches under two levels of ten random 2x2
+    arrangements: a level-3 patch is built from one stack of the ten
+    level-2 patches, the level below it dropped, so ``materialize`` peaks
+    below 5 times its charge and ``write_window`` (with its text buffer)
+    below 6 times.  A refused call allocates nothing of the window."""
+    rng = np.random.default_rng(0)
+    base = [Patch(rng.integers(0, 2, (64, 64), dtype=np.uint8)) for _ in range(10)]
+    levels = [Level(tuple(Arrangement.dense(rng.integers(1, 11, (2, 2))) for _ in range(10))) for _ in range(2)]
+    spec = HierarchySpec(base, levels)
+    charge = spec.cell_count(3)
+    calls = {
+        "materialize": (5, lambda cap: H.materialize(spec, 3, 1, cap=cap)),
+        "write_window": (6, lambda cap: H.write_window(tmp_path / "w.pbm", spec, 3, 1, "pbm", cap=cap)),
+    }
+    for name, (factor, call) in calls.items():
+        call(charge)
+        for cap, bound in ((charge - 1, charge / 8), (charge, factor * charge)):
+            tracemalloc.start()
+            try:
+                try:
+                    call(cap)
+                except CapacityError:
+                    assert cap < charge
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (name, cap, peak / charge)
+
+
 @pytest.mark.parametrize("r", [2, 6])
 def test_repetitivity_peak_is_under_its_charge(ue3, r):
     """The cap charges 3 * itemsize bytes a window cell (uint16 codes for
@@ -406,6 +436,13 @@ def test_materialize_region_matches_slices():
         y = int(rng.integers(0, full.shape[0] - h + 1))
         region = H.materialize_region(spec, 3, 1, x, y, w, h)
         assert np.array_equal(region, full[y : y + h, x : x + w])
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("w,h", [(0, 1), (1, 0), (0, 0)])
+def test_an_empty_region_is_refused(level, w, h):
+    with pytest.raises(H.SpecError, match="region exceeds the patch support"):
+        H.materialize_region(toy_spec(), level, 1, 0, 0, w, h)
 
 
 # ----------------------------------------------------------------------

@@ -144,6 +144,10 @@ def patches(draw):
     return patch.Patch(cells, origin, full_boundary=kind == "ones")
 
 
+def _write_pbm(path, p):
+    patch.write_cells(path, "pbm", [p.cells], p.width, p.height)
+
+
 @given(patches())
 def test_text_writers_match_the_join_formulas(p):
     dpf, pbm = patch_text_oracle(p, "dpf"), patch_text_oracle(p, "pbm")
@@ -153,7 +157,7 @@ def test_text_writers_match_the_join_formulas(p):
     assert patch.loads_patch(patch.dumps_patch(p)) == p
     assert patch.loads_pbm(patch.dumps_pbm(p)).same_content(p)
     with tempfile.TemporaryDirectory() as d:
-        for write, dumps in ((patch.write_patch, patch.dumps_patch), (patch.write_pbm, patch.dumps_pbm)):
+        for write, dumps in ((patch.write_patch, patch.dumps_patch), (_write_pbm, patch.dumps_pbm)):
             path = Path(d) / "out"
             write(path, p)
             assert path.read_bytes() == dumps(p).encode()
@@ -179,7 +183,7 @@ def test_writers_across_strips_match_the_cell_oracle(p, data):
     shorter; the bytes are the oracle's, cell by cell."""
     strip = data.draw(st.integers(1, 2 * p.width))
     with tempfile.TemporaryDirectory() as d, mock.patch.object(patch, "_STRIP", strip):
-        for write, fmt in ((patch.write_pbm, "pbm"), (patch.write_patch, "dpf")):
+        for write, fmt in ((_write_pbm, "pbm"), (patch.write_patch, "dpf")):
             path = Path(d) / f"out.{fmt}"
             write(path, p)
             assert path.read_bytes() == patch_text_oracle(p, fmt).encode()

@@ -275,6 +275,17 @@ def row_runs_oracle(ids):
     return tuple((v, len(list(run))) for v, run in itertools.groupby(map(int, ids)))
 
 
+# a dense .dhs body line: decimal ids separated by single spaces
+DENSE_ROW = re.compile(r"[0-9]+(?: [0-9]+)*")
+
+
+def dense_row_oracle(text, cols):
+    """The ids of a dense body line of ``cols`` ids, by the regular
+    expression of the format; None when the line is not one."""
+    ids = text.split(" ")
+    return ids if len(ids) == cols and DENSE_ROW.fullmatch(text) else None
+
+
 def loads_spec_oracle(text):
     """A .dhs text loaded as the whole-text loader did: one list of its
     non-blank lines, each its own string, parsed by ``_parse_spec``."""
