@@ -37,6 +37,13 @@ def _frac_in(lo: Fraction, hi: Fraction | None = None):
     return convert
 
 
+def _positive(text: str) -> int:
+    """A positive decimal integer."""
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def _ints(text: str) -> tuple[int, ...]:
     """A comma list of integers; empty items are skipped."""
     try:
@@ -170,14 +177,11 @@ def cmd_gen(args) -> int:
         for t, off in zip(range(2, spec.num_levels + 1), offsets, strict=True):
             lines.append(f"offset level 1->{t}: {_show(off)}")
     else:
-        seq = None
-        e = extreme = 2 if args.extreme_points is None else args.extreme_points
+        seq, e = None, 2 if args.extreme_points is None else args.extreme_points
         if args.simplex_spec:
             loaded = choquet.read_simplex_spec(args.simplex_spec)
             if isinstance(loaded, choquet.ChoquetSeq):
                 seq = loaded
-                depth = seq.depth
-                e = seq.k[0] - 1
             else:
                 e = loaded
         cb = choquet.build_choquet_spec(
@@ -186,7 +190,7 @@ def cmd_gen(args) -> int:
         )
         spec, steps = cb.spec, []
         rep = choquet.validate_choquet_seq(cb.seq)
-        lines.append(f"extreme points {extreme}; scales {list(cb.seq.p)}; "
+        lines.append(f"extreme points {cb.seq.k[0] - 1}; scales {list(cb.seq.p)}; "
                      f"stripe counts {list(cb.seq.r)}")
         lines.append(
             f"separating row {cb.witness.i0}; spread bounds {cb.witness.dbar} > {cb.witness.dbar_prime}"
@@ -360,24 +364,12 @@ def cmd_bilip(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kw = {}
-    if args.trials is not None:
-        kw["trials"] = args.trials
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    if args.depth is not None:
-        kw["depth"] = args.depth
-    try:
-        rows = suites.run_suite(args.suite, **kw)
-    except KeyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    kw = {k: getattr(args, k) for k in ("trials", "seed", "depth") if getattr(args, k) is not None}
+    rows = suites.run_suite(args.suite, **kw)
     print("suite\tcheck\tstatus\tdetail")
-    ok = True
-    for r in rows:
-        ok &= r.ok
-        print(f"{r.suite}\t{r.check}\t{'pass' if r.ok else 'FAIL'}\t{r.detail}")
-    return 0 if ok else 1
+    for suite, r in rows:
+        print(f"{suite}\t{r.name}\t{'pass' if r.ok else 'FAIL'}\t{r.witness}")
+    return 0 if all(r.ok for _, r in rows) else 1
 
 
 def _target_args(p: argparse.ArgumentParser, patch_help: str) -> None:
@@ -410,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--L-schedule", dest="L_schedule", type=_fracs, help="comma list of rationals")
     g.add_argument("--n1-steps", dest="n1_steps", type=_ints,
                    help="comma list of steps run with N=1")
-    g.add_argument("--extreme-points", type=int, help="default 2")
-    g.add_argument("--simplex-spec", help="file with extreme_points <e> or matrices <path>")
+    simplex = g.add_mutually_exclusive_group()
+    simplex.add_argument("--extreme-points", type=int, help="default 2")
+    simplex.add_argument("--simplex-spec", help="file with extreme_points <e> or matrices <path>")
     g.add_argument("--stripe-rule", choices=["literal", "scaled"], help="default literal")
     g.add_argument("--ratio-cap", type=int, help="default 128")
     g.add_argument("--params", help="key=value parameter file")
@@ -474,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a named exact-check suite (TSV)")
     v.add_argument("--suite", required=True)
-    v.add_argument("--trials", type=int)
+    v.add_argument("--trials", type=_positive)
     v.add_argument("--seed", type=int)
-    v.add_argument("--depth", type=int)
+    v.add_argument("--depth", type=_positive)
     v.set_defaults(fn=cmd_verify)
     return ap
 

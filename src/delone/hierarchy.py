@@ -993,10 +993,10 @@ def validate_scheme(spec: HierarchySpec) -> SchemeReport:
     """Structural validation of the nesting/tiling properties of a hierarchy.
 
     Checks, per level: the frames nest and contain the origin; sides grow;
-    every arrangement is a square grid (over valid child ids, as in every
-    :class:`HierarchySpec`); every child id is used in every arrangement;
-    and, for anchored specs, patch 1 restricted to the anchor cell is patch
-    1 of the level below.
+    every arrangement is a square grid over valid child ids (true of every
+    :class:`HierarchySpec`, so those two rows always pass); every child id
+    is used in every arrangement; and, for anchored specs, patch 1
+    restricted to the anchor cell is patch 1 of the level below.
     """
     levels = list(enumerate(spec.levels, start=2))
 
@@ -1020,12 +1020,7 @@ def validate_scheme(spec: HierarchySpec) -> SchemeReport:
         _check_row("sides_grow", (
             f"level {t} branching {lv.branching} < 2" for t, lv in levels if lv.branching < 2
         )),
-        _check_row("exact_tiling", (
-            f"level {t} arrangements disagree on dimensions"
-            for t, lv in levels
-            if len({(a.rows, a.cols) for a in lv.arrangements}) != 1
-            or lv.branching != lv.arrangements[0].cols
-        )),
+        _check_row("exact_tiling", ()),  # a Level of mixed or non-square arrangements cannot be built
         _check_row("children_valid", ()),  # a spec with a stray child id cannot be built
         _check_row("all_children_used", (
             f"level {t} patch {j} never uses child {i}"

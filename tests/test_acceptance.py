@@ -87,31 +87,11 @@ def test_criterion_04_offset_product_identity():
 
 
 def test_criterion_05_constant_calculators():
-    from delone.suites import (
-        BLOCK_COUNT_FIXTURES,
-        CONTAINMENT_FIXTURES,
-        DENSITY_GAP_FIXTURES,
-        ITERATION_FIXTURES,
-        REGULARITY_FIXTURES,
-    )
+    from delone import suites
 
-    n = 0
-    for (L, eps, P), want in REGULARITY_FIXTURES.items():
-        assert tuple(nonrect.regularity_constants(L, eps, P)) == want
-        n += 1
-    for (L, gap), want in DENSITY_GAP_FIXTURES.items():
-        assert tuple(nonrect.density_gap_formulas(L, gap)) == want
-        n += 1
-    for (L, eps), want in CONTAINMENT_FIXTURES.items():
-        assert nonrect.containment_scale(L, eps) == want
-        n += 1
-    for (L, lam), want in ITERATION_FIXTURES.items():
-        ell = nonrect.ell_min(L, lam)
-        assert ell == want and (1 + F(lam)) ** ell > F(L) ** 2
-        n += 1
-    for (ns, d1, d2, d1p, d2p), want in BLOCK_COUNT_FIXTURES.items():
-        assert nonrect.n_min(ns, d1, d2, d1p, d2p) == want
-        n += 1
+    rows = suites.run_suite("constants")
+    assert len(rows) == 5 and all(row.ok for _, row in rows), rows
+    n = sum(len(table) for _, table, _ in suites.CONSTANT_CHECKS)
     assert n >= 10
     _ok(5, f"{n} fixture parameter sets reproduced exactly")
 

@@ -449,6 +449,37 @@ def test_verify_exit_codes(capsys):
     assert run("verify", "--suite", "nope") == 2
 
 
+@pytest.mark.parametrize("flags", [("--trials", "-5"), ("--trials", "0"), ("--depth", "0"),
+                                   ("--depth", "-1"), ("--trials", "x")])
+def test_verify_counts_are_positive_integers(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        run("verify", "--suite", "core", *flags)
+    assert exc.value.code == 2
+    got = capsys.readouterr()
+    errors = [ln for ln in got.err.splitlines() if "error:" in ln]
+    assert got.out == "" and len(errors) == 1 and flags[0] in errors[0]
+
+
+def test_verify_unknown_suite_is_one_plain_line(capsys):
+    assert run("verify", "--suite", "nope") == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == ("error: unknown suite 'nope'; available: constants, core, isoper, ue, "
+                       "scheme, counting, rect, choquet, all\n")
+
+
+def test_verify_names_the_failing_fixture(capsys, monkeypatch):
+    from delone import suites
+
+    key = (F(1), F(1), 1)
+    monkeypatch.setitem(suites.REGULARITY_FIXTURES, key, (F(1, 107), 540, 1082))
+    assert run("verify", "--suite", "constants") == 1
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "suite\tcheck\tstatus\tdetail" and len(rows) == 5
+    assert [r.split("\t")[2] for r in rows] == ["FAIL", "pass", "pass", "pass", "pass"]
+    assert rows[0].startswith("constants\tregularity\tFAIL\t") and str(key) in rows[0]
+
+
 def test_unknown_rational_rejected():
     with pytest.raises(SystemExit) as exc:
         run("constants", "--L", "x/y")
@@ -470,6 +501,41 @@ def test_gen_choquet_user_matrices(tmp_path, capsys):
     assert spec.step_count_matrix(2)[1] == [30, 30, 12]
     assert _stats_and_count(tmp_path, capsys, out, spec) == hierarchy.scan_count(
         hierarchy.materialize(spec, 2, 1).cells, patch.loads_patch(_N2))
+
+
+def test_gen_choquet_ledger_reports_the_simplex_spec_build(tmp_path):
+    (tmp_path / "simplex.cfg").write_text("extreme_points 3\n")
+    out = {}
+    for name, flags in (("spec", ("--simplex-spec", str(tmp_path / "simplex.cfg"))),
+                        ("flag", ("--extreme-points", "3"))):
+        assert run("gen", "--construction", "choquet", "--depth", "2", *flags,
+                   "--out", str(tmp_path / f"{name}.dhs")) == 0
+        out[name] = (tmp_path / f"{name}.dhs").read_bytes(), (tmp_path / f"{name}.ledger.txt").read_text()
+    assert out["spec"] == out["flag"]
+    assert "extreme points 3;" in out["spec"][1]
+
+
+def test_gen_choquet_extreme_points_and_simplex_spec_exclusive(tmp_path, capsys):
+    (tmp_path / "simplex.cfg").write_text("extreme_points 3\n")
+    with pytest.raises(SystemExit) as exc:
+        run("gen", "--construction", "choquet", "--depth", "2", "--extreme-points", "4",
+            "--simplex-spec", str(tmp_path / "simplex.cfg"), "--out", str(tmp_path / "x.dhs"))
+    assert exc.value.code == 2
+    got = capsys.readouterr()
+    errors = [ln for ln in got.err.splitlines() if "error:" in ln]
+    assert got.out == "" and len(errors) == 1 and "--extreme-points" in errors[0]
+    assert not (tmp_path / "x.dhs").exists()
+
+
+def test_gen_choquet_depth_beyond_the_matrices_exits_2(tmp_path, capsys):
+    (tmp_path / "mats.txt").write_text("p 4 32\nr 1\nmatrix 3 3\n1 1 1\n30 30 12\n33 33 51\n")
+    (tmp_path / "simplex.cfg").write_text("matrices mats.txt\n")
+    rc = run("gen", "--construction", "choquet", "--depth", "5",
+             "--simplex-spec", str(tmp_path / "simplex.cfg"), "--out", str(tmp_path / "x.dhs"))
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: sequence holds 2 levels, requested 5\n"
+    assert not (tmp_path / "x.dhs").exists()
 
 
 @pytest.mark.parametrize("header", ["matrix 3", "matrix 0 3", "dim"])
@@ -607,8 +673,8 @@ def test_suite_all_wiring():
     from delone import suites
 
     rows = suites.run_suite("all", trials=5, seed=1)
-    assert rows and all(r.ok for r in rows)
-    names = {r.suite for r in rows}
+    assert rows and all(r.ok for _, r in rows)
+    names = {suite for suite, _ in rows}
     assert names == {"constants", "core", "isoper", "ue", "scheme",
                      "counting", "rect", "choquet"}
 

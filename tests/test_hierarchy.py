@@ -213,6 +213,14 @@ def test_band_validation():
         H.loads_spec(head + "band 1 pieces 0\n")
 
 
+def test_level_arrangements_share_one_square_shape():
+    square = Arrangement.dense(np.ones((2, 2), dtype=np.int64))
+    with pytest.raises(H.SpecError, match="share dimensions"):
+        Level([square, Arrangement.dense(np.ones((3, 3), dtype=np.int64))])
+    with pytest.raises(H.SpecError, match="square"):
+        Level([Arrangement.dense(np.ones((2, 3), dtype=np.int64))] * 2)
+
+
 def test_altbottom_validation():
     with pytest.raises(H.SpecError):
         Arrangement.altbottom(1, 4, 1, 2)  # even block count
