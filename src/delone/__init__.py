@@ -37,6 +37,7 @@ from .hierarchy import (
     estimate_repetitivity,
     materialize,
     read_spec,
+    spec_repetitivity,
     validate_scheme,
     write_spec,
 )

@@ -301,8 +301,11 @@ def cmd_freq(args) -> int:
 
 
 def cmd_repetitivity(args) -> int:
-    p = _load_target(args)
-    r = hierarchy.estimate_repetitivity(p, args.r, cap=args.cell_cap)
+    if args.patch:
+        r = hierarchy.estimate_repetitivity(patch.read_patch(args.patch), args.r, cap=args.cell_cap)
+    else:
+        spec = hierarchy.read_spec(args.spec)
+        r = hierarchy.spec_repetitivity(spec, args.level, args.id, args.r, cap=args.cell_cap)
     if r is None:
         print("window too small")
         return 1

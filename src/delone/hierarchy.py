@@ -208,6 +208,7 @@ class Arrangement:
     _corners: dict = field(init=False, repr=False, compare=False)  # (col, row) -> id
     _kept: tuple | None = field(init=False, repr=False, compare=False)  # the seam tables, once built
     _seams: dict = field(init=False, repr=False, compare=False)  # (kind, id(partner)) -> kept seam
+    _grid: np.ndarray | None = field(init=False, repr=False, compare=False)  # the grid, once built
 
     def __post_init__(self):
         lengths, tally, rows = set(), {}, 0
@@ -226,7 +227,8 @@ class Arrangement:
         last, (low, _), (high, _) = lengths.pop() - 1, self.bands[0], self.bands[-1]
         corners = {(0, 0): low.pieces[0][0][0][0], (last, 0): low.pieces[-1][0][-1][0],
                    (0, rows - 1): high.pieces[0][0][0][0], (last, rows - 1): high.pieces[-1][0][-1][0]}
-        vars(self).update(rows=rows, cols=last + 1, _tally=tally, _corners=corners, _kept=None, _seams={})
+        vars(self).update(rows=rows, cols=last + 1, _tally=tally, _corners=corners,
+                          _kept=None, _seams={}, _grid=None)
 
     @classmethod
     def dense(cls, grid: np.ndarray) -> "Arrangement":
@@ -272,13 +274,16 @@ class Arrangement:
 
     def to_grid(self) -> np.ndarray:
         """The grid, row 0 the bottom row, read-only and in the smallest
-        dtype that holds its ids.  Unchecked: its callers charge at least
-        its cells to the cap first."""
-        dtype = np.result_type(*map(np.min_scalar_type, self.id_bounds()))
-        lines = [np.array(_ids(line), dtype) for line, _ in self.bands]
-        grid = np.repeat(np.array(lines), [m for _, m in self.bands], axis=0)
-        grid.flags.writeable = False
-        return grid
+        dtype that holds its ids, built on first use and kept, as the seam
+        tables are.  Unchecked: its callers charge at least its cells to
+        the cap first."""
+        if self._grid is None:
+            dtype = np.result_type(*map(np.min_scalar_type, self.id_bounds()))
+            lines = [np.array(_ids(line), dtype) for line, _ in self.bands]
+            grid = np.repeat(np.array(lines), [m for _, m in self.bands], axis=0)
+            grid.flags.writeable = False
+            vars(self)["_grid"] = grid
+        return self._grid
 
     def edge(self, side: str) -> Edge:
         return self._edges[side]
@@ -595,6 +600,28 @@ def _level_stack(spec, t: int) -> np.ndarray:
     return stack
 
 
+def _level_patches(spec, m: int) -> Iterator[Iterable[np.ndarray]]:
+    """Each level-``m`` patch in turn as blocks of whole rows, top block
+    first: a base patch whole, or :func:`_tile_rows` off the stack of level
+    ``m - 1``, so at most a strip of one patch is held beside that stack,
+    never the stack of level ``m``."""
+    if m == 1:
+        return ([p.cells] for p in spec.base)
+    below = _level_stack(spec, m - 1)
+    return (_tile_rows(below, arr) for arr in spec.levels[m - 2].arrangements)
+
+
+def _same_rows(blocks: Iterable[np.ndarray], cells: np.ndarray) -> bool:
+    """True iff the blocks of whole rows, top block first, are ``cells``:
+    compared a block at a time, so no patch-sized copy is made."""
+    top = len(cells)
+    for block in blocks:
+        if not np.array_equal(block, cells[top - len(block) : top]):
+            return False
+        top -= len(block)
+    return True
+
+
 def _fill(out: np.ndarray, blocks: Iterable[np.ndarray]) -> np.ndarray:
     """``out`` with the blocks of whole rows written in, top block first."""
     top = len(out)
@@ -762,8 +789,8 @@ def aligned_block_counts(grid: np.ndarray, spec: HierarchySpec, m: int) -> list[
         raise SpecError("grid is not block aligned at that level")
     check_cells(spec.cell_count(m), f"block-aligned count of level {m} patches")
     tiles = grid.reshape(H // s, s, W // s, s).transpose(0, 2, 1, 3)
-    stack = _level_stack(spec, m)
-    return [int(np.all(tiles == stack[:, i], axis=(2, 3)).sum()) for i in range(spec.k(m))]
+    cells = np.empty((s, s), dtype=np.uint8)
+    return [int(np.all(tiles == _fill(cells, rows), axis=(2, 3)).sum()) for rows in _level_patches(spec, m)]
 
 
 # ----------------------------------------------------------------------
@@ -816,8 +843,7 @@ def _count_block_aligned(spec, needle, level, pid, cap) -> int:
     if m is None:
         raise SpecError(f"no hierarchy level has side {needle.width}")
     check_cells(spec.cell_count(m), f"block-aligned count of level {m} patches", cap)
-    stack = _level_stack(spec, m)
-    matching = [i for i in range(1, spec.k(m) + 1) if np.array_equal(stack[:, i - 1], needle.cells)]
+    matching = [i for i, rows in enumerate(_level_patches(spec, m), start=1) if _same_rows(rows, needle.cells)]
     if not matching:
         return 0
     mat = spec.count_matrix(m, level)
@@ -1047,18 +1073,8 @@ def estimate_repetitivity(patch: Patch, r: int, cap: int | None = None) -> int |
     Returns None ("window too small") when no R <= side - r works.
 
     An R x R window holds a pattern iff the K x K block of pattern origins
-    it spans (K = R - r + 1) holds one of its occurrences. Each pattern's
-    occurrences form a boolean mask; a sliding OR of width K along both
-    axes marks the blocks holding one, so the test is boolean throughout
-    and counts nothing. A window that holds a pattern at side R still holds
-    it at every larger side, so each pattern that the largest R found so
-    far, ``best``, does not serve is tried at ``best`` + 1, + 2, + 4, ...
-    (at most side - r), and its own smallest R is bisected in the last gap:
-    the tests grow with log R, not with log side.
-
-    The distinct codes come in ascending order.  For r <= 4 (uint16 codes)
-    they are read off a presence table of all 2^(r^2) codes, with no sort;
-    above that a table cannot exist and ``np.unique`` sorts a copy.
+    it spans (K = R - r + 1) holds one of its occurrences; see
+    :func:`_search`.
 
     The code arrays are charged to the cell cap at one cell a byte: three
     window-sized code arrays cover the codes with the plane that builds
@@ -1067,6 +1083,98 @@ def estimate_repetitivity(patch: Patch, r: int, cap: int | None = None) -> int |
     64 KB) takes the place of the sorted copy.
     """
     side = patch.side
+    _charge_codes(side, r, cap)
+    best, rest, _ = _search(_pattern_codes(patch.cells, r), r, side - r, r)
+    return None if len(rest) else best
+
+
+def spec_repetitivity(spec: HierarchySpec, level: int, pid: int, r: int, cap: int | None = None) -> int | None:
+    """:func:`estimate_repetitivity` of :func:`materialize` ``(spec, level,
+    pid)``, read where it can be off groups of tiles, not the window.
+
+    Let the window be tiled by level-t patches of side s >= r, at least 2 x
+    2 of them.  A K x K block of pattern origins with K <= s - r + 1 spans
+    at most s cells each way, so it lies inside one 2 x 2 group of tiles,
+    and each group is a sub-window: the blocks that hold a pattern, and the
+    patterns themselves, are the window's.  So the search runs on the stack
+    of the distinct 2 x 2 groups of level-t patches in the window (from
+    :func:`_tile_groups`) for every R <= s.  A pattern that needs more
+    resumes at a higher level, the radius found so far and the pattern
+    carried, and last on the window itself, for R up to side - r.
+
+    Levels are tried bottom up, each only if it can pay, judged before any
+    cells are built: a try costs about as much as searching its groups'
+    cells plus ``_TRY_CELLS``, and that must be at most ``1 /
+    _GROUP_SHARE`` of the window's cells (so does finding the groups, see
+    :func:`_tile_groups`).  So a small window is searched whole, with no
+    groups found, and a level whose tiles are no wider than a side already
+    known too small is passed over.
+
+    The pid, the level and r are checked, and the window and its codes
+    charged to the cap, as ``materialize`` and ``estimate_repetitivity``
+    would, in that order, before any array is built; the groups, at most
+    a share of the window, are not charged again.
+    """
+    spec._check_pid(level, pid)
+    side = spec.side(level)
+    check_cells(side * side, f"materializing level {level} patch {pid}", cap)
+    _charge_codes(side, r, cap)
+    best, rest, fail = r, None, 0
+    for t, groups in reversed(_tile_groups(spec, level, pid, r)):
+        s = spec.side(t)
+        if s <= max(best - 1, fail) or _GROUP_SHARE * (4 * s * s * len(groups) + _TRY_CELLS) > side * side:
+            continue
+        # stack[:, groups - 1] is (y, group, row, col, x): the row of tiles goes over y
+        cells = _level_stack(spec, t)[:, groups - 1].transpose(2, 0, 1, 3, 4).reshape(2 * s, len(groups), 2 * s)
+        best, rest, fail = _search(_pattern_codes(cells, r), r, s, best, rest, fail)
+        if not len(rest):
+            return best
+    codes = _pattern_codes(_cells(spec, level, pid, cap), r)
+    best, rest, _ = _search(codes, r, side - r, best, rest, fail)
+    return None if len(rest) else best
+
+
+# a try at a level costs about as much as searching _TRY_CELLS window
+# cells more than its groups' cells; it is made only if that is at most
+# 1 / _GROUP_SHARE of the window's cells
+_GROUP_SHARE = 4
+_TRY_CELLS = 1 << 15
+
+
+def _tile_groups(spec: HierarchySpec, level: int, pid: int, r: int) -> list[tuple[int, np.ndarray]]:
+    """``(t, groups)`` for each level t below ``level`` whose patches, of
+    side at least ``r``, tile level patch ``pid`` at least 2 x 2, top down:
+    ``groups`` is the (Q, 2, 2) array of the distinct 2 x 2 groups of
+    level-t ids in that tiling, row 0 the bottom row.
+
+    A 2 x 2 group at level t - 1 lies inside one at level t, so each level's
+    groups are the distinct 2 x 2 sub-grids of the level above's groups
+    with each id replaced by its arrangement grid (kept on the
+    arrangement): the work grows with the groups, not with the tiling.
+    The descent stops at a level whose ids, plus ``_TRY_CELLS``, come to
+    more than ``1 / _GROUP_SHARE`` of the window's cells."""
+    out, wins, cells = [], np.array([[[pid]]]), spec.cell_count(level)
+    for t in range(level - 1, 0, -1):
+        lv = spec.levels[t - 1]
+        if spec.side(t) < r or _GROUP_SHARE * (wins.size * lv.branching**2 + _TRY_CELLS) > cells:
+            break
+        ids, inv = np.unique(wins, return_inverse=True)
+        grids = np.stack([lv.arrangements[i - 1].to_grid() for i in ids])[inv.reshape(wins.shape)]
+        q, m, _, b, _ = grids.shape
+        wins = grids.transpose(0, 1, 3, 2, 4).reshape(q, m * b, m * b)
+        if m * b > 1:
+            low, high = wins[:, :-1], wins[:, 1:]
+            quads = np.stack([low[..., :-1], low[..., 1:], high[..., :-1], high[..., 1:]], -1).reshape(-1, 4)
+            # a group as one opaque item: np.unique sorts its bytes, about 10x faster than by rows (axis=0)
+            _, first = np.unique(quads.view(np.dtype((np.void, 4 * quads.itemsize))), return_index=True)
+            wins = quads[first].reshape(-1, 2, 2)
+            out.append((t, wins))
+    return out
+
+
+def _charge_codes(side: int, r: int, cap: int | None) -> None:
+    """The checks of r against a ``side`` x ``side`` window, then the charge
+    of its code arrays, 3 * itemsize cells a window cell."""
     if r < 1:
         raise ValueError("pattern side must be positive")
     if side < 3 * r:
@@ -1076,20 +1184,47 @@ def estimate_repetitivity(patch: Patch, r: int, cap: int | None = None) -> int |
     itemsize = np.dtype(_code_dtype(r)).itemsize
     check_cells(3 * itemsize * side * side,
                 f"{3 * itemsize}-byte pattern codes of side {r} on a {side}x{side} window", cap)
-    codes = _pattern_codes(patch.cells, r)
-    best, top = r, side - r
-    for code in _distinct_codes(codes, r):
-        here = codes == code
-        if _blocks_hold(here, best - r + 1):
-            continue
-        fail, step = best, 1
-        while True:
-            probe = min(best + step, top)
+
+
+def _search(stack_codes: np.ndarray, r: int, top: int, best: int, codes: np.ndarray | None = None,
+            fail: int = 0) -> tuple[int, np.ndarray, int]:
+    """The radius search on the :func:`_pattern_codes` of a (H, W) window
+    or of a (H, Q, W) stack of regions, laid out as :func:`_level_stack`
+    lays out patches, for window sides up to ``top``: every K x K block of
+    origins of every region is tested.
+
+    Each pattern's occurrences form a boolean mask; a sliding OR of width K
+    along both axes marks the blocks holding one, so the test is boolean
+    throughout and counts nothing.  A window that holds a pattern at side
+    R still holds it at every larger side, so each pattern that the largest
+    R found so far, ``best``, does not serve is tried at ``best`` + 1, + 2,
+    + 4, ... (at most ``top``; a pattern carried over from a smaller
+    ``top`` from ``fail`` on), and its own smallest R is bisected in the
+    last gap: the tests grow with log R, not with log side.
+
+    ``codes`` are the distinct codes still to serve, ascending; None means
+    those of ``stack_codes`` (:func:`_distinct_codes`).  ``fail`` is either
+    below ``best`` or a side known not to serve the first of them.  Returns
+    ``(best, rest, fail)``: ``rest`` the codes from the first one that no
+    side up to ``top`` serves (empty when every code is served), ``fail``
+    the largest side found not to serve it.
+    """
+    if codes is None:
+        codes = _distinct_codes(stack_codes, r)
+    for i, code in enumerate(codes):
+        here = stack_codes == code
+        if fail < best:
+            if _blocks_hold(here, best - r + 1):
+                continue
+            fail = best
+        start, step = fail, 1
+        while fail < top:
+            probe = min(start + step, top)
             if _blocks_hold(here, probe - r + 1):
                 break
-            if probe == top:
-                return None
             fail, step = probe, 2 * step
+        else:
+            return best, codes[i:], fail
         lo, hi = fail + 1, probe
         while lo < hi:
             mid = (lo + hi) // 2
@@ -1098,20 +1233,21 @@ def estimate_repetitivity(patch: Patch, r: int, cap: int | None = None) -> int |
             else:
                 lo = mid + 1
         best = lo
-    return best
+    return best, codes[:0], fail
 
 
 def _pattern_codes(cells: np.ndarray, r: int) -> np.ndarray:
-    """Code of the r x r pattern at each origin: bit dy*r + dx holds cell
-    (dy, dx), in the dtype of :func:`_code_dtype`."""
-    H, W = cells.shape
+    """Code of the r x r pattern at each origin of a (H, W) grid or of each
+    region of a (H, Q, W) stack: bit dy*r + dx holds cell (dy, dx), in the
+    dtype of :func:`_code_dtype`."""
+    H, *stack, W = cells.shape
     outh, outw = H - r + 1, W - r + 1
     dtype = _code_dtype(r)
-    codes = np.zeros((outh, outw), dtype=dtype)
+    codes = np.zeros((outh, *stack, outw), dtype=dtype)
     shifted = np.empty_like(codes)
     for bit in range(r * r):
         dy, dx = divmod(bit, r)
-        np.left_shift(cells[dy : dy + outh, dx : dx + outw], dtype(bit), out=shifted, dtype=dtype)
+        np.left_shift(cells[dy : dy + outh, ..., dx : dx + outw], dtype(bit), out=shifted, dtype=dtype)
         codes |= shifted
     return codes
 
@@ -1132,7 +1268,9 @@ def _code_dtype(r: int) -> type:
 
 
 def _blocks_hold(mask: np.ndarray, K: int) -> bool:
-    """True iff every K x K block of ``mask`` holds a True cell."""
+    """True iff every K x K block of a (H, W) ``mask``, or of each region
+    of a (H, Q, W) stack, holds a True cell.  The transpose of a stack is
+    a (W, Q, H) stack, so the second pass runs along the first axis too."""
     return bool(_or_runs(_or_runs(mask, K).T, K).all())
 
 

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -1101,6 +1102,80 @@ def test_repetitivity_at_r_5_takes_the_sorted_pattern_list(ue3_dhs, capsys):
     assert run("repetitivity", "--spec", ue3_dhs, "--level", "5", "--id", "1", "--r", "5") == 0
     out, err = capsys.readouterr()
     assert err == "" and out.strip().isdecimal() and out.count("\n") == 1
+
+
+# the window's charge, then its codes' (6 bytes a cell for r <= 4), each
+# refused one cell short and met at its need
+_REPETITIVITY_CAPS = {
+    944783: (3, "", "resource cap: materializing level 6 patch 1 requires 944784 cells (cap 944783)\n"),
+    944784: (3, "", "resource cap: 6-byte pattern codes of side 2 on a 972x972 window "
+                    "requires 5668704 cells (cap 944784)\n"),
+    5668703: (3, "", "resource cap: 6-byte pattern codes of side 2 on a 972x972 window "
+                     "requires 5668704 cells (cap 5668703)\n"),
+    5668704: (0, "13\n", ""),
+}
+
+
+@pytest.mark.parametrize("cap", _REPETITIVITY_CAPS)
+def test_repetitivity_spec_caps_as_the_window_did(ue3_dhs, capsys, cap):
+    """Read off the tile groups, ``repetitivity --spec`` is still charged
+    the window and then its codes, with the messages the window gave."""
+    capsys.readouterr()
+    rc = run("repetitivity", "--spec", ue3_dhs, "--level", "6", "--id", "1", "--r", "2", "--cell-cap", str(cap))
+    assert (rc, *capsys.readouterr()) == _REPETITIVITY_CAPS[cap]
+
+
+# bad values, alone and together: the first error is the window's
+_REPETITIVITY_ERRORS = {
+    ("--level", "0"): "level 0 outside 1..7",
+    ("--level", "8", "--id", "0", "--r", "0"): "level 8 outside 1..7",
+    ("--id", "3"): "patch id 3 outside 1..2",
+    ("--id", "0", "--r", "9"): "patch id 0 outside 1..2",
+    ("--r", "0"): "pattern side must be positive",
+    ("--r", "-1"): "pattern side must be positive",
+    ("--level", "2", "--r", "5"): "patch side 12 below 3r = 15",
+    ("--r", "9"): "pattern side above 8 is not supported",
+}
+
+
+@pytest.mark.parametrize("argv", _REPETITIVITY_ERRORS, ids=[" ".join(a) for a in _REPETITIVITY_ERRORS])
+def test_repetitivity_spec_errors_as_the_window_did(ue3_dhs, capsys, argv):
+    flags = dict(zip(argv[::2], argv[1::2]))
+    flags = {"--level": "6", "--id": "1", "--r": "1", **flags}
+    capsys.readouterr()
+    assert run("repetitivity", "--spec", ue3_dhs, *(x for kv in flags.items() for x in kv)) == 2
+    assert capsys.readouterr() == ("", f"error: {_REPETITIVITY_ERRORS[argv]}\n")
+
+
+@pytest.mark.parametrize("level", ["6", "7"])
+def test_repetitivity_spec_never_builds_the_window(ue3_dhs, capsys, monkeypatch, level):
+    """On the 972^2 and 2916^2 windows the tile groups give both radii: a
+    fallback to the window would raise here."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the window was built")
+
+    monkeypatch.setattr(hierarchy, "materialize", refuse)
+    monkeypatch.setattr(hierarchy, "_cells", refuse)
+    for r, want in (("1", "10\n"), ("2", "13\n")):
+        capsys.readouterr()
+        assert run("repetitivity", "--spec", ue3_dhs, "--level", level, "--id", "1", "--r", r) == 0
+        assert capsys.readouterr() == (want, "")
+
+
+def test_repetitivity_spec_peaks_below_the_window(ue3_dhs):
+    """On the 2916^2 level-7 window, r = 1, the tile groups' traced peak is
+    below the window path's (the window alone is 8.5 MB)."""
+    spec = hierarchy.read_spec(ue3_dhs)
+    peaks = []
+    for call in (lambda: hierarchy.spec_repetitivity(spec, 7, 1, 1),
+                 lambda: hierarchy.estimate_repetitivity(hierarchy.materialize(spec, 7, 1), 1)):
+        tracemalloc.start()
+        try:
+            assert call() == 10
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] / 10 and peaks[1] > spec.cell_count(7)
 
 
 @pytest.mark.parametrize("level", ["5", "6"])

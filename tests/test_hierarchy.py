@@ -121,6 +121,26 @@ def _band_row(draw, cols: int, ids, min_reps: int = 1) -> H.Edge:
     return H.Edge(tuple(pieces))
 
 
+def test_each_grid_is_built_once_and_kept_read_only(ue3):
+    """Repeated materializations build the grid of each distinct
+    arrangement object once: ``_ids`` writes out each of its bands once."""
+    spec = H.loads_spec(H.dumps_spec(ue3.spec))  # fresh objects, no grid built yet
+    arrs = {id(a): a for lv in spec.levels[:4] for a in lv.arrangements}
+    ids, written = H._ids, []
+
+    def counted(line):
+        written.append(line)
+        return ids(line)
+
+    with mock.patch.object(H, "_ids", counted):
+        for _ in range(3):
+            for pid in (1, 2):
+                H.materialize(spec, 5, pid)
+    assert len(arrs) == 4 and len(written) == sum(len(a.bands) for a in arrs.values())
+    for a in arrs.values():
+        assert a.to_grid() is a.to_grid() and not a.to_grid().flags.writeable
+
+
 @st.composite
 def band_arrangements(draw):
     """1..5 bands of multiplicity 1..4 over rows of a common length, each
@@ -295,6 +315,30 @@ def test_windows_peak_at_a_few_times_their_charge(tmp_path):
             finally:
                 tracemalloc.stop()
             assert peak < bound, (name, cap, peak / charge)
+
+
+def test_block_aligned_count_holds_one_patch_at_a_time():
+    """The spec of the test above, a level-2 needle and a cap equal to its
+    charge: each level-2 patch is compared in rows of tiles off the stack
+    of the ten base patches, not off a stack of all ten level-2 patches
+    (13.2 times the charge), so the count peaks below 5 times the charge."""
+    rng = np.random.default_rng(0)
+    base = [Patch(rng.integers(0, 2, (64, 64), dtype=np.uint8)) for _ in range(10)]
+    levels = [Level(tuple(Arrangement.dense(rng.integers(1, 11, (2, 2))) for _ in range(10))) for _ in range(2)]
+    spec = HierarchySpec(base, levels)
+    charge, needle = spec.cell_count(2), H.materialize(spec, 2, 7)
+    want = sum(spec.count_matrix(2, 3)[i - 1][0] for i in range(1, 11)
+               if np.array_equal(H.materialize(spec, 2, i).cells, needle.cells))
+    with pytest.raises(CapacityError, match=f"requires {charge} cells"):
+        H.count_occurrences(spec, needle, 3, 1, BLOCK_ALIGNED, cap=charge - 1)
+    tracemalloc.start()
+    try:
+        got = H.count_occurrences(spec, needle, 3, 1, BLOCK_ALIGNED, cap=charge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want >= 1
+    assert peak < 5 * charge, peak / charge
 
 
 @pytest.mark.parametrize("r", [2, 6])
@@ -902,6 +946,83 @@ def test_blocks_hold_matches_a_direct_scan(data):
     assert H._blocks_hold(mask, K) == want
 
 
+def _every_level():
+    """Try every level whose tiles can hold a pattern, whatever the sizes
+    of the window and of the groups."""
+    return mock.patch.multiple(H, _GROUP_SHARE=0, _TRY_CELLS=0)
+
+
+def _searches(spec, level, pid, r) -> tuple[int | None, list[tuple[int, int]]]:
+    """``spec_repetitivity`` and, per search it ran, the widest window side
+    it tested up to and the number of patterns it left."""
+    runs, search = [], H._search
+
+    def traced(codes, r, top, *args):
+        got = search(codes, r, top, *args)
+        runs.append((top, len(got[1])))
+        return got
+
+    with mock.patch.object(H, "_search", traced):
+        return H.spec_repetitivity(spec, level, pid, r), runs
+
+
+def test_spec_repetitivity_resumes_a_pattern_at_the_next_level(ue3):
+    """On the 972^2 level-6 window, r = 2: the 4x4 and 12x12 tiles leave
+    patterns that need R > 4 and R > 12, and the 36x36 tiles serve them
+    all, at R = 13; the window is never searched."""
+    got, runs = _searches(ue3.spec, 6, 1, 2)
+    assert got == 13
+    assert [top for top, _ in runs] == [4, 12, 36]
+    assert runs[0][1] > runs[1][1] > runs[2][1] == 0
+
+
+def test_spec_repetitivity_at_r_5_codes_in_uint64(ue3):
+    """r = 5 codes do not fit 16 bits: with every level tried, the 12x12 and
+    36x36 tiles serve some patterns and the window the rest, at the
+    window's radius."""
+    want = H.estimate_repetitivity(H.materialize(ue3.spec, 5, 1), 5)
+    with _every_level():
+        got, runs = _searches(ue3.spec, 5, 1, 5)
+    assert got == want is not None
+    assert [top for top, _ in runs] == [12, 36, 108]
+    assert runs[0][1] > runs[1][1] > runs[2][1] == 0
+
+
+def test_spec_repetitivity_window_too_small():
+    """One occupied cell, at the corner of a 36x36 window: the 12x12 tiles
+    serve the empty pattern and leave the occupied one to the window,
+    which no side up to 35 serves either."""
+    empty, dot = np.zeros((4, 4), np.uint8), np.zeros((4, 4), np.uint8)
+    dot[0, 0] = 1
+    corner = np.array([[2, 1, 1], [1, 1, 1], [1, 1, 1]])
+    spec = HierarchySpec([Patch(empty), Patch(dot)], [
+        Level((Arrangement.dense(corner), Arrangement.dense(np.ones((3, 3), int)))),
+        Level((Arrangement.dense(3 - corner),)),
+    ])
+    assert H.materialize(spec, 3, 1).popcount() == 1
+    with _every_level():
+        got, runs = _searches(spec, 3, 1, 1)
+    assert got is None is H.estimate_repetitivity(H.materialize(spec, 3, 1), 1)
+    assert runs == [(4, 1), (12, 1), (35, 1)]
+
+
+def test_spec_repetitivity_through_a_level_of_branching_one():
+    """A level-3 patch that is one level-2 patch: its level-2 tiling is one
+    tile, so the groups start at level 1."""
+    rng = np.random.default_rng(3)
+    base = [Patch(rng.integers(0, 2, (4, 4), dtype=np.uint8)) for _ in range(2)]
+    spec = HierarchySpec(base, [
+        Level(tuple(Arrangement.dense(rng.integers(1, 3, (3, 3))) for _ in range(2))),
+        Level((Arrangement.dense(np.array([[2]])), Arrangement.dense(np.array([[1]])))),
+    ])
+    with _every_level():
+        assert [t for t, _ in H._tile_groups(spec, 3, 1, 1)] == [1]
+    window = H.materialize(spec, 3, 1)
+    for r in (1, 2, 3, 4):
+        with _every_level():
+            assert H.spec_repetitivity(spec, 3, 1, r) == H.estimate_repetitivity(window, r)
+
+
 def test_repetitivity_preconditions():
     p = Patch(np.ones((5, 5), dtype=np.uint8))
     with pytest.raises(ValueError, match="3r"):
@@ -1054,6 +1175,26 @@ def small_specs(draw):
         k = len(arrs)
     assume(levels)
     return HierarchySpec(base, levels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_specs())
+def test_spec_repetitivity_equals_the_window(spec):
+    """Every level and pid with side >= 3r, r = 1..4, under the level rule
+    and with every level tried: the window's estimate, which is the
+    oracle's on windows up to 36 wide."""
+    for t in range(1, spec.num_levels + 1):
+        for pid in range(1, spec.k(t) + 1):
+            window = H.materialize(spec, t, pid)
+            for r in range(1, 1 + window.side // 3):
+                if r > 4:
+                    break
+                want = H.estimate_repetitivity(window, r)
+                assert H.spec_repetitivity(spec, t, pid, r) == want, (t, pid, r)
+                with _every_level():
+                    assert H.spec_repetitivity(spec, t, pid, r) == want, (t, pid, r)
+                if window.side <= 36:
+                    assert want == repetitivity_oracle(window.cells, r)
 
 
 def _grids(spec) -> dict[tuple[int, int], np.ndarray]:
